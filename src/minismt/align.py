@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, SentencePair
-from .errors import ParameterError, TrainingError
+from .errors import FormatError, ParameterError, TrainingError
 
 NULL_WORD = "<null>"
 
@@ -125,6 +125,21 @@ def viterbi_align(lexicon, pair):
     return AlignmentMatrix(pair.pair_id, frozenset(links), len(pair.source), len(pair.target))
 
 
+def align_corpus(corpus, iterations, heuristic):
+    """Train both directions, then symmetrize each pair's Viterbi alignments.
+
+    Returns (alignment matrices, forward lexicon, backward lexicon).
+    """
+    fwd = em_train(corpus, iterations)
+    bwd = em_train(transpose_corpus(corpus), iterations)
+    matrices = []
+    for pair in corpus.pairs:
+        f = viterbi_align(fwd, pair)
+        b = viterbi_align(bwd, SentencePair(pair.target, pair.source, pair.pair_id))
+        matrices.append(symmetrize(f, b, heuristic))
+    return matrices, fwd, bwd
+
+
 HEURISTICS = ("intersection", "union", "grow-diag-final")
 
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -194,14 +209,20 @@ def read_alignments(path, corpus):
             % (path, len(lines), len(corpus.pairs))
         )
     matrices = []
-    for pair, line in zip(corpus.pairs, lines):
+    for lineno, (pair, line) in enumerate(zip(corpus.pairs, lines), 1):
         links = set()
         for chunk in line.split():
-            i, j = chunk.split("-")
-            links.add((int(i), int(j)))
-        matrices.append(
-            AlignmentMatrix(pair.pair_id, frozenset(links), len(pair.source), len(pair.target))
-        )
+            try:
+                i, j = chunk.split("-")
+                links.add((int(i), int(j)))
+            except ValueError:
+                raise FormatError("%s line %d: bad link %r, expected i-j" % (path, lineno, chunk))
+        try:
+            matrices.append(
+                AlignmentMatrix(pair.pair_id, frozenset(links), len(pair.source), len(pair.target))
+            )
+        except ParameterError as exc:
+            raise FormatError("%s line %d: %s" % (path, lineno, exc))
     return matrices
 
 
@@ -216,7 +237,11 @@ def write_lexicon(lexicon, path):
 def read_lexicon(path):
     table = {}
     with open(path, encoding="utf-8") as f:
-        for raw in f:
-            given, out, prob = raw.rstrip("\n").split("\t")
-            table.setdefault(given, {})[out] = float(prob)
+        for lineno, raw in enumerate(f, 1):
+            try:
+                given, out, prob = raw.rstrip("\n").split("\t")
+                table.setdefault(given, {})[out] = float(prob)
+            except ValueError:
+                raise FormatError(
+                    "%s line %d: expected given<TAB>out<TAB>probability" % (path, lineno))
     return TranslationLexicon(table)

@@ -10,8 +10,10 @@ import argparse
 import sys
 
 from . import align, artok, bleu, corpus, lm, mert, phrases, pipeline
-from .decode import Decoder, DecoderConfig, Weights
+from .decode import Decoder, Weights
 from .errors import MinismtError, ParameterError
+
+_DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
 
 
 def _input_lines(path):
@@ -73,13 +75,7 @@ def _cmd_query_lm(args):
 
 def _cmd_align(args):
     corp = corpus.load_parallel(args.source, args.target)
-    fwd = align.em_train(corp, args.iterations)
-    bwd = align.em_train(align.transpose_corpus(corp), args.iterations)
-    matrices = []
-    for pair in corp.pairs:
-        f = align.viterbi_align(fwd, pair)
-        b = align.viterbi_align(bwd, corpus.SentencePair(pair.target, pair.source, pair.pair_id))
-        matrices.append(align.symmetrize(f, b, args.heuristic))
+    matrices, fwd, bwd = align.align_corpus(corp, args.iterations, args.heuristic)
     align.write_alignments(matrices, args.output)
     if args.save_lexicons:
         align.write_lexicon(fwd, args.output + ".lex.fwd")
@@ -89,26 +85,17 @@ def _cmd_align(args):
 
 
 def _cmd_extract(args):
-    corp = corpus.load_parallel(args.source, args.target)
-    matrices = align.read_alignments(args.alignments, corp)
-    lex_fwd = align.read_lexicon(args.lex_fwd)
-    lex_bwd = align.read_lexicon(args.lex_bwd)
-    extracted = phrases.extract_corpus(corp, matrices, args.max_len)
-    table = phrases.score(extracted, lex_fwd, lex_bwd)
+    table = pipeline.build_phrase_table(args.source, args.target, args.alignments,
+                                        args.lex_fwd, args.lex_bwd, args.max_len)
     phrases.write_table(table, args.output)
     print("wrote %s (%d entries)" % (args.output, len(table)))
     return 0
 
 
 def _decoder_from_args(args):
-    table = phrases.read_table(args.table)
-    model = lm.read_arpa(args.lm)
+    table, model, config = pipeline.load_search(
+        args.table, args.lm, args.stack_size, args.beam_threshold, args.distortion_limit)
     weights = Weights.from_file(args.weights) if args.weights else Weights.uniform()
-    config = DecoderConfig(
-        stack_size=args.stack_size,
-        beam_threshold=args.beam_threshold,
-        distortion_limit=args.distortion_limit,
-    )
     return Decoder(table, model, weights, config)
 
 
@@ -132,24 +119,11 @@ def _cmd_nbest(args):
 
 def _cmd_mert(args):
     dev = corpus.load_parallel(args.dev_source, args.dev_target)
-    table = phrases.read_table(args.table)
-    model = lm.read_arpa(args.lm)
-    config = DecoderConfig(
-        stack_size=args.stack_size,
-        beam_threshold=args.beam_threshold,
-        distortion_limit=args.distortion_limit,
-    )
+    table, model, config = pipeline.load_search(
+        args.table, args.lm, args.stack_size, args.beam_threshold, args.distortion_limit)
     initial = Weights.from_file(args.init_weights) if args.init_weights else Weights.uniform()
-
-    def factory(weights):
-        return Decoder(table, model, weights, config)
-
-    log_lines = []
-    tuned = mert.mert(
-        dev, factory, initial,
-        iterations=args.iterations, nbest_size=args.nbest, seed=args.seed,
-        log_lines=log_lines,
-    )
+    tuned, log_lines = mert.tune(dev, table, model, config, initial, args.iterations,
+                                 args.nbest, args.seed)
     tuned.to_file(args.output)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as f:
@@ -203,13 +177,19 @@ def _cmd_make_toy_config(args):
     return 0
 
 
+def _add_search_flags(sub):
+    sub.add_argument("--stack-size", type=int, default=_DEFAULTS.stack_size)
+    sub.add_argument("--beam-threshold", type=pipeline.parse_threshold,
+                     default=_DEFAULTS.beam_threshold, help="a number, or none")
+    sub.add_argument("--distortion-limit", type=pipeline.parse_limit,
+                     default=_DEFAULTS.distortion_limit, help="an integer, or none (unlimited)")
+
+
 def _add_decoder_flags(sub):
     sub.add_argument("--table", required=True, help="phrase table file")
     sub.add_argument("--lm", required=True, help="ARPA language model file")
     sub.add_argument("--weights", help="weights file (default: uniform)")
-    sub.add_argument("--stack-size", type=int, default=100)
-    sub.add_argument("--beam-threshold", type=float, default=None)
-    sub.add_argument("--distortion-limit", type=int, default=None)
+    _add_search_flags(sub)
 
 
 def build_parser():
@@ -220,7 +200,7 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("tokenize", help="clitic-tokenize Arabic text (filter)")
-    sub.add_argument("--scheme", default="atb", help="atb or myd3")
+    sub.add_argument("--scheme", default=_DEFAULTS.scheme, help="atb or myd3")
     sub.add_argument("--inventory", help="clitic inventory TSV (default: bundled)")
     sub.add_argument("--lexicon", help="stem lexicon (default: bundled)")
     sub.add_argument("--input", help="input file (default: stdin)")
@@ -237,8 +217,8 @@ def build_parser():
 
     sub = commands.add_parser("train-lm", help="train a backoff n-gram model")
     sub.add_argument("corpus", help="tokenized corpus, one sentence per line")
-    sub.add_argument("--order", type=int, default=5)
-    sub.add_argument("--smoothing", default="witten-bell", choices=("witten-bell", "mle"))
+    sub.add_argument("--order", type=int, default=_DEFAULTS.lm_order)
+    sub.add_argument("--smoothing", default=_DEFAULTS.lm_smoothing, choices=("witten-bell", "mle"))
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(fn=_cmd_train_lm)
 
@@ -250,8 +230,8 @@ def build_parser():
     sub = commands.add_parser("align", help="IBM Model 1 word alignment")
     sub.add_argument("--source", required=True)
     sub.add_argument("--target", required=True)
-    sub.add_argument("--iterations", type=int, default=5)
-    sub.add_argument("--heuristic", default="grow-diag-final", choices=align.HEURISTICS)
+    sub.add_argument("--iterations", type=int, default=_DEFAULTS.align_iterations)
+    sub.add_argument("--heuristic", default=_DEFAULTS.align_heuristic, choices=align.HEURISTICS)
     sub.add_argument("--save-lexicons", action="store_true",
                      help="also write <output>.lex.fwd / .lex.bwd")
     sub.add_argument("-o", "--output", required=True)
@@ -263,7 +243,7 @@ def build_parser():
     sub.add_argument("--alignments", required=True)
     sub.add_argument("--lex-fwd", required=True)
     sub.add_argument("--lex-bwd", required=True)
-    sub.add_argument("--max-len", type=int, default=phrases.DEFAULT_MAX_PHRASE_LEN)
+    sub.add_argument("--max-len", type=int, default=_DEFAULTS.max_phrase_len)
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(fn=_cmd_extract)
 
@@ -284,12 +264,10 @@ def build_parser():
     sub.add_argument("--table", required=True)
     sub.add_argument("--lm", required=True)
     sub.add_argument("--init-weights")
-    sub.add_argument("--iterations", type=int, default=mert.DEFAULT_ITERATIONS)
-    sub.add_argument("--nbest", type=int, default=mert.DEFAULT_NBEST)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--stack-size", type=int, default=100)
-    sub.add_argument("--beam-threshold", type=float, default=None)
-    sub.add_argument("--distortion-limit", type=int, default=None)
+    sub.add_argument("--iterations", type=int, default=_DEFAULTS.mert_iterations)
+    sub.add_argument("--nbest", type=int, default=_DEFAULTS.mert_nbest)
+    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    _add_search_flags(sub)
     sub.add_argument("--log", help="write the per-iteration run log here")
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(fn=_cmd_mert)

@@ -87,7 +87,11 @@ def _suffix(path):
     return name.rsplit(".", 1)[1] if "." in name else "src"
 
 
-def clean(corpus, max_len=80, max_ratio=9.0):
+CLEAN_MAX_LEN = 80
+CLEAN_MAX_RATIO = 9.0
+
+
+def clean(corpus, max_len=CLEAN_MAX_LEN, max_ratio=CLEAN_MAX_RATIO):
     """Drop pairs with an empty side, an over-long side, or an extreme length ratio.
 
     Surviving pairs keep their order and are re-numbered densely from 0.

@@ -12,9 +12,10 @@ The eight features, in order: language model log10 probability, forward
 and reverse phrase translation log-probs, forward and reverse lexical
 weights, negated distortion cost, negated word count (unknown-word
 copies pay an extra penalty here), and negated phrase count. A
-hypothesis score is always the full dot product of weights and
-accumulated features, so reported scores are exactly reproducible from
-the feature vector.
+hypothesis score is the running sum of each step's weighted feature
+increment, so equal-state comparisons carry over to completions exactly;
+it agrees with the dot product of weights and accumulated features to
+within 1e-9.
 """
 
 import heapq
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import lm as lm_mod
-from .errors import MinismtError, ParameterError
+from .errors import FormatError, MinismtError, ParameterError
 from .phrases import distortion_cost, log10_scores
 
 FEATURE_NAMES = (
@@ -79,12 +80,19 @@ class Weights:
     def from_file(cls, path):
         seen = {}
         with open(path, encoding="utf-8") as f:
-            for raw in f:
+            for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                name, value = line.split()
-                seen[name] = float(value)
+                try:
+                    name, value = line.split()
+                    value = float(value)
+                except ValueError:
+                    raise FormatError("%s line %d: expected 'name value', found %r"
+                                      % (path, lineno, line))
+                if name in seen:
+                    raise FormatError("%s line %d: duplicate weight %r" % (path, lineno, name))
+                seen[name] = value
         missing = [n for n in FEATURE_NAMES if n not in seen]
         if missing:
             raise ParameterError("weights file %s is missing %s" % (path, ", ".join(missing)))
@@ -134,7 +142,6 @@ class _Hyp:
         "coverage",
         "context",
         "last_end",
-        "features",
         "score",
         "inc_score",
         "future",
@@ -146,12 +153,11 @@ class _Hyp:
     )
 
     def __init__(
-        self, coverage, context, last_end, features, score, inc_score, future, prev, option, inc, serial
+        self, coverage, context, last_end, score, inc_score, future, prev, option, inc, serial
     ):
         self.coverage = coverage
         self.context = context
         self.last_end = last_end
-        self.features = features
         self.score = score
         self.inc_score = inc_score
         self.future = future
@@ -289,7 +295,6 @@ class Decoder:
             lm_score += lm_mod.logprob(self.model, lm_mod.END, context)
         inc[_LM] = lm_score
         inc = tuple(inc)
-        features = tuple(f + d for f, d in zip(hyp.features, inc))
         # scores accumulate incrementally so that equal-state comparisons
         # carry over to completions exactly (float addition is monotone);
         # the dot product of weights and features agrees to ~1e-12
@@ -297,8 +302,7 @@ class Decoder:
         score = hyp.score + inc_score
         future = _future_of(coverage, full_mask, future_table)
         return _Hyp(
-            coverage, context, option.end - 1, features, score, inc_score, future, hyp, option,
-            inc, serial
+            coverage, context, option.end - 1, score, inc_score, future, hyp, option, inc, serial
         )
 
     def _search(self, sentence):
@@ -313,7 +317,7 @@ class Decoder:
 
         start_context = (lm_mod.START,) if self.model.order > 1 else ()
         root = _Hyp(
-            0, start_context, -1, _ZERO, 0.0, 0.0, future_table.get((0, n), 0.0), None, None, _ZERO, 0
+            0, start_context, -1, 0.0, 0.0, future_table.get((0, n), 0.0), None, None, _ZERO, 0
         )
         stacks = [dict() for _ in range(n + 1)]
         stacks[0][(0, root.context, -1)] = root
@@ -382,7 +386,7 @@ class Decoder:
             tokens = hyp.partial_tokens()
             if best is None or tokens < best_tokens:
                 best, best_tokens = hyp, tokens
-        return _materialize(best)
+        return _materialize_path(best.path())
 
     def nbest(self, sentence, n):
         """Up to n distinct translations, best score first.
@@ -424,9 +428,6 @@ class Decoder:
                 break
         ranked = sorted(found.values(), key=lambda t: (-t.score, t.tokens))
         return ranked[:n]
-
-    def decode_batch(self, sentences):
-        return [self.decode(s) for s in sentences]
 
 
 class _KBestPaths:
@@ -489,10 +490,6 @@ def _future_of(coverage, full_mask, table):
         total += table[(i, j)]
         i = j
     return total
-
-
-def _materialize(hyp):
-    return _materialize_path(hyp.path())
 
 
 def _materialize_path(hyps):

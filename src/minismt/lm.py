@@ -44,9 +44,6 @@ class NGramModel:
     def logprob(self, word, context=()):
         return logprob(self, word, context)
 
-    def sentence_logprob(self, sentence):
-        return sentence_logprob(self, sentence)
-
 
 def _count_windows(sentences, order):
     counts = [None] + [{} for _ in range(order)]

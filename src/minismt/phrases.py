@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .align import NULL_WORD
 from .errors import FormatError, ParameterError
 
-DEFAULT_MAX_PHRASE_LEN = 7
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
 
 
@@ -39,7 +38,7 @@ class Scores:
         return (self.phi_fwd, self.lex_fwd, self.phi_rev, self.lex_rev)
 
 
-def extract(pair, alignment, max_len=DEFAULT_MAX_PHRASE_LEN):
+def extract(pair, alignment, max_len):
     """All alignment-consistent phrase pairs of one sentence pair."""
     if max_len < 1:
         raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
@@ -156,7 +155,7 @@ def _lexical_weight(given_phrase, out_phrase, links, lexicon):
     return weight
 
 
-def extract_corpus(corpus, alignments, max_len=DEFAULT_MAX_PHRASE_LEN):
+def extract_corpus(corpus, alignments, max_len):
     """Extraction over a corpus, as a list parallel to its pairs."""
     if len(alignments) != len(corpus.pairs):
         raise ParameterError(

@@ -1,9 +1,9 @@
 """End-to-end pipeline: preprocess -> train -> tune -> decode -> evaluate.
 
-Configuration is an INI-style key-value file; every key has a default (see
-DEFAULTS). Each stage writes its artifacts plus a manifest recording input
-hashes and parameters into the work directory, so a stage can be rerun
-and checked for staleness in isolation. Runs are fully deterministic for
+Configuration is an INI-style key-value file; every key has a default
+(see PipelineConfig). Each stage writes its artifacts plus a manifest
+recording input hashes and parameters into the work directory, so a stage
+can be rerun and checked for staleness in isolation. Runs are fully deterministic for
 a fixed config and seed: artifacts are byte-identical across reruns.
 
 The translation direction is English (source) to Arabic (target): the
@@ -31,40 +31,30 @@ _BUNDLED = {
     "lexicon": "stems.bw.txt",
 }
 
-DEFAULTS = {
-    ("data", "train_source"): "",
-    ("data", "train_target"): "",
-    ("data", "dev_source"): "",
-    ("data", "dev_target"): "",
-    ("data", "test_source"): "",
-    ("data", "test_target"): "",
-    ("tokenize", "scheme"): "atb",
-    ("tokenize", "inventory"): "",  # empty -> bundled Buckwalter inventory
-    ("tokenize", "lexicon"): "",  # empty -> bundled stem lexicon
-    ("clean", "max_len"): "80",
-    ("clean", "max_ratio"): "9.0",
-    ("lm", "order"): "5",
-    ("lm", "smoothing"): "witten-bell",
-    ("align", "iterations"): "5",
-    ("align", "heuristic"): "grow-diag-final",
-    ("phrases", "max_len"): "7",
-    ("decoder", "stack_size"): "100",
-    ("decoder", "beam_threshold"): "none",
-    ("decoder", "distortion_limit"): "6",
-    ("mert", "iterations"): "10",
-    ("mert", "nbest"): "100",
-    ("run", "seed"): "17",
-    ("run", "work_dir"): "",
-}
-
 
 def parse_number(text):
     """Float parser accepting either a dot or a comma decimal separator."""
     return float(text.strip().replace(",", "."))
 
 
+def _unbounded(text):
+    return text.strip().lower() in ("none", "unlimited", "inf")
+
+
+def parse_threshold(text):
+    """Beam threshold: a number, or none / unlimited / inf for no threshold."""
+    return None if _unbounded(text) else parse_number(text)
+
+
+def parse_limit(text):
+    """Distortion limit: an integer, or none / unlimited / inf for unlimited reordering."""
+    return None if _unbounded(text) else int(text)
+
+
 @dataclass
 class PipelineConfig:
+    """Every pipeline setting with its default; the CLI reads its defaults here too."""
+
     train_source: str = ""
     train_target: str = ""
     dev_source: str = ""
@@ -72,20 +62,20 @@ class PipelineConfig:
     test_source: str = ""
     test_target: str = ""
     scheme: str = "atb"
-    inventory: str = ""
-    lexicon: str = ""
-    clean_max_len: int = 80
-    clean_max_ratio: float = 9.0
+    inventory: str = ""  # empty -> bundled Buckwalter inventory
+    lexicon: str = ""  # empty -> bundled stem lexicon
+    clean_max_len: int = corpus.CLEAN_MAX_LEN
+    clean_max_ratio: float = corpus.CLEAN_MAX_RATIO
     lm_order: int = 5
     lm_smoothing: str = "witten-bell"
     align_iterations: int = 5
     align_heuristic: str = "grow-diag-final"
     max_phrase_len: int = 7
-    stack_size: int = 100
+    stack_size: int = DecoderConfig.stack_size
     beam_threshold: float | None = None
     distortion_limit: int | None = 6
-    mert_iterations: int = 10
-    mert_nbest: int = 100
+    mert_iterations: int = mert.DEFAULT_ITERATIONS
+    mert_nbest: int = mert.DEFAULT_NBEST
     seed: int = 17
     work_dir: str = ""
 
@@ -95,8 +85,33 @@ class PipelineConfig:
     def lexicon_path(self):
         return Path(self.lexicon) if self.lexicon else bundled_data(_BUNDLED["lexicon"])
 
-    def decoder_config(self):
-        return DecoderConfig(self.stack_size, self.beam_threshold, self.distortion_limit)
+
+# (section, key) -> (PipelineConfig field, parser of the stripped value)
+_KEYS = {
+    ("data", "train_source"): ("train_source", str),
+    ("data", "train_target"): ("train_target", str),
+    ("data", "dev_source"): ("dev_source", str),
+    ("data", "dev_target"): ("dev_target", str),
+    ("data", "test_source"): ("test_source", str),
+    ("data", "test_target"): ("test_target", str),
+    ("tokenize", "scheme"): ("scheme", str.lower),
+    ("tokenize", "inventory"): ("inventory", str),
+    ("tokenize", "lexicon"): ("lexicon", str),
+    ("clean", "max_len"): ("clean_max_len", int),
+    ("clean", "max_ratio"): ("clean_max_ratio", parse_number),
+    ("lm", "order"): ("lm_order", int),
+    ("lm", "smoothing"): ("lm_smoothing", str.lower),
+    ("align", "iterations"): ("align_iterations", int),
+    ("align", "heuristic"): ("align_heuristic", str.lower),
+    ("phrases", "max_len"): ("max_phrase_len", int),
+    ("decoder", "stack_size"): ("stack_size", int),
+    ("decoder", "beam_threshold"): ("beam_threshold", parse_threshold),
+    ("decoder", "distortion_limit"): ("distortion_limit", parse_limit),
+    ("mert", "iterations"): ("mert_iterations", int),
+    ("mert", "nbest"): ("mert_nbest", int),
+    ("run", "seed"): ("seed", int),
+    ("run", "work_dir"): ("work_dir", str),
+}
 
 
 def bundled_data(name):
@@ -110,45 +125,19 @@ def load_config(path):
     if not read:
         raise ConfigError("cannot read config file %s" % path)
 
-    def get(section, key):
-        return parser.get(section, key, fallback=DEFAULTS[(section, key)]).strip()
-
-    for section in parser.sections():
-        for key in parser[section]:
-            if (section, key) not in DEFAULTS:
-                raise ConfigError("unknown config key [%s] %s" % (section, key))
-
+    raw = {(section, key): value.strip()
+           for section in parser.sections() for key, value in parser[section].items()}
+    for section, key in raw:
+        if (section, key) not in _KEYS:
+            raise ConfigError("unknown config key [%s] %s" % (section, key))
     try:
-        threshold_raw = get("decoder", "beam_threshold").lower()
-        dlimit_raw = get("decoder", "distortion_limit").lower()
-        cfg = PipelineConfig(
-            train_source=get("data", "train_source"),
-            train_target=get("data", "train_target"),
-            dev_source=get("data", "dev_source"),
-            dev_target=get("data", "dev_target"),
-            test_source=get("data", "test_source"),
-            test_target=get("data", "test_target"),
-            scheme=get("tokenize", "scheme").lower(),
-            inventory=get("tokenize", "inventory"),
-            lexicon=get("tokenize", "lexicon"),
-            clean_max_len=int(get("clean", "max_len")),
-            clean_max_ratio=parse_number(get("clean", "max_ratio")),
-            lm_order=int(get("lm", "order")),
-            lm_smoothing=get("lm", "smoothing").lower(),
-            align_iterations=int(get("align", "iterations")),
-            align_heuristic=get("align", "heuristic").lower(),
-            max_phrase_len=int(get("phrases", "max_len")),
-            stack_size=int(get("decoder", "stack_size")),
-            beam_threshold=None if threshold_raw in ("none", "inf") else parse_number(threshold_raw),
-            distortion_limit=None if dlimit_raw in ("none", "unlimited") else int(dlimit_raw),
-            mert_iterations=int(get("mert", "iterations")),
-            mert_nbest=int(get("mert", "nbest")),
-            seed=int(get("run", "seed")),
-            work_dir=get("run", "work_dir"),
-        )
+        values = {}
+        for section_key, text in raw.items():
+            field, parse = _KEYS[section_key]
+            values[field] = parse(text)
     except ValueError as exc:
         raise ConfigError("bad value in %s: %s" % (path, exc))
-    return cfg
+    return PipelineConfig(**values)
 
 
 def validate(cfg):
@@ -319,13 +308,7 @@ def _stage_lm(cfg, work, art):
 def _stage_align(cfg, work, art):
     _need([art["train_src"], art["train_tgt"]], "prepare")
     corp = corpus.load_parallel(art["train_src"], art["train_tgt"], "en", "ar")
-    fwd = align.em_train(corp, cfg.align_iterations)
-    bwd = align.em_train(align.transpose_corpus(corp), cfg.align_iterations)
-    matrices = []
-    for pair in corp.pairs:
-        f = align.viterbi_align(fwd, pair)
-        b = align.viterbi_align(bwd, corpus.SentencePair(pair.target, pair.source, pair.pair_id))
-        matrices.append(align.symmetrize(f, b, cfg.align_heuristic))
+    matrices, fwd, bwd = align.align_corpus(corp, cfg.align_iterations, cfg.align_heuristic)
     align.write_alignments(matrices, art["alignments"])
     align.write_lexicon(fwd, art["lex_fwd"])
     align.write_lexicon(bwd, art["lex_bwd"])
@@ -334,20 +317,29 @@ def _stage_align(cfg, work, art):
         art["alignments"], art["lex_fwd"], art["lex_bwd"]]
 
 
+def build_phrase_table(source, target, alignments, lex_fwd, lex_bwd, max_len):
+    """Extract and score a phrase table from a corpus, its alignments and both lexicons."""
+    corp = corpus.load_parallel(source, target)
+    matrices = align.read_alignments(alignments, corp)
+    lexicons = align.read_lexicon(lex_fwd), align.read_lexicon(lex_bwd)
+    return phrases.score(phrases.extract_corpus(corp, matrices, max_len), *lexicons)
+
+
 def _stage_phrases(cfg, work, art):
     inputs = [art["train_src"], art["train_tgt"], art["alignments"],
               art["lex_fwd"], art["lex_bwd"]]
     _need(inputs[:2], "prepare")
     _need(inputs[2:], "align")
-    corp = corpus.load_parallel(art["train_src"], art["train_tgt"], "en", "ar")
-    matrices = align.read_alignments(art["alignments"], corp)
-    lex_fwd = align.read_lexicon(art["lex_fwd"])
-    lex_bwd = align.read_lexicon(art["lex_bwd"])
-    extracted = phrases.extract_corpus(corp, matrices, cfg.max_phrase_len)
-    table = phrases.score(extracted, lex_fwd, lex_bwd)
+    table = build_phrase_table(*inputs, cfg.max_phrase_len)
     phrases.write_table(table, art["table"])
     params = {"max_len": cfg.max_phrase_len}
     return params, inputs, [art["table"]]
+
+
+def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limit):
+    """Phrase table, language model and DecoderConfig: what a run's decoders share."""
+    config = DecoderConfig(stack_size, beam_threshold, distortion_limit)
+    return phrases.read_table(table_path), lm.read_arpa(lm_path), config
 
 
 def _stage_mert(cfg, work, art):
@@ -356,20 +348,11 @@ def _stage_mert(cfg, work, art):
     _need([art["table"]], "phrases")
     _need([art["lm"]], "lm")
     dev = corpus.load_parallel(art["dev_src"], art["dev_tgt"], "en", "ar")
-    table = phrases.read_table(art["table"])
-    model = lm.read_arpa(art["lm"])
-    dconf = cfg.decoder_config()
-
-    def factory(weights):
-        return Decoder(table, model, weights, dconf)
-
-    log_lines = []
+    table, model, dconf = load_search(art["table"], art["lm"], cfg.stack_size,
+                                      cfg.beam_threshold, cfg.distortion_limit)
     uniform = Weights.uniform()
-    tuned = mert.mert(
-        dev, factory, uniform,
-        iterations=cfg.mert_iterations, nbest_size=cfg.mert_nbest,
-        seed=cfg.seed, log_lines=log_lines,
-    )
+    tuned, log_lines = mert.tune(dev, table, model, dconf, uniform, cfg.mert_iterations,
+                                 cfg.mert_nbest, cfg.seed)
     tuned.to_file(art["weights"])
     uniform.to_file(art["weights_uniform"])
     _write_lines(art["mert_log"], log_lines)
@@ -386,9 +369,8 @@ def _stage_decode(cfg, work, art):
     _need([art["lm"]], "lm")
     _need([art["weights"], art["weights_uniform"]], "mert")
     sentences = _read_tokenized(art["test_src"])
-    table = phrases.read_table(art["table"])
-    model = lm.read_arpa(art["lm"])
-    dconf = cfg.decoder_config()
+    table, model, dconf = load_search(art["table"], art["lm"], cfg.stack_size,
+                                      cfg.beam_threshold, cfg.distortion_limit)
     for weights_path, out_path in (
         (art["weights"], art["hyp"]),
         (art["weights_uniform"], art["hyp_uniform"]),
@@ -469,7 +451,6 @@ def make_toy_config(out_dir):
         "scheme = myd3",
         "",
         "[run]",
-        "seed = 17",
         "work_dir = %s" % (out / "work"),
         "",
     ]

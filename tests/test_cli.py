@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from minismt import pipeline
-from minismt.cli import main
+from minismt import lm, pipeline
+from minismt.cli import build_parser, main
+from minismt.decode import FEATURE_NAMES
 from minismt.errors import MissingArtifactError
 
 
@@ -234,3 +235,59 @@ def test_missing_artifact_error_type(small_toy):
     cfg = pipeline.load_config(small_toy)
     with pytest.raises(MissingArtifactError):
         pipeline.run_stage("evaluate", cfg)
+
+
+def _tiny_model_files(tmp_path):
+    """Well-formed inputs for decode and extract over a two-word corpus."""
+    texts = {
+        "source": "a b\n",
+        "target": "x y\n",
+        "alignments": "0-0 1-1\n",
+        "lexicon": "a\tx\t1\nb\ty\t1\n",
+        "table": "a ||| x ||| 0.5 0.5 0.5 0.5\n",
+        "weights": "".join("%s 0.125\n" % name for name in FEATURE_NAMES),
+    }
+    files = {name: tmp_path / name for name in texts}
+    for name, text in texts.items():
+        files[name].write_text(text, encoding="utf-8")
+    files["lm"] = tmp_path / "m.arpa"
+    lm.write_arpa(lm.train([("x", "y")], 2), files["lm"])
+    return files
+
+
+@pytest.mark.parametrize("broken, text", [
+    ("weights", "lm 0.1 3\n"),
+    ("weights", "lm 0.1\nlm 0.2\n"),
+    ("lexicon", "a\tx\n"),
+    ("alignments", "0-x\n"),
+    ("alignments", "0-0 9-9\n"),
+])
+def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text):
+    f = {name: str(path) for name, path in _tiny_model_files(tmp_path).items()}
+    (tmp_path / broken).write_text(text, encoding="utf-8")
+    decode = ["decode", "--table", f["table"], "--lm", f["lm"],
+              "--weights", f["weights"], "--input", f["source"]]
+    extract = ["extract", "--source", f["source"], "--target", f["target"],
+               "--alignments", f["alignments"], "--lex-fwd", f["lexicon"],
+               "--lex-bwd", f["lexicon"], "-o", str(tmp_path / "pt")]
+    assert main(decode if broken == "weights" else extract) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR format:"), err
+
+
+def test_subcommands_use_pipeline_defaults():
+    defaults = pipeline.PipelineConfig()
+    parser = build_parser()
+    models = ["--table", "pt", "--lm", "m.arpa"]
+    mert_cmd = ["mert", "--dev-source", "d.en", "--dev-target", "d.ar", "-o", "w"] + models
+    for argv in (["decode"] + models, ["nbest"] + models, mert_cmd):
+        args = parser.parse_args(argv)
+        assert (args.stack_size, args.beam_threshold, args.distortion_limit) == (
+            defaults.stack_size, defaults.beam_threshold, defaults.distortion_limit)
+    args = parser.parse_args(mert_cmd)
+    assert (args.iterations, args.nbest, args.seed) == (
+        defaults.mert_iterations, defaults.mert_nbest, defaults.seed)
+
+    args = parser.parse_args(["decode"] + models + ["--distortion-limit", "none",
+                                                    "--beam-threshold", "none"])
+    assert args.distortion_limit is None and args.beam_threshold is None
