@@ -204,7 +204,7 @@ def read_alignments(path, corpus):
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     if len(lines) != len(corpus.pairs):
-        raise ParameterError(
+        raise FormatError(
             "alignment file %s has %d lines but the corpus has %d pairs"
             % (path, len(lines), len(corpus.pairs))
         )

@@ -8,14 +8,14 @@ as arcs so n-best lists can be read back out of the search graph.
 Pruning is histogram (stack size) plus an optional relative score window,
 both measured on score + admissible future-cost estimate.
 
-The eight features, in order: language model log10 probability, forward
-and reverse phrase translation log-probs, forward and reverse lexical
-weights, negated distortion cost, negated word count (unknown-word
-copies pay an extra penalty here), and negated phrase count. A
-hypothesis score is the running sum of each step's weighted feature
-increment, so equal-state comparisons carry over to completions exactly;
-it agrees with the dot product of weights and accumulated features to
-within 1e-9.
+The eight features, in order (FEATURE_NAMES): language model log10
+probability; forward phrase translation log-prob and lexical weight;
+reverse phrase translation log-prob and lexical weight; negated
+distortion cost; negated word count (unknown-word copies pay an extra
+penalty here); and negated phrase count. A hypothesis score is the
+running sum of each step's weighted feature increment, so equal-state
+comparisons carry over to completions exactly; it agrees with the dot
+product of weights and accumulated features to within 1e-9.
 """
 
 import heapq
@@ -92,10 +92,12 @@ class Weights:
                                       % (path, lineno, line))
                 if name in seen:
                     raise FormatError("%s line %d: duplicate weight %r" % (path, lineno, name))
+                if not math.isfinite(value):
+                    raise FormatError("%s line %d: weight %r is not finite" % (path, lineno, name))
                 seen[name] = value
         missing = [n for n in FEATURE_NAMES if n not in seen]
         if missing:
-            raise ParameterError("weights file %s is missing %s" % (path, ", ".join(missing)))
+            raise FormatError("%s: missing weight %s" % (path, ", ".join(missing)))
         return cls(tuple(seen[n] for n in FEATURE_NAMES))
 
 
@@ -167,20 +169,13 @@ class _Hyp:
         self.arcs = []
         self.serial = serial
 
-    def path(self):
-        steps = []
+    def partial_tokens(self):
+        targets = []
         node = self
         while node.prev is not None:
-            steps.append(node)
+            targets.append(node.option.target)
             node = node.prev
-        steps.reverse()
-        return steps
-
-    def partial_tokens(self):
-        tokens = []
-        for node in self.path():
-            tokens.extend(node.option.target)
-        return tuple(tokens)
+        return tuple(w for target in reversed(targets) for w in target)
 
 
 def collect_options(sentence, table):
@@ -233,6 +228,10 @@ class Decoder:
         self.model = model
         self.weights = weights
         self.config = config or DecoderConfig()
+        if (lm_mod.UNK,) not in model.probs:
+            # without <unk> mass (an MLE model) unseen words score -inf
+            raise ParameterError("the language model has no <unk> probability; "
+                                 "decode with a smoothed model")
         self._bounds = _lm_word_bounds(model, weights.values[_LM])
         self._unk_bound = self._bounds.get(lm_mod.UNK, 0.0)
 
@@ -297,7 +296,7 @@ class Decoder:
         inc = tuple(inc)
         # scores accumulate incrementally so that equal-state comparisons
         # carry over to completions exactly (float addition is monotone);
-        # the dot product of weights and features agrees to ~1e-12
+        # the dot product of weights and features agrees to within 1e-9
         inc_score = self.weights.dot(inc)
         score = hyp.score + inc_score
         future = _future_of(coverage, full_mask, future_table)
@@ -371,31 +370,22 @@ class Decoder:
     # ---- public API ----------------------------------------------------
 
     def decode(self, sentence):
-        """Best translation with its feature vector, score, and derivation."""
-        sentence = tuple(sentence)
-        if not sentence:
-            return Translation((), _ZERO, 0.0, ())
-        finals = self._search(sentence)[len(sentence)]
-        if not finals:
-            raise MinismtError("search produced no complete hypothesis")
-        best = None
-        best_tokens = None
-        for hyp in sorted(finals.values(), key=lambda h: (-h.score, h.serial)):
-            if best is not None and hyp.score < best.score:
-                break
-            tokens = hyp.partial_tokens()
-            if best is None or tokens < best_tokens:
-                best, best_tokens = hyp, tokens
-        return _materialize_path(best.path())
+        """Best translation with its feature vector, score, and derivation:
+        the first entry of nbest()."""
+        return self._kbest(sentence, 1)[0]
 
     def nbest(self, sentence, n):
-        """Up to n distinct translations, best score first.
+        """The n best distinct translations, best score first.
 
-        Ties are broken toward the lexicographically smaller target string;
-        entry 1 always equals decode()'s result.
+        Ties are broken toward the lexicographically smaller target string.
+        Fewer than n entries come back only when the search graph holds
+        fewer than n distinct target strings.
         """
         if n < 1:
             raise ParameterError("nbest size must be >= 1, got %r" % (n,))
+        return self._kbest(sentence, n)
+
+    def _kbest(self, sentence, n):
         sentence = tuple(sentence)
         if not sentence:
             return [Translation((), _ZERO, 0.0, ())]
@@ -403,31 +393,28 @@ class Decoder:
         if not finals:
             raise MinismtError("search produced no complete hypothesis")
         paths = _KBestPaths()
-        heap = []
-        for rep in sorted(finals.values(), key=lambda h: h.serial):
-            first = paths.kth(rep, 0)
-            heapq.heappush(heap, (-first[0], rep.serial, rep, 0))
-
+        # a final state's best path scores its own search score (see _ensure)
+        heap = [(-rep.score, rep.serial, rep, 0) for rep in finals.values()]
+        heapq.heapify(heap)
+        # paths pop in non-increasing score order, so the first path of each
+        # target string is its best; once n strings are in, a pop scoring
+        # below the last new string's score cannot change the top n
         found = {}
-        order_guard = 0
-        while heap and order_guard < 50 * n + 200:
-            order_guard += 1
+        last = None
+        while heap:
             neg, _, rep, rank = heapq.heappop(heap)
-            entry = paths.kth(rep, rank)
-            if entry is None:
-                continue
-            _, hyps = entry
-            translation = _materialize_path(hyps)
-            key = translation.tokens
-            if key not in found or translation.score > found[key].score:
-                found[key] = translation
+            if len(found) >= n and -neg < last - 1e-9:
+                break
+            score, hyps = paths.kth(rep, rank)
+            tokens = tuple(w for node in hyps for w in node.option.target)
+            if tokens not in found:
+                found[tokens] = (score, hyps)
+                last = score
             nxt = paths.kth(rep, rank + 1)
             if nxt is not None:
                 heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
-            if len(found) >= n and -neg < min(t.score for t in found.values()) - 1e-9:
-                break
-        ranked = sorted(found.values(), key=lambda t: (-t.score, t.tokens))
-        return ranked[:n]
+        ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
+        return [_materialize_path(hyps) for _, (_, hyps) in ranked[:n]]
 
 
 class _KBestPaths:

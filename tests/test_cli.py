@@ -258,9 +258,13 @@ def _tiny_model_files(tmp_path):
 @pytest.mark.parametrize("broken, text", [
     ("weights", "lm 0.1 3\n"),
     ("weights", "lm 0.1\nlm 0.2\n"),
+    ("weights", "".join("%s 0.125\n" % name for name in FEATURE_NAMES[1:])),
+    ("weights", "lm nan\n"),
+    ("weights", "lm -inf\n"),
     ("lexicon", "a\tx\n"),
     ("alignments", "0-x\n"),
     ("alignments", "0-0 9-9\n"),
+    ("alignments", "0-0 1-1\n0-0\n"),
 ])
 def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text):
     f = {name: str(path) for name, path in _tiny_model_files(tmp_path).items()}

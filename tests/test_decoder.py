@@ -52,6 +52,15 @@ def test_weights_file_round_trip(tmp_path):
     assert Weights.from_file(path) == w
 
 
+def test_decoder_refuses_a_model_without_unk(tmp_path):
+    table = phrases.PhraseTable({(("f0",), ("x",)): phrases.Scores(0.5, 0.5, 0.5, 0.5)})
+    model = lm.train([("x", "y")], 2, smoothing="mle")
+    lm.write_arpa(model, tmp_path / "m.arpa")
+    for m in (model, lm.read_arpa(tmp_path / "m.arpa")):
+        with pytest.raises(ParameterError):
+            Decoder(table, m, Weights.uniform())
+
+
 def test_weights_validation():
     with pytest.raises(ParameterError):
         Weights((1.0,) * 7)
@@ -304,6 +313,27 @@ def test_nbest_equals_full_enumeration_ranking():
         want = enumerate_all_translations(sentence, table, model, weights)
         got = Decoder(table, model, weights, UNPRUNED).nbest(sentence, len(want) + 5)
         assert [(t.tokens, t.score) for t in got] == want, trial
+
+
+def test_nbest_returns_n_when_the_best_string_has_many_derivations():
+    # hundreds of derivations of the best string (81 segmentations, each in
+    # many orders) outscore the runner-up; nbest must read past them all
+    one = phrases.Scores(1.0, 1.0, 1.0, 1.0)
+    table = phrases.PhraseTable({
+        (("f",), ("x",)): one,
+        (("f", "f"), ("x", "x")): one,
+        (("f", "f", "f"), ("x", "x", "x")): one,
+        (("f",), ("y",)): phrases.Scores(0.01, 0.01, 0.01, 0.01),
+    })
+    model = lm.train([("x",) * 8, ("x", "y")], 2)
+    sentence = ("f",) * 8
+    weights = Weights.uniform()
+    # every source word is "f", so each reordered derivation has a monotone
+    # twin with the same string and no distortion cost: the monotone
+    # enumeration holds every string at its best score
+    want = enumerate_all_translations(sentence, table, model, weights, distortion_limit=0)
+    got = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 2)
+    assert [(t.tokens, t.score) for t in got] == want[:2]
 
 
 # ---- pruning and determinism ------------------------------------------------------
