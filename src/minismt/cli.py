@@ -24,12 +24,9 @@ def _input_lines(path):
 
 
 def _load_artok(args):
-    inventory = artok.CliticInventory.load(
-        args.inventory if args.inventory else pipeline.bundled_data("clitics.bw.tsv")
-    )
-    lexicon = artok.load_lexicon(
-        args.lexicon if args.lexicon else pipeline.bundled_data("stems.bw.txt")
-    )
+    files = pipeline.PipelineConfig(inventory=args.inventory or "", lexicon=args.lexicon or "")
+    inventory = artok.CliticInventory.load(files.inventory_path())
+    lexicon = artok.load_lexicon(files.lexicon_path())
     return artok.Scheme.parse(args.scheme), inventory, lexicon
 
 

@@ -324,7 +324,7 @@ class Decoder:
         dl = self.config.distortion_limit
 
         for covered in range(n):
-            for hyp in self._pruned(stacks[covered], final=False):
+            for hyp in self._pruned(stacks[covered]):
                 start = 0
                 while start < n:
                     if hyp.coverage >> start & 1:
@@ -341,10 +341,8 @@ class Decoder:
                     start += 1
         return stacks
 
-    def _pruned(self, stack, final):
+    def _pruned(self, stack):
         hyps = sorted(stack.values(), key=lambda h: (-(h.score + h.future), h.serial))
-        if final:
-            return hyps
         if self.config.beam_threshold is not None and hyps:
             cutoff = hyps[0].score + hyps[0].future - self.config.beam_threshold
             hyps = [h for h in hyps if h.score + h.future >= cutoff]

@@ -38,6 +38,8 @@ class ConfigError(MinismtError):
 
 
 class MissingArtifactError(MinismtError):
-    """A pipeline stage needs an artifact a previous stage has not produced."""
+    """A pipeline stage needs an artifact a previous stage has not produced, or
+    one that is stale: changed since, or written with other parameters than
+    the config now gives, according to the writing stage's manifest."""
 
     category = "stage"

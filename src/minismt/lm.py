@@ -298,4 +298,6 @@ def read_arpa(path):
     if (START,) in probs and probs[(START,)] <= _NO_PROB:
         probs = dict(probs)
         del probs[(START,)]
-    return NGramModel(order, "witten-bell", probs, backoffs, vocab)
+    # Witten-Bell always reserves <unk>; mle models have neither it nor backoffs
+    smoothing = "witten-bell" if (UNK,) in probs or backoffs else "mle"
+    return NGramModel(order, smoothing, probs, backoffs, vocab)

@@ -8,7 +8,7 @@ breakpoints partition the step axis into intervals with constant corpus
 BLEU sufficient statistics. The step comes from the midpoint of the best
 interval (leftmost on ties). Directions are the 8 coordinate axes plus 8
 seeded random directions per round; accepted steps must gain more than
-`gain_threshold` BLEU, and weights are renormalized to unit L1 norm, which
+`GAIN_THRESHOLD` BLEU, and weights are renormalized to unit L1 norm, which
 leaves the decoding argmax unchanged.
 """
 
@@ -158,7 +158,7 @@ def _axis_directions():
     return out
 
 
-def optimize_on_pool(pool, weights, rng, gain_threshold=GAIN_THRESHOLD, log_lines=None):
+def optimize_on_pool(pool, weights, rng, log_lines=None):
     """Repeated line searches until no direction gains more than the threshold."""
     current = weights.l1_normalized()
     current_bleu = pool_bleu(pool, current)
@@ -166,12 +166,9 @@ def optimize_on_pool(pool, weights, rng, gain_threshold=GAIN_THRESHOLD, log_line
         directions = _axis_directions() + [
             tuple(rng.uniform(-1.0, 1.0) for _ in range(N_FEATURES)) for _ in range(N_FEATURES)
         ]
-        best = None
-        for direction in directions:
-            result = line_search(pool, current, direction)
-            if best is None or result.best_bleu > best.best_bleu:
-                best = result
-        if best is None or best.best_bleu - current_bleu <= gain_threshold:
+        # the first of equally good directions wins
+        best = max((line_search(pool, current, d) for d in directions), key=lambda r: r.best_bleu)
+        if best.best_bleu - current_bleu <= GAIN_THRESHOLD:
             return current, current_bleu
         stepped = tuple(
             w + best.best_step * d for w, d in zip(current.values, best.direction)
@@ -200,7 +197,6 @@ def mert(
     iterations=DEFAULT_ITERATIONS,
     nbest_size=DEFAULT_NBEST,
     seed=0,
-    gain_threshold=GAIN_THRESHOLD,
     log_lines=None,
 ):
     """Full MERT loop.
@@ -237,7 +233,7 @@ def mert(
             )
         if new_entries == 0:
             break
-        current, current_bleu = optimize_on_pool(pool, current, rng, gain_threshold, log_lines)
+        current, current_bleu = optimize_on_pool(pool, current, rng, log_lines)
         if log_lines is not None:
             log_lines.append("iteration %d: pool BLEU %.6f" % (it, current_bleu))
 

@@ -1,10 +1,15 @@
 """End-to-end pipeline: preprocess -> train -> tune -> decode -> evaluate.
 
 Configuration is an INI-style key-value file; every key has a default
-(see PipelineConfig). Each stage writes its artifacts plus a manifest
-recording input hashes and parameters into the work directory, so a stage
-can be rerun and checked for staleness in isolation. Runs are fully deterministic for
-a fixed config and seed: artifacts are byte-identical across reruns.
+(see PipelineConfig). The stage graph is one table (_GRAPH): for each
+stage, the work-dir files it reads and writes and its manifest params.
+Each stage writes its artifacts plus a manifest (sha256 of inputs and
+outputs, and its params) into the work directory, so a stage can be rerun
+in isolation. Before a stage runs, every file it reads is checked against
+the manifest of the stage that wrote it; a missing, changed or
+differently-configured artifact is refused, naming the stage to rerun.
+Runs are fully deterministic for a fixed config and seed: artifacts are
+byte-identical across reruns.
 
 The translation direction is English (source) to Arabic (target): the
 Arabic side of every corpus is clitic-tokenized up front, the language
@@ -17,19 +22,13 @@ import hashlib
 import importlib.resources
 import json
 import shutil
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, mert, phrases
 from .decode import Decoder, DecoderConfig, Weights
 from .errors import ConfigError, MissingArtifactError
-
-STAGES = ("prepare", "lm", "align", "phrases", "mert", "decode", "evaluate")
-
-_BUNDLED = {
-    "inventory": "clitics.bw.tsv",
-    "lexicon": "stems.bw.txt",
-}
 
 
 def parse_number(text):
@@ -80,10 +79,10 @@ class PipelineConfig:
     work_dir: str = ""
 
     def inventory_path(self):
-        return Path(self.inventory) if self.inventory else bundled_data(_BUNDLED["inventory"])
+        return Path(self.inventory) if self.inventory else bundled_data("clitics.bw.tsv")
 
     def lexicon_path(self):
-        return Path(self.lexicon) if self.lexicon else bundled_data(_BUNDLED["lexicon"])
+        return Path(self.lexicon) if self.lexicon else bundled_data("stems.bw.txt")
 
 
 # (section, key) -> (PipelineConfig field, parser of the stripped value)
@@ -161,8 +160,9 @@ def validate(cfg):
         problems.append("clean.max_ratio must be >= 1.0")
     if not 1 <= cfg.lm_order <= lm.MAX_ORDER:
         problems.append("lm.order must be in 1..%d, got %d" % (lm.MAX_ORDER, cfg.lm_order))
-    if cfg.lm_smoothing not in ("witten-bell", "mle"):
-        problems.append("lm.smoothing must be witten-bell or mle")
+    if cfg.lm_smoothing != "witten-bell":
+        problems.append("lm.smoothing must be witten-bell (the decoder refuses mle models), "
+                        "got %r" % cfg.lm_smoothing)
     if cfg.align_iterations < 1:
         problems.append("align.iterations must be >= 1")
     if cfg.align_heuristic not in align.HEURISTICS:
@@ -190,61 +190,7 @@ def _require_valid(cfg):
         raise ConfigError("invalid configuration: " + "; ".join(problems))
 
 
-# ---- artifacts and manifests ------------------------------------------
-
-
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _write_manifest(work, stage, params, inputs, outputs):
-    manifest = {
-        "stage": stage,
-        "params": params,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
-    }
-    path = work / ("%s.manifest.json" % stage)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
-
-
-def _artifacts(work):
-    return {
-        "train_src": work / "corpus.train.en",
-        "train_tgt": work / "corpus.train.ar",
-        "dev_src": work / "corpus.dev.en",
-        "dev_tgt": work / "corpus.dev.ar",
-        "test_src": work / "corpus.test.en",
-        "test_tgt": work / "corpus.test.ar",
-        "stats": work / "stats.txt",
-        "lm": work / "lm.arpa",
-        "alignments": work / "train.align",
-        "lex_fwd": work / "lexicon.fwd",
-        "lex_bwd": work / "lexicon.bwd",
-        "table": work / "phrase-table.txt",
-        "weights": work / "weights.txt",
-        "weights_uniform": work / "weights.uniform.txt",
-        "mert_log": work / "mert.log",
-        "hyp": work / "test.hyp.ar",
-        "hyp_uniform": work / "test.hyp.uniform.ar",
-        "hyp_detok": work / "test.hyp.detok.ar",
-        "report": work / "bleu.txt",
-    }
-
-
-def _need(paths, stage_hint):
-    for p in paths:
-        if not Path(p).is_file():
-            raise MissingArtifactError(
-                "missing artifact %s; run stage '%s' first" % (p, stage_hint)
-            )
+# ---- stages ------------------------------------------------------------
 
 
 def _write_lines(path, lines):
@@ -258,63 +204,42 @@ def _read_tokenized(path):
         return [tuple(line.split()) for line in f.read().splitlines()]
 
 
-# ---- stages ------------------------------------------------------------
-
-
-def _stage_prepare(cfg, work, art):
+def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_tgt, stats):
+    """Tokenize and clean the corpora; returns the external files it read."""
     scheme = artok.Scheme.parse(cfg.scheme)
     inventory = artok.CliticInventory.load(cfg.inventory_path())
     lexicon = artok.load_lexicon(cfg.lexicon_path())
-
-    inputs = [cfg.train_source, cfg.train_target, cfg.dev_source, cfg.dev_target,
-              cfg.test_source, cfg.test_target, cfg.inventory_path(), cfg.lexicon_path()]
-    outputs = []
-    for split, src_path, tgt_path, do_clean in (
-        ("train", cfg.train_source, cfg.train_target, True),
-        ("dev", cfg.dev_source, cfg.dev_target, False),
-        ("test", cfg.test_source, cfg.test_target, False),
-    ):
-        corp = corpus.load_parallel(src_path, tgt_path, "en", "ar")
+    splits = ((cfg.train_source, cfg.train_target, train_src, train_tgt),
+              (cfg.dev_source, cfg.dev_target, dev_src, dev_tgt),
+              (cfg.test_source, cfg.test_target, test_src, test_tgt))
+    for source, target, src_art, tgt_art in splits:
+        corp = corpus.load_parallel(source, target, "en", "ar")
         pairs = tuple(
             corpus.SentencePair(p.source, artok.tokenize(p.target, scheme, inventory, lexicon), p.pair_id)
             for p in corp.pairs
         )
         corp = corpus.ParallelCorpus(pairs, "en", "ar")
-        if do_clean:
+        if src_art == train_src:
             corp = corpus.clean(corp, cfg.clean_max_len, cfg.clean_max_ratio)
-            _write_lines(art["stats"], corpus.format_stats_table(
+            _write_lines(stats, corpus.format_stats_table(
                 corpus.stats(corp), "en", "ar").splitlines())
-            outputs.append(art["stats"])
-        src_art = art["%s_src" % split]
-        tgt_art = art["%s_tgt" % split]
         _write_lines(src_art, [" ".join(p.source) for p in corp.pairs])
         _write_lines(tgt_art, [" ".join(p.target) for p in corp.pairs])
-        outputs.extend([src_art, tgt_art])
-
-    params = {"scheme": cfg.scheme, "clean_max_len": cfg.clean_max_len,
-              "clean_max_ratio": cfg.clean_max_ratio}
-    return params, inputs, outputs
+    return [path for split in splits for path in split[:2]] + [cfg.inventory_path(),
+                                                               cfg.lexicon_path()]
 
 
-def _stage_lm(cfg, work, art):
-    _need([art["train_tgt"]], "prepare")
-    sentences = _read_tokenized(art["train_tgt"])
-    model = lm.train(sentences, cfg.lm_order, cfg.lm_smoothing)
-    lm.write_arpa(model, art["lm"])
-    params = {"order": cfg.lm_order, "smoothing": cfg.lm_smoothing}
-    return params, [art["train_tgt"]], [art["lm"]]
+def _stage_lm(cfg, train_tgt, lm_out):
+    model = lm.train(_read_tokenized(train_tgt), cfg.lm_order, cfg.lm_smoothing)
+    lm.write_arpa(model, lm_out)
 
 
-def _stage_align(cfg, work, art):
-    _need([art["train_src"], art["train_tgt"]], "prepare")
-    corp = corpus.load_parallel(art["train_src"], art["train_tgt"], "en", "ar")
+def _stage_align(cfg, train_src, train_tgt, alignments, lex_fwd, lex_bwd):
+    corp = corpus.load_parallel(train_src, train_tgt, "en", "ar")
     matrices, fwd, bwd = align.align_corpus(corp, cfg.align_iterations, cfg.align_heuristic)
-    align.write_alignments(matrices, art["alignments"])
-    align.write_lexicon(fwd, art["lex_fwd"])
-    align.write_lexicon(bwd, art["lex_bwd"])
-    params = {"iterations": cfg.align_iterations, "heuristic": cfg.align_heuristic}
-    return params, [art["train_src"], art["train_tgt"]], [
-        art["alignments"], art["lex_fwd"], art["lex_bwd"]]
+    align.write_alignments(matrices, alignments)
+    align.write_lexicon(fwd, lex_fwd)
+    align.write_lexicon(bwd, lex_bwd)
 
 
 def build_phrase_table(source, target, alignments, lex_fwd, lex_bwd, max_len):
@@ -325,15 +250,9 @@ def build_phrase_table(source, target, alignments, lex_fwd, lex_bwd, max_len):
     return phrases.score(phrases.extract_corpus(corp, matrices, max_len), *lexicons)
 
 
-def _stage_phrases(cfg, work, art):
-    inputs = [art["train_src"], art["train_tgt"], art["alignments"],
-              art["lex_fwd"], art["lex_bwd"]]
-    _need(inputs[:2], "prepare")
-    _need(inputs[2:], "align")
-    table = build_phrase_table(*inputs, cfg.max_phrase_len)
-    phrases.write_table(table, art["table"])
-    params = {"max_len": cfg.max_phrase_len}
-    return params, inputs, [art["table"]]
+def _stage_phrases(cfg, train_src, train_tgt, alignments, lex_fwd, lex_bwd, table):
+    phrases.write_table(build_phrase_table(train_src, train_tgt, alignments, lex_fwd, lex_bwd,
+                                           cfg.max_phrase_len), table)
 
 
 def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limit):
@@ -342,83 +261,147 @@ def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limi
     return phrases.read_table(table_path), lm.read_arpa(lm_path), config
 
 
-def _stage_mert(cfg, work, art):
-    inputs = [art["dev_src"], art["dev_tgt"], art["table"], art["lm"]]
-    _need(inputs[:2], "prepare")
-    _need([art["table"]], "phrases")
-    _need([art["lm"]], "lm")
-    dev = corpus.load_parallel(art["dev_src"], art["dev_tgt"], "en", "ar")
-    table, model, dconf = load_search(art["table"], art["lm"], cfg.stack_size,
+def _stage_mert(cfg, dev_src, dev_tgt, table_path, lm_path, weights, weights_uniform, log):
+    dev = corpus.load_parallel(dev_src, dev_tgt, "en", "ar")
+    table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
                                       cfg.beam_threshold, cfg.distortion_limit)
     uniform = Weights.uniform()
     tuned, log_lines = mert.tune(dev, table, model, dconf, uniform, cfg.mert_iterations,
                                  cfg.mert_nbest, cfg.seed)
-    tuned.to_file(art["weights"])
-    uniform.to_file(art["weights_uniform"])
-    _write_lines(art["mert_log"], log_lines)
-    params = {"iterations": cfg.mert_iterations, "nbest": cfg.mert_nbest, "seed": cfg.seed,
-              "stack_size": cfg.stack_size, "distortion_limit": cfg.distortion_limit}
-    return params, inputs, [art["weights"], art["weights_uniform"], art["mert_log"]]
+    tuned.to_file(weights)
+    uniform.to_file(weights_uniform)
+    _write_lines(log, log_lines)
 
 
-def _stage_decode(cfg, work, art):
-    inputs = [art["test_src"], art["table"], art["lm"], art["weights"],
-              art["weights_uniform"]]
-    _need([art["test_src"]], "prepare")
-    _need([art["table"]], "phrases")
-    _need([art["lm"]], "lm")
-    _need([art["weights"], art["weights_uniform"]], "mert")
-    sentences = _read_tokenized(art["test_src"])
-    table, model, dconf = load_search(art["table"], art["lm"], cfg.stack_size,
+def _stage_decode(cfg, test_src, table_path, lm_path, weights, weights_uniform,
+                  hyp, hyp_uniform, hyp_detok):
+    sentences = _read_tokenized(test_src)
+    table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
                                       cfg.beam_threshold, cfg.distortion_limit)
-    for weights_path, out_path in (
-        (art["weights"], art["hyp"]),
-        (art["weights_uniform"], art["hyp_uniform"]),
-    ):
+    for weights_path, out_path in ((weights, hyp), (weights_uniform, hyp_uniform)):
         decoder = Decoder(table, model, Weights.from_file(weights_path), dconf)
         hyps = [decoder.decode(s).tokens for s in sentences]
         _write_lines(out_path, [" ".join(h) for h in hyps])
-        if out_path == art["hyp"]:
-            _write_lines(art["hyp_detok"], [" ".join(artok.detokenize(h)) for h in hyps])
-    params = {"stack_size": cfg.stack_size, "beam_threshold": cfg.beam_threshold,
-              "distortion_limit": cfg.distortion_limit}
-    return params, inputs, [art["hyp"], art["hyp_uniform"], art["hyp_detok"]]
+        if out_path == hyp:
+            _write_lines(hyp_detok, [" ".join(artok.detokenize(h)) for h in hyps])
 
 
-def _stage_evaluate(cfg, work, art):
-    inputs = [art["hyp"], art["hyp_uniform"], art["test_tgt"]]
-    _need([art["test_tgt"]], "prepare")
-    _need([art["hyp"], art["hyp_uniform"]], "decode")
-    refs = [[r] for r in _read_tokenized(art["test_tgt"])]
+def _stage_evaluate(cfg, test_tgt, hyp, hyp_uniform, report):
+    refs = [[r] for r in _read_tokenized(test_tgt)]
     lines = []
-    for label, path in (("tuned", art["hyp"]), ("uniform", art["hyp_uniform"])):
+    for label, path in (("tuned", hyp), ("uniform", hyp_uniform)):
         stats = bleu.corpus_stats(_read_tokenized(path), refs)
         lines.append("%s: %s" % (label, bleu.format_report(stats)))
-    _write_lines(art["report"], lines)
-    return {}, inputs, [art["report"]]
+    _write_lines(report, lines)
 
 
-_STAGE_FN = {
-    "prepare": _stage_prepare,
-    "lm": _stage_lm,
-    "align": _stage_align,
-    "phrases": _stage_phrases,
-    "mert": _stage_mert,
-    "decode": _stage_decode,
-    "evaluate": _stage_evaluate,
-}
+# ---- the stage graph ---------------------------------------------------
+
+_Stage = namedtuple("_Stage", "name run reads writes params")
+_SEARCH_PARAMS = {"stack_size": "stack_size", "beam_threshold": "beam_threshold",
+                  "distortion_limit": "distortion_limit"}
+
+# One row per stage, in run order: the work-dir files it reads, the files it
+# writes, and its manifest params as {param: PipelineConfig field}. A stage
+# function takes the config, then the read paths, then the write paths.
+_GRAPH = (
+    _Stage("prepare", _stage_prepare, (),
+           ("corpus.train.en", "corpus.train.ar", "corpus.dev.en", "corpus.dev.ar",
+            "corpus.test.en", "corpus.test.ar", "stats.txt"),
+           {"scheme": "scheme", "clean_max_len": "clean_max_len",
+            "clean_max_ratio": "clean_max_ratio"}),
+    _Stage("lm", _stage_lm, ("corpus.train.ar",), ("lm.arpa",),
+           {"order": "lm_order", "smoothing": "lm_smoothing"}),
+    _Stage("align", _stage_align, ("corpus.train.en", "corpus.train.ar"),
+           ("train.align", "lexicon.fwd", "lexicon.bwd"),
+           {"iterations": "align_iterations", "heuristic": "align_heuristic"}),
+    _Stage("phrases", _stage_phrases,
+           ("corpus.train.en", "corpus.train.ar", "train.align", "lexicon.fwd", "lexicon.bwd"),
+           ("phrase-table.txt",), {"max_len": "max_phrase_len"}),
+    _Stage("mert", _stage_mert, ("corpus.dev.en", "corpus.dev.ar", "phrase-table.txt", "lm.arpa"),
+           ("weights.txt", "weights.uniform.txt", "mert.log"),
+           {"iterations": "mert_iterations", "nbest": "mert_nbest", "seed": "seed",
+            **_SEARCH_PARAMS}),
+    _Stage("decode", _stage_decode,
+           ("corpus.test.en", "phrase-table.txt", "lm.arpa", "weights.txt", "weights.uniform.txt"),
+           ("test.hyp.ar", "test.hyp.uniform.ar", "test.hyp.detok.ar"), _SEARCH_PARAMS),
+    _Stage("evaluate", _stage_evaluate, ("corpus.test.ar", "test.hyp.ar", "test.hyp.uniform.ar"),
+           ("bleu.txt",), {}),
+)
+STAGES = tuple(stage.name for stage in _GRAPH)
+_BY_NAME = {stage.name: stage for stage in _GRAPH}
+_WRITER = {name: stage for stage in _GRAPH for name in stage.writes}
+
+
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _params(cfg, stage):
+    return {param: getattr(cfg, field) for param, field in stage.params.items()}
+
+
+def _manifest_path(work, stage):
+    return work / ("%s.manifest.json" % stage.name)
+
+
+def _staleness(cfg, work, writer, name, digest):
+    """Why the read file `name` disagrees with its writer's manifest, or None."""
+    try:
+        manifest = json.loads(_manifest_path(work, writer).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return "its writer left no readable manifest"
+    # outputs match by file name, so a moved work dir keeps its manifests
+    written = {Path(p).name: h for p, h in manifest.get("outputs", {}).items()}
+    if written.get(name) != digest:
+        return "changed since it was written"
+    recorded = manifest.get("params", {})
+    changed = [k for k, v in sorted(_params(cfg, writer).items())
+               if k not in recorded or recorded[k] != v]
+    if changed:
+        return "written with other %s" % ", ".join(changed)
+    return None
+
+
+def _hash_reads(cfg, work, paths):
+    """{path: sha256} of a stage's reads; a missing or stale one is refused."""
+    for path in paths:
+        if not path.is_file():
+            raise MissingArtifactError(
+                "missing artifact %s; run stage '%s' first" % (path, _WRITER[path.name].name))
+    digests = {}
+    for path in paths:
+        writer = _WRITER[path.name]
+        digest = digests[str(path)] = _sha256(path)
+        reason = _staleness(cfg, work, writer, path.name, digest)
+        if reason:
+            raise MissingArtifactError(
+                "stale artifact %s (%s); rerun stage '%s'" % (path, reason, writer.name))
+    return digests
 
 
 def run_stage(name, cfg):
     """Run one pipeline stage; returns the manifest path."""
-    if name not in _STAGE_FN:
+    if name not in _BY_NAME:
         raise ConfigError("unknown stage %r (expected one of %s)" % (name, ", ".join(STAGES)))
+    stage = _BY_NAME[name]
     _require_valid(cfg)
     work = Path(cfg.work_dir)
     work.mkdir(parents=True, exist_ok=True)
-    art = _artifacts(work)
-    params, inputs, outputs = _STAGE_FN[name](cfg, work, art)
-    return _write_manifest(work, name, params, inputs, outputs)
+    reads = [work / f for f in stage.reads]
+    writes = [work / f for f in stage.writes]
+    inputs = _hash_reads(cfg, work, reads)
+    external = stage.run(cfg, *reads, *writes) or ()
+    inputs.update((str(p), _sha256(p)) for p in external)
+    manifest = {"stage": name, "params": _params(cfg, stage), "inputs": inputs,
+                "outputs": {str(p): _sha256(p) for p in writes}}
+    path = _manifest_path(work, stage)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def run_pipeline(cfg):

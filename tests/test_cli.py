@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,10 @@ from minismt.errors import MissingArtifactError
 @pytest.fixture()
 def small_toy(tmp_path):
     """Bundled toy corpus cut down for fast CLI runs."""
-    out = tmp_path / "run"
+    return _small_toy_config(tmp_path / "run")
+
+
+def _small_toy_config(out):
     config_path = pipeline.make_toy_config(out)
     sizes = {"train": 120, "dev": 16, "test": 16}
     for split, n in sizes.items():
@@ -295,3 +299,58 @@ def test_subcommands_use_pipeline_defaults():
     args = parser.parse_args(["decode"] + models + ["--distortion-limit", "none",
                                                     "--beam-threshold", "none"])
     assert args.distortion_limit is None and args.beam_threshold is None
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """The cut-down toy config after a full pipeline run."""
+    config_path = _small_toy_config(tmp_path_factory.mktemp("full") / "run")
+    assert main(["pipeline", str(config_path)]) == 0
+    return config_path
+
+
+def _copy_run(config_path, out):
+    shutil.copytree(config_path.parent, out)
+    copy = out / config_path.name
+    copy.write_text(config_path.read_text(encoding="utf-8").replace(
+        str(config_path.parent), str(out)), encoding="utf-8")
+    return copy
+
+
+def _overwrite_table(work):
+    table = work / "phrase-table.txt"
+    table.write_text(table.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+
+
+@pytest.mark.parametrize("change, stage, writer", [
+    ("\n[lm]\norder = 3\n", "mert", "lm"),
+    ("\n[decoder]\nbeam_threshold = 5\n", "decode", "mert"),
+    (_overwrite_table, "decode", "phrases"),
+    (lambda work: (work / "lm.manifest.json").unlink(), "mert", "lm"),
+], ids=["lm-order-changed", "beam-threshold-changed", "table-overwritten", "lm-manifest-deleted"])
+def test_stage_refuses_stale_inputs(small_run, tmp_path, capsys, change, stage, writer):
+    config = _copy_run(small_run, tmp_path / "run")
+    work = Path(pipeline.load_config(config).work_dir)
+    if callable(change):
+        change(work)
+    else:
+        config.write_text(config.read_text(encoding="utf-8") + change, encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in work.iterdir()}
+    capsys.readouterr()
+    assert main(["pipeline", str(config), "--stage", stage]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR stage: stale artifact"), err
+    assert err[0].endswith("; rerun stage '%s'" % writer), err
+    assert {p.name: p.read_bytes() for p in work.iterdir()} == before  # nothing written
+
+
+def test_pipeline_refuses_mle_smoothing_up_front(small_toy, capsys):
+    small_toy.write_text(small_toy.read_text(encoding="utf-8") + "\n[lm]\nsmoothing = mle\n",
+                         encoding="utf-8")
+    assert main(["validate", str(small_toy)]) == 1
+    out = capsys.readouterr().out
+    assert "lm.smoothing must be witten-bell" in out and "1 violation(s)" in out
+    assert main(["pipeline", str(small_toy)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR config:"), err
+    assert not Path(pipeline.load_config(small_toy).work_dir).exists()

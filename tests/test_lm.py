@@ -206,6 +206,22 @@ def test_arpa_round_trip_random_queries(toy_tokenized_ar):
         assert lm.logprob(r, w, ctx) == pytest.approx(lm.logprob(m, w, ctx), abs=1e-4)
 
 
+def test_arpa_round_trip_keeps_the_estimator(tmp_path):
+    sentences = [tuple("abcab"), tuple("bcb")]
+    for smoothing in ("mle", "witten-bell"):
+        m = lm.train(sentences, 2, smoothing)
+        path = tmp_path / ("%s.arpa" % smoothing)
+        lm.write_arpa(m, path)
+        r = lm.read_arpa(path)
+        assert r.smoothing == smoothing
+        contexts = {gram[:-1] for gram in m.probs}
+        for ctx in contexts:
+            for w in sorted(m.vocab):  # approx matches -inf only to -inf
+                expected = pytest.approx(lm.logprob(m, w, ctx), abs=1e-6)
+                assert lm.logprob(r, w, ctx) == expected, (w, ctx)
+    assert lm.logprob(lm.read_arpa(tmp_path / "mle.arpa"), "a", ("a",)) == float("-inf")
+
+
 def test_arpa_count_mismatch(tmp_path):
     bad = tmp_path / "bad.arpa"
     bad.write_text(
