@@ -302,6 +302,9 @@ def main(argv=None):
     except OSError as exc:
         print("ERROR io: %s" % exc, file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print("ERROR format: input is not UTF-8 text (%s)" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 
 Hypotheses are organized into stacks by the number of covered source
 words. Expansion applies every phrase-table option over an uncovered span
-within the distortion limit; hypotheses identical in (coverage, language
-model context, last source position) are recombined, with the losers kept
-as arcs so n-best lists can be read back out of the search graph.
-Pruning is histogram (stack size) plus an optional relative score window,
-both measured on score + admissible future-cost estimate.
+within the distortion limit, adding only the LM and distortion terms to the
+static increment that collect_options stored on the option; hypotheses
+identical in (coverage, language model context, last source position) are
+recombined, with the losers kept as arcs so n-best lists can be read back
+out of the search graph. Pruning is histogram (stack size) plus an optional
+relative score window, both measured on score + admissible future-cost
+estimate, which is looked up once per recombined state as a stack is ranked.
 
 The eight features, in order (FEATURE_NAMES): language model log10
 probability; forward phrase translation log-prob and lexical weight;
@@ -37,7 +39,6 @@ FEATURE_NAMES = (
     "phrase_penalty",
 )
 N_FEATURES = 8
-_LM, _DIST, _WORD, _PHRASE = 0, 5, 6, 7
 
 UNKNOWN_WORD_PENALTY = 10.0  # extra word-penalty units per copied-through token
 
@@ -122,7 +123,9 @@ class Option:
     end: int  # exclusive
     target: tuple
     trans_logs: tuple  # log10 of the four phrase-table scores
-    unknown: bool = False
+    unknown: bool
+    mask: int  # the covered source positions as a bitmask
+    static: tuple  # the feature increment without LM and distortion, whose slots hold 0.0
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,6 @@ class _Hyp:
         "last_end",
         "score",
         "inc_score",
-        "future",
         "prev",
         "option",
         "inc",
@@ -154,15 +156,12 @@ class _Hyp:
         "serial",
     )
 
-    def __init__(
-        self, coverage, context, last_end, score, inc_score, future, prev, option, inc, serial
-    ):
+    def __init__(self, coverage, context, last_end, score, inc_score, prev, option, inc, serial):
         self.coverage = coverage
         self.context = context
         self.last_end = last_end
         self.score = score
         self.inc_score = inc_score
-        self.future = future
         self.prev = prev
         self.option = option
         self.inc = inc
@@ -186,16 +185,21 @@ def collect_options(sentence, table):
     sentence is fully coverable.
     """
     n = len(sentence)
-    options = []
+    spans = []
     max_len = max(table.max_source_len, 1)
     for i in range(n):
         for j in range(i + 1, min(n, i + max_len) + 1):
             for target, scores in table.options(sentence[i:j]):
-                options.append(Option(i, j, target, log10_scores(scores)))
+                spans.append((i, j, target, log10_scores(scores), False))
         if not table.options(sentence[i : i + 1]):
-            options.append(Option(i, i + 1, (sentence[i],), (0.0, 0.0, 0.0, 0.0), unknown=True))
-    options.sort(key=lambda o: (o.start, o.end, o.target))
-    return options
+            spans.append((i, i + 1, (sentence[i],), (0.0, 0.0, 0.0, 0.0), True))
+    spans.sort(key=lambda span: span[:3])
+    return [
+        Option(i, j, target, logs, unknown, ((1 << (j - i)) - 1) << i,
+               (0.0, *logs, 0.0,
+                -float(len(target)) - (UNKNOWN_WORD_PENALTY if unknown else 0.0), -1.0))
+        for i, j, target, logs, unknown in spans
+    ]
 
 
 def _lm_word_bounds(model, weights_lm):
@@ -232,7 +236,7 @@ class Decoder:
             # without <unk> mass (an MLE model) unseen words score -inf
             raise ParameterError("the language model has no <unk> probability; "
                                  "decode with a smoothed model")
-        self._bounds = _lm_word_bounds(model, weights.values[_LM])
+        self._bounds = _lm_word_bounds(model, weights.values[0])
         self._unk_bound = self._bounds.get(lm_mod.UNK, 0.0)
 
     # ---- future cost -------------------------------------------------
@@ -244,10 +248,8 @@ class Decoder:
             options = collect_options(sentence, self.table)
         best = {}
         for o in options:
-            value = self._option_bound(o)
             key = (o.start, o.end)
-            if key not in best or value > best[key]:
-                best[key] = value
+            best[key] = max(best.get(key, -math.inf), self._option_bound(o))
         table = {}
         for length in range(1, n + 1):
             for i in range(n - length + 1):
@@ -261,92 +263,68 @@ class Decoder:
         return table
 
     def _option_bound(self, option):
-        features = list(_ZERO)
-        features[1:5] = option.trans_logs
         lm_bound = 0.0
         for w in option.target:
             lm_bound += self._bounds.get(w, self._unk_bound)
-        features[_LM] = lm_bound
-        features[_WORD] = -float(len(option.target)) - (
-            UNKNOWN_WORD_PENALTY if option.unknown else 0.0
-        )
-        features[_PHRASE] = -1.0
-        return self.weights.dot(tuple(features))
+        return self.weights.dot((lm_bound,) + option.static[1:])
 
     # ---- search ------------------------------------------------------
 
-    def _expand(self, hyp, option, full_mask, future_table, serial):
-        inc = list(_ZERO)
-        inc[1:5] = option.trans_logs
+    def _expand(self, hyp, option, distortion, full_mask, serial):
         lm_score = 0.0
         context = hyp.context
         for w in option.target:
             lm_score += lm_mod.logprob(self.model, w, context)
             context = (context + (w,))[-(self.model.order - 1) :] if self.model.order > 1 else ()
-        inc[_DIST] = -float(distortion_cost(hyp.last_end, option.start))
-        inc[_WORD] = -float(len(option.target)) - (
-            UNKNOWN_WORD_PENALTY if option.unknown else 0.0
-        )
-        inc[_PHRASE] = -1.0
-
-        coverage = hyp.coverage | _span_mask(option.start, option.end)
+        coverage = hyp.coverage | option.mask
         if coverage == full_mask:
             lm_score += lm_mod.logprob(self.model, lm_mod.END, context)
-        inc[_LM] = lm_score
-        inc = tuple(inc)
+        s = option.static
+        inc = (lm_score, s[1], s[2], s[3], s[4], -float(distortion), s[6], s[7])
         # scores accumulate incrementally so that equal-state comparisons
         # carry over to completions exactly (float addition is monotone);
         # the dot product of weights and features agrees to within 1e-9
         inc_score = self.weights.dot(inc)
-        score = hyp.score + inc_score
-        future = _future_of(coverage, full_mask, future_table)
-        return _Hyp(
-            coverage, context, option.end - 1, score, inc_score, future, hyp, option, inc, serial
-        )
+        return _Hyp(coverage, context, option.end - 1, hyp.score + inc_score, inc_score,
+                    hyp, option, inc, serial)
 
     def _search(self, sentence):
-        sentence = tuple(sentence)
         n = len(sentence)
         options = collect_options(sentence, self.table)
         future_table = self.future_cost_table(sentence, options)
-        by_start = {}
-        for o in options:
-            by_start.setdefault(o.start, []).append(o)
         full_mask = (1 << n) - 1
 
         start_context = (lm_mod.START,) if self.model.order > 1 else ()
-        root = _Hyp(
-            0, start_context, -1, 0.0, 0.0, future_table.get((0, n), 0.0), None, None, _ZERO, 0
-        )
+        root = _Hyp(0, start_context, -1, 0.0, 0.0, None, None, _ZERO, 0)
         stacks = [dict() for _ in range(n + 1)]
         stacks[0][(0, root.context, -1)] = root
         serial = 1
         dl = self.config.distortion_limit
 
         for covered in range(n):
-            for hyp in self._pruned(stacks[covered]):
-                start = 0
-                while start < n:
-                    if hyp.coverage >> start & 1:
-                        start += 1
+            for hyp in self._pruned(stacks[covered], full_mask, future_table):
+                # options are sorted by span, so expansions and their serials
+                # run in source order
+                for option in options:
+                    if hyp.coverage & option.mask:
                         continue
-                    for option in by_start.get(start, ()):
-                        if hyp.coverage & _span_mask(option.start, option.end):
-                            continue
-                        if dl is not None and distortion_cost(hyp.last_end, option.start) > dl:
-                            continue
-                        new = self._expand(hyp, option, full_mask, future_table, serial)
-                        serial += 1
-                        self._insert(stacks[bin(new.coverage).count("1")], new)
-                    start += 1
-        return stacks
+                    distortion = distortion_cost(hyp.last_end, option.start)
+                    if dl is not None and distortion > dl:
+                        continue
+                    new = self._expand(hyp, option, distortion, full_mask, serial)
+                    serial += 1
+                    self._insert(stacks[covered + option.end - option.start], new)
+        return stacks[n]
 
-    def _pruned(self, stack):
-        hyps = sorted(stack.values(), key=lambda h: (-(h.score + h.future), h.serial))
-        if self.config.beam_threshold is not None and hyps:
-            cutoff = hyps[0].score + hyps[0].future - self.config.beam_threshold
-            hyps = [h for h in hyps if h.score + h.future >= cutoff]
-        return hyps[: self.config.stack_size]
+    def _pruned(self, stack, full_mask, future_table):
+        """The stack's hypotheses to expand, best score + future cost first."""
+        # serials are unique, so the tuples never compare hypotheses
+        ranked = sorted((-(h.score + _future_of(h.coverage, full_mask, future_table)), h.serial, h)
+                        for h in stack.values())
+        if self.config.beam_threshold is not None and ranked:
+            cutoff = -ranked[0][0] - self.config.beam_threshold
+            ranked = [r for r in ranked if -r[0] >= cutoff]
+        return [h for _, _, h in ranked[: self.config.stack_size]]
 
     @staticmethod
     def _insert(stack, new):
@@ -387,7 +365,7 @@ class Decoder:
         sentence = tuple(sentence)
         if not sentence:
             return [Translation((), _ZERO, 0.0, ())]
-        finals = self._search(sentence)[len(sentence)]
+        finals = self._search(sentence)
         if not finals:
             raise MinismtError("search produced no complete hypothesis")
         paths = _KBestPaths()
@@ -455,13 +433,7 @@ class _KBestPaths:
         return found[k] if k < len(found) else None
 
 
-def _span_mask(start, end):
-    return ((1 << (end - start)) - 1) << start
-
-
 def _future_of(coverage, full_mask, table):
-    if coverage == full_mask:
-        return 0.0
     total = 0.0
     i = 0
     n = full_mask.bit_length()

@@ -100,6 +100,7 @@ def _estimate_witten_bell(counts, order):
     total = sum(events.values())
     linear = {(w,): c / total for w, c in events.items()}
 
+    backoffs = {}
     for m in range(2, order + 1):
         by_context = {}
         for gram, c in counts[m].items():
@@ -110,18 +111,9 @@ def _estimate_witten_bell(counts, order):
             denom = ctx_total + types
             for w, c in continuations.items():
                 linear[context + (w,)] = (c + types * linear[context[1:] + (w,)]) / denom
+            backoffs[context] = math.log10(types / denom)
 
     probs = {gram: math.log10(p) for gram, p in linear.items()}
-
-    backoffs = {}
-    for m in range(2, order + 1):
-        seen = {}
-        for gram, c in counts[m].items():
-            seen.setdefault(gram[:-1], [0, 0])
-            seen[gram[:-1]][0] += c
-            seen[gram[:-1]][1] += 1
-        for context, (ctx_total, types) in seen.items():
-            backoffs[context] = math.log10(types / (ctx_total + types))
     return probs, backoffs
 
 
@@ -223,6 +215,16 @@ def read_arpa(path):
     def fail(lineno, message):
         raise FormatError("%s line %d: %s" % (path, lineno + 1, message))
 
+    def number(lineno, text, what):
+        # nan or -inf would reach every score built on it; the -99 placeholder is finite
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            fail(lineno, "bad %s %r" % (what, text))
+        return value
+
     idx = 0
     while idx < len(raw) and raw[idx].strip() != "\\data\\":
         if raw[idx].strip():
@@ -271,19 +273,13 @@ def read_arpa(path):
         fields = raw[lineno].strip().split("\t")
         if len(fields) not in (2, 3):
             fail(lineno, "expected 2 or 3 tab-separated fields, got %d" % len(fields))
-        try:
-            prob = float(fields[0])
-        except ValueError:
-            fail(lineno, "bad probability %r" % fields[0])
+        prob = number(lineno, fields[0], "probability")
         gram = tuple(fields[1].split())
         if len(gram) != current:
             fail(lineno, "%d-gram %r in \\%d-grams: section" % (len(gram), fields[1], current))
         probs[gram] = prob
         if len(fields) == 3:
-            try:
-                backoffs[gram] = float(fields[2])
-            except ValueError:
-                fail(lineno, "bad backoff weight %r" % fields[2])
+            backoffs[gram] = number(lineno, fields[2], "backoff weight")
         listed[current] += 1
     if not ended:
         raise FormatError("%s: missing \\end\\ marker" % path)

@@ -201,7 +201,10 @@ def read_table(path):
                 raise FormatError("%s line %d: bad score value" % (path, lineno))
             if not all(0.0 < v <= 1.0 for v in scores.as_tuple()):
                 raise FormatError("%s line %d: scores must be in (0,1]" % (path, lineno))
-            entries[(tuple(fields[0].split()), tuple(fields[1].split()))] = scores
+            source, target = tuple(fields[0].split()), tuple(fields[1].split())
+            if not source or not target:
+                raise FormatError("%s line %d: empty source or target phrase" % (path, lineno))
+            entries[(source, target)] = scores
     return PhraseTable(entries)
 
 

@@ -6,8 +6,9 @@ stage, the work-dir files it reads and writes and its manifest params.
 Each stage writes its artifacts plus a manifest (sha256 of inputs and
 outputs, and its params) into the work directory, so a stage can be rerun
 in isolation. Before a stage runs, every file it reads is checked against
-the manifest of the stage that wrote it; a missing, changed or
-differently-configured artifact is refused, naming the stage to rerun.
+the manifest of the stage that wrote it, and that stage's inputs in turn up
+to prepare's corpus files; a missing, changed or differently-configured
+artifact, or one built on such, is refused, naming the stage to rerun.
 Runs are fully deterministic for a fixed config and seed: artifacts are
 byte-identical across reruns.
 
@@ -18,6 +19,7 @@ detokenized only for the human-readable translation file.
 """
 
 import configparser
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -120,12 +122,14 @@ def bundled_data(name):
 def load_config(path):
     """Parse an INI config file into a PipelineConfig (defaults applied)."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        raw = {(section, key): value.strip()
+               for section in parser.sections() for key, value in parser[section].items()}
+    except configparser.Error as exc:  # its messages span lines; the CLI prints one
+        raise ConfigError(" ".join(str(exc).split()))
     if not read:
         raise ConfigError("cannot read config file %s" % path)
-
-    raw = {(section, key): value.strip()
-           for section in parser.sections() for key, value in parser[section].items()}
     for section, key in raw:
         if (section, key) not in _KEYS:
             raise ConfigError("unknown config key [%s] %s" % (section, key))
@@ -204,8 +208,14 @@ def _read_tokenized(path):
         return [tuple(line.split()) for line in f.read().splitlines()]
 
 
+def _prepare_inputs(cfg):
+    """The files outside the work dir that prepare reads."""
+    return [cfg.train_source, cfg.train_target, cfg.dev_source, cfg.dev_target,
+            cfg.test_source, cfg.test_target, cfg.inventory_path(), cfg.lexicon_path()]
+
+
 def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_tgt, stats):
-    """Tokenize and clean the corpora; returns the external files it read."""
+    """Tokenize and clean the corpora."""
     scheme = artok.Scheme.parse(cfg.scheme)
     inventory = artok.CliticInventory.load(cfg.inventory_path())
     lexicon = artok.load_lexicon(cfg.lexicon_path())
@@ -225,8 +235,6 @@ def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_t
                 corpus.stats(corp), "en", "ar").splitlines())
         _write_lines(src_art, [" ".join(p.source) for p in corp.pairs])
         _write_lines(tgt_art, [" ".join(p.target) for p in corp.pairs])
-    return [path for split in splits for path in split[:2]] + [cfg.inventory_path(),
-                                                               cfg.lexicon_path()]
 
 
 def _stage_lm(cfg, train_tgt, lm_out):
@@ -297,19 +305,20 @@ def _stage_evaluate(cfg, test_tgt, hyp, hyp_uniform, report):
 
 # ---- the stage graph ---------------------------------------------------
 
-_Stage = namedtuple("_Stage", "name run reads writes params")
+_Stage = namedtuple("_Stage", "name run reads writes params external", defaults=(lambda cfg: (),))
 _SEARCH_PARAMS = {"stack_size": "stack_size", "beam_threshold": "beam_threshold",
                   "distortion_limit": "distortion_limit"}
 
 # One row per stage, in run order: the work-dir files it reads, the files it
-# writes, and its manifest params as {param: PipelineConfig field}. A stage
+# writes, its manifest params as {param: PipelineConfig field}, and a function
+# of the config giving the files it reads from outside the work dir. A stage
 # function takes the config, then the read paths, then the write paths.
 _GRAPH = (
     _Stage("prepare", _stage_prepare, (),
            ("corpus.train.en", "corpus.train.ar", "corpus.dev.en", "corpus.dev.ar",
             "corpus.test.en", "corpus.test.ar", "stats.txt"),
            {"scheme": "scheme", "clean_max_len": "clean_max_len",
-            "clean_max_ratio": "clean_max_ratio"}),
+            "clean_max_ratio": "clean_max_ratio"}, _prepare_inputs),
     _Stage("lm", _stage_lm, ("corpus.train.ar",), ("lm.arpa",),
            {"order": "lm_order", "smoothing": "lm_smoothing"}),
     _Stage("align", _stage_align, ("corpus.train.en", "corpus.train.ar"),
@@ -349,39 +358,43 @@ def _manifest_path(work, stage):
     return work / ("%s.manifest.json" % stage.name)
 
 
-def _staleness(cfg, work, writer, name, digest):
-    """Why the read file `name` disagrees with its writer's manifest, or None."""
-    try:
-        manifest = json.loads(_manifest_path(work, writer).read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return "its writer left no readable manifest"
-    # outputs match by file name, so a moved work dir keeps its manifests
-    written = {Path(p).name: h for p, h in manifest.get("outputs", {}).items()}
-    if written.get(name) != digest:
-        return "changed since it was written"
-    recorded = manifest.get("params", {})
-    changed = [k for k, v in sorted(_params(cfg, writer).items())
-               if k not in recorded or recorded[k] != v]
-    if changed:
-        return "written with other %s" % ", ".join(changed)
-    return None
+def _freshness(cfg, work):
+    """`stale(name)`, which judges a work-dir file, and the cached `digest` it hashes with.
 
+    stale gives (stage to rerun, reason), or None when the writer's manifest
+    records the current params, each recorded input is fresh in turn and
+    hashes as recorded (up to prepare's corpus, inventory and lexicon), and
+    the file hashes as written. Files match by name, so a moved run works.
+    """
+    digest = functools.cache(_sha256)
 
-def _hash_reads(cfg, work, paths):
-    """{path: sha256} of a stage's reads; a missing or stale one is refused."""
-    for path in paths:
-        if not path.is_file():
-            raise MissingArtifactError(
-                "missing artifact %s; run stage '%s' first" % (path, _WRITER[path.name].name))
-    digests = {}
-    for path in paths:
-        writer = _WRITER[path.name]
-        digest = digests[str(path)] = _sha256(path)
-        reason = _staleness(cfg, work, writer, path.name, digest)
-        if reason:
-            raise MissingArtifactError(
-                "stale artifact %s (%s); rerun stage '%s'" % (path, reason, writer.name))
-    return digests
+    @functools.cache
+    def stale(name):
+        writer = _WRITER[name]
+        if not (work / name).is_file():
+            return writer, "%s is missing" % name
+        try:
+            manifest = json.loads(_manifest_path(work, writer).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return writer, "%s left no readable manifest" % writer.name
+        recorded = manifest.get("params", {})
+        changed = [k for k, v in sorted(_params(cfg, writer).items())
+                   if k not in recorded or recorded[k] != v]
+        if changed:
+            return writer, "%s ran with other %s" % (writer.name, ", ".join(changed))
+        upstream = next(filter(None, map(stale, writer.reads)), None)
+        if upstream:
+            return upstream
+        read = {(Path(p).name, h) for p, h in manifest.get("inputs", {}).items()}
+        for path in [work / r for r in writer.reads] + list(writer.external(cfg)):
+            if not Path(path).is_file() or (Path(path).name, digest(path)) not in read:
+                return writer, "%s changed since %s read it" % (Path(path).name, writer.name)
+        written = {Path(p).name: h for p, h in manifest.get("outputs", {}).items()}
+        if written.get(name) != digest(work / name):
+            return writer, "%s changed since %s wrote it" % (name, writer.name)
+        return None
+
+    return stale, digest
 
 
 def run_stage(name, cfg):
@@ -394,9 +407,18 @@ def run_stage(name, cfg):
     work.mkdir(parents=True, exist_ok=True)
     reads = [work / f for f in stage.reads]
     writes = [work / f for f in stage.writes]
-    inputs = _hash_reads(cfg, work, reads)
-    external = stage.run(cfg, *reads, *writes) or ()
-    inputs.update((str(p), _sha256(p)) for p in external)
+    for path in reads:
+        if not path.is_file():
+            raise MissingArtifactError(
+                "missing artifact %s; run stage '%s' first" % (path, _WRITER[path.name].name))
+    stale, digest = _freshness(cfg, work)
+    for path in reads:
+        verdict = stale(path.name)
+        if verdict:
+            raise MissingArtifactError("stale artifact %s (%s); rerun stage '%s'"
+                                       % (path, verdict[1], verdict[0].name))
+    inputs = {str(p): digest(p) for p in reads + list(stage.external(cfg))}
+    stage.run(cfg, *reads, *writes)
     manifest = {"stage": name, "params": _params(cfg, stage), "inputs": inputs,
                 "outputs": {str(p): _sha256(p) for p in writes}}
     path = _manifest_path(work, stage)

@@ -242,7 +242,7 @@ def test_missing_artifact_error_type(small_toy):
 
 
 def _tiny_model_files(tmp_path):
-    """Well-formed inputs for decode and extract over a two-word corpus."""
+    """Well-formed inputs for decode, extract, tokenize and validate over a two-word corpus."""
     texts = {
         "source": "a b\n",
         "target": "x y\n",
@@ -250,6 +250,8 @@ def _tiny_model_files(tmp_path):
         "lexicon": "a\tx\t1\nb\ty\t1\n",
         "table": "a ||| x ||| 0.5 0.5 0.5 0.5\n",
         "weights": "".join("%s 0.125\n" % name for name in FEATURE_NAMES),
+        "inventory": "w\tCONJ\n",
+        "config": "[lm]\norder = 3\n",
     }
     files = {name: tmp_path / name for name in texts}
     for name, text in texts.items():
@@ -259,28 +261,43 @@ def _tiny_model_files(tmp_path):
     return files
 
 
+_NAN_ARPA = "\\data\\\nngram 1=2\n\n\\1-grams:\nnan\tx\n-1.0\t<unk>\n\n\\end\\\n"
+
+
 @pytest.mark.parametrize("broken, text", [
     ("weights", "lm 0.1 3\n"),
     ("weights", "lm 0.1\nlm 0.2\n"),
     ("weights", "".join("%s 0.125\n" % name for name in FEATURE_NAMES[1:])),
     ("weights", "lm nan\n"),
     ("weights", "lm -inf\n"),
+    ("weights", b"\xff\xfe"),
     ("lexicon", "a\tx\n"),
     ("alignments", "0-x\n"),
     ("alignments", "0-0 9-9\n"),
     ("alignments", "0-0 1-1\n0-0\n"),
+    ("lm", _NAN_ARPA),
+    ("table", "a |||  ||| 0.5 0.5 0.5 0.5\n"),
+    ("inventory", "w\n"),
+    ("config", "order = 3\n[lm]\n"),
+    ("config", "[lm]\norder = 3\norder = 4\n"),
 ])
 def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text):
-    f = {name: str(path) for name, path in _tiny_model_files(tmp_path).items()}
-    (tmp_path / broken).write_text(text, encoding="utf-8")
+    # a config file's faults are config errors, every other file's are format errors
+    files = _tiny_model_files(tmp_path)
+    f = {name: str(path) for name, path in files.items()}
+    files[broken].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     decode = ["decode", "--table", f["table"], "--lm", f["lm"],
               "--weights", f["weights"], "--input", f["source"]]
     extract = ["extract", "--source", f["source"], "--target", f["target"],
                "--alignments", f["alignments"], "--lex-fwd", f["lexicon"],
                "--lex-bwd", f["lexicon"], "-o", str(tmp_path / "pt")]
-    assert main(decode if broken == "weights" else extract) == 1
+    command = {"lexicon": extract, "alignments": extract,
+               "inventory": ["tokenize", "--inventory", f["inventory"], "--input", f["target"]],
+               "config": ["validate", f["config"]]}.get(broken, decode)
+    assert main(command) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR format:"), err
+    category = "config" if broken == "config" else "format"
+    assert len(err) == 1 and err[0].startswith("ERROR %s:" % category), err
 
 
 def test_subcommands_use_pipeline_defaults():
@@ -317,22 +334,35 @@ def _copy_run(config_path, out):
     return copy
 
 
-def _overwrite_table(work):
+def _overwrite_table(config, work):
     table = work / "phrase-table.txt"
     table.write_text(table.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+
+
+def _rerun_lm_at_order_3(config, work):
+    config.write_text(config.read_text(encoding="utf-8") + "\n[lm]\norder = 3\n", encoding="utf-8")
+    assert main(["pipeline", str(config), "--stage", "lm"]) == 0
+
+
+def _overwrite_train_target(config, work):
+    path = Path(pipeline.load_config(config).train_target)
+    path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
 
 
 @pytest.mark.parametrize("change, stage, writer", [
     ("\n[lm]\norder = 3\n", "mert", "lm"),
     ("\n[decoder]\nbeam_threshold = 5\n", "decode", "mert"),
     (_overwrite_table, "decode", "phrases"),
-    (lambda work: (work / "lm.manifest.json").unlink(), "mert", "lm"),
-], ids=["lm-order-changed", "beam-threshold-changed", "table-overwritten", "lm-manifest-deleted"])
+    (lambda config, work: (work / "lm.manifest.json").unlink(), "mert", "lm"),
+    (_rerun_lm_at_order_3, "decode", "mert"),
+    (_overwrite_train_target, "lm", "prepare"),
+], ids=["lm-order-changed", "beam-threshold-changed", "table-overwritten", "lm-manifest-deleted",
+        "lm-rerun-at-new-order", "train-target-overwritten"])
 def test_stage_refuses_stale_inputs(small_run, tmp_path, capsys, change, stage, writer):
     config = _copy_run(small_run, tmp_path / "run")
     work = Path(pipeline.load_config(config).work_dir)
     if callable(change):
-        change(work)
+        change(config, work)
     else:
         config.write_text(config.read_text(encoding="utf-8") + change, encoding="utf-8")
     before = {p.name: p.read_bytes() for p in work.iterdir()}
