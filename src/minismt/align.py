@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, SentencePair
-from .errors import FormatError, ParameterError, TrainingError
+from .errors import FormatError, ParameterError, TrainingError, _open_text
 
 NULL_WORD = "<null>"
 
@@ -201,7 +201,7 @@ def write_alignments(matrices, path):
 
 def read_alignments(path, corpus):
     """Load an alignment file produced by write_alignments for `corpus`."""
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         lines = f.read().splitlines()
     if len(lines) != len(corpus.pairs):
         raise FormatError(
@@ -236,7 +236,7 @@ def write_lexicon(lexicon, path):
 
 def read_lexicon(path):
     table = {}
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             try:
                 given, out, prob = raw.rstrip("\n").split("\t")

@@ -24,7 +24,7 @@ import enum
 import logging
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .errors import FormatError, _open_text
 
 log = logging.getLogger(__name__)
 
@@ -115,7 +115,7 @@ class CliticInventory:
         """Read `surface<TAB>class` lines; '#' starts a comment."""
         proclitics = {name: [] for name in PROCLITIC_CLASSES}
         enclitics = []
-        with open(path, encoding="utf-8") as f:
+        with _open_text(path) as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -147,7 +147,7 @@ def _check_surface(surface, cls, seen):
 def load_lexicon(path):
     """Stem list, one entry per line (dediacritized forms)."""
     stems = set()
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for raw in f:
             entry = raw.strip()
             if entry and not entry.startswith("#"):

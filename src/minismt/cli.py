@@ -11,7 +11,7 @@ import sys
 
 from . import align, artok, bleu, corpus, lm, mert, phrases, pipeline
 from .decode import Decoder, Weights
-from .errors import MinismtError, ParameterError
+from .errors import MinismtError, ParameterError, _open_text
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
 
@@ -19,7 +19,7 @@ _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's t
 def _input_lines(path):
     if path in (None, "-"):
         return [line.rstrip("\n") for line in sys.stdin]
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         return f.read().splitlines()
 
 
@@ -302,8 +302,8 @@ def main(argv=None):
     except OSError as exc:
         print("ERROR io: %s" % exc, file=sys.stderr)
         return 1
-    except UnicodeDecodeError as exc:
-        print("ERROR format: input is not UTF-8 text (%s)" % exc, file=sys.stderr)
+    except UnicodeDecodeError as exc:  # files are read through _open_text
+        print("ERROR format: standard input is not UTF-8 text (%s)" % exc, file=sys.stderr)
         return 1
 
 

@@ -9,7 +9,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .errors import CorpusAlignmentError, ParameterError
+from .errors import CorpusAlignmentError, ParameterError, _open_text
 
 log = logging.getLogger(__name__)
 
@@ -62,9 +62,9 @@ def load_parallel(source_path, target_path, source_lang=None, target_lang=None):
     Raises CorpusAlignmentError (naming both counts) when the files have
     different numbers of lines; I/O problems surface as OSError.
     """
-    with open(source_path, encoding="utf-8") as f:
+    with _open_text(source_path) as f:
         source_lines = f.read().splitlines()
-    with open(target_path, encoding="utf-8") as f:
+    with _open_text(target_path) as f:
         target_lines = f.read().splitlines()
     if len(source_lines) != len(target_lines):
         raise CorpusAlignmentError(

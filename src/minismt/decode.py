@@ -10,6 +10,16 @@ out of the search graph. Pruning is histogram (stack size) plus an optional
 relative score window, both measured on score + admissible future-cost
 estimate, which is looked up once per recombined state as a stack is ranked.
 
+Each search keeps three memos for its one sentence, since many expansions
+repeat the same lookup: the LM sum of a target phrase after a context
+(with the context it leaves), the </s> term after a context, and the future
+cost of a coverage. A miss computes the value exactly as before, so every
+score is bit-identical; nothing outlives the call, so memory stays bounded
+by one sentence's search. A hypothesis keeps only its LM and distortion
+values; the 8-feature increment is built for the paths that are returned.
+Its weighted score is summed inline, term by term in Weights.dot's order
+from 0.0, which gives the same float as Weights.dot.
+
 The eight features, in order (FEATURE_NAMES): language model log10
 probability; forward phrase translation log-prob and lexical weight;
 reverse phrase translation log-prob and lexical weight; negated
@@ -25,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import lm as lm_mod
-from .errors import FormatError, MinismtError, ParameterError
+from .errors import FormatError, MinismtError, ParameterError, _open_text
 from .phrases import distortion_cost, log10_scores
 
 FEATURE_NAMES = (
@@ -80,7 +90,7 @@ class Weights:
     @classmethod
     def from_file(cls, path):
         seen = {}
-        with open(path, encoding="utf-8") as f:
+        with _open_text(path) as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -151,12 +161,14 @@ class _Hyp:
         "inc_score",
         "prev",
         "option",
-        "inc",
+        "lm_score",
+        "distortion",
         "arcs",
         "serial",
     )
 
-    def __init__(self, coverage, context, last_end, score, inc_score, prev, option, inc, serial):
+    def __init__(self, coverage, context, last_end, score, inc_score, prev, option,
+                 lm_score, distortion, serial):
         self.coverage = coverage
         self.context = context
         self.last_end = last_end
@@ -164,7 +176,8 @@ class _Hyp:
         self.inc_score = inc_score
         self.prev = prev
         self.option = option
-        self.inc = inc
+        self.lm_score = lm_score  # the step's LM feature, </s> included
+        self.distortion = distortion
         self.arcs = []
         self.serial = serial
 
@@ -270,39 +283,28 @@ class Decoder:
 
     # ---- search ------------------------------------------------------
 
-    def _expand(self, hyp, option, distortion, full_mask, serial):
-        lm_score = 0.0
-        context = hyp.context
-        for w in option.target:
-            lm_score += lm_mod.logprob(self.model, w, context)
-            context = (context + (w,))[-(self.model.order - 1) :] if self.model.order > 1 else ()
-        coverage = hyp.coverage | option.mask
-        if coverage == full_mask:
-            lm_score += lm_mod.logprob(self.model, lm_mod.END, context)
-        s = option.static
-        inc = (lm_score, s[1], s[2], s[3], s[4], -float(distortion), s[6], s[7])
-        # scores accumulate incrementally so that equal-state comparisons
-        # carry over to completions exactly (float addition is monotone);
-        # the dot product of weights and features agrees to within 1e-9
-        inc_score = self.weights.dot(inc)
-        return _Hyp(coverage, context, option.end - 1, hyp.score + inc_score, inc_score,
-                    hyp, option, inc, serial)
-
     def _search(self, sentence):
         n = len(sentence)
         options = collect_options(sentence, self.table)
         future_table = self.future_cost_table(sentence, options)
         full_mask = (1 << n) - 1
+        model = self.model
+        keep = model.order - 1
+        w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
-        start_context = (lm_mod.START,) if self.model.order > 1 else ()
-        root = _Hyp(0, start_context, -1, 0.0, 0.0, None, None, _ZERO, 0)
+        root = _Hyp(0, (lm_mod.START,) if keep else (), -1, 0.0, 0.0, None, None, 0.0, 0, 0)
         stacks = [dict() for _ in range(n + 1)]
         stacks[0][(0, root.context, -1)] = root
         serial = 1
         dl = self.config.distortion_limit
+        # memos of this sentence's search, dropped when it returns
+        lm_memo = {}  # (context, target) -> (LM sum without </s>, new context)
+        end_memo = {}  # context -> log P(</s> | context)
+        future_memo = {}  # coverage -> future cost
 
         for covered in range(n):
-            for hyp in self._pruned(stacks[covered], full_mask, future_table):
+            for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo):
+                context = hyp.context
                 # options are sorted by span, so expansions and their serials
                 # run in source order
                 for option in options:
@@ -311,16 +313,47 @@ class Decoder:
                     distortion = distortion_cost(hyp.last_end, option.start)
                     if dl is not None and distortion > dl:
                         continue
-                    new = self._expand(hyp, option, distortion, full_mask, serial)
+                    target = option.target
+                    memo = lm_memo.get((context, target))
+                    if memo is None:
+                        lm_score = 0.0
+                        new_context = context
+                        for w in target:
+                            lm_score += lm_mod.logprob(model, w, new_context)
+                            new_context = (new_context + (w,))[-keep:] if keep else ()
+                        memo = lm_memo[(context, target)] = (lm_score, new_context)
+                    lm_score, new_context = memo
+                    coverage = hyp.coverage | option.mask
+                    if coverage == full_mask:
+                        end = end_memo.get(new_context)
+                        if end is None:
+                            end = end_memo[new_context] = lm_mod.logprob(
+                                model, lm_mod.END, new_context)
+                        lm_score += end
+                    s = option.static
+                    # Weights.dot of the step's features, term by term in its
+                    # order from 0.0, so the float is the same; scores
+                    # accumulate incrementally so that equal-state comparisons
+                    # carry over to completions exactly (float addition is
+                    # monotone)
+                    inc_score = (0.0 + w0 * lm_score + w1 * s[1] + w2 * s[2] + w3 * s[3]
+                                 + w4 * s[4] + w5 * -float(distortion) + w6 * s[6] + w7 * s[7])
+                    new = _Hyp(coverage, new_context, option.end - 1, hyp.score + inc_score,
+                               inc_score, hyp, option, lm_score, distortion, serial)
                     serial += 1
                     self._insert(stacks[covered + option.end - option.start], new)
         return stacks[n]
 
-    def _pruned(self, stack, full_mask, future_table):
+    def _pruned(self, stack, full_mask, future_table, future_memo):
         """The stack's hypotheses to expand, best score + future cost first."""
-        # serials are unique, so the tuples never compare hypotheses
-        ranked = sorted((-(h.score + _future_of(h.coverage, full_mask, future_table)), h.serial, h)
-                        for h in stack.values())
+        ranked = []
+        for h in stack.values():
+            future = future_memo.get(h.coverage)
+            if future is None:
+                future = future_memo[h.coverage] = _future_of(h.coverage, full_mask, future_table)
+            # serials are unique, so the tuples never compare hypotheses
+            ranked.append((-(h.score + future), h.serial, h))
+        ranked.sort()
         if self.config.beam_threshold is not None and ranked:
             cutoff = -ranked[0][0] - self.config.beam_threshold
             ranked = [r for r in ranked if -r[0] >= cutoff]
@@ -434,18 +467,14 @@ class _KBestPaths:
 
 
 def _future_of(coverage, full_mask, table):
+    """The future cost of the uncovered runs, summed left to right."""
     total = 0.0
-    i = 0
-    n = full_mask.bit_length()
-    while i < n:
-        if coverage >> i & 1:
-            i += 1
-            continue
-        j = i
-        while j < n and not (coverage >> j & 1):
-            j += 1
-        total += table[(i, j)]
-        i = j
+    gaps = full_mask & ~coverage
+    while gaps:
+        low = gaps & -gaps  # the first position of the leftmost run
+        carry = gaps + low  # the run cleared, and the bit just past its end set
+        total += table[(low.bit_length() - 1, (carry & -carry).bit_length() - 1)]
+        gaps &= carry
     return total
 
 
@@ -455,8 +484,10 @@ def _materialize_path(hyps):
     steps = []
     score = 0.0
     for node in hyps:
+        s = node.option.static
+        inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(node.distortion), s[6], s[7])
         tokens.extend(node.option.target)
-        features = [f + d for f, d in zip(features, node.inc)]
-        steps.append(DerivationStep(node.option, node.inc))
+        features = [f + d for f, d in zip(features, inc)]
+        steps.append(DerivationStep(node.option, inc))
         score += node.inc_score
     return Translation(tuple(tokens), tuple(features), score, tuple(steps))

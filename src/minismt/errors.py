@@ -1,4 +1,10 @@
-"""Exception hierarchy. Every error carries a one-word category for the CLI."""
+"""Exception hierarchy. Every error carries a one-word category for the CLI.
+
+Every reader opens its file through _open_text, so a file that is not
+UTF-8 text is one FormatError naming it.
+"""
+
+import contextlib
 
 
 class MinismtError(Exception):
@@ -43,3 +49,14 @@ class MissingArtifactError(MinismtError):
     the config now gives, according to the writing stage's manifest."""
 
     category = "stage"
+
+
+@contextlib.contextmanager
+def _open_text(path):
+    """open(path, encoding="utf-8") for reading; bytes that do not decode,
+    met anywhere in the with-block, raise a FormatError naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise FormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None

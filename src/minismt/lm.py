@@ -18,7 +18,7 @@ All probabilities are log10.
 import math
 from dataclasses import dataclass, field
 
-from .errors import FormatError, ParameterError, TrainingError
+from .errors import FormatError, ParameterError, TrainingError, _open_text
 
 START = "<s>"
 END = "</s>"
@@ -209,7 +209,7 @@ def write_arpa(model, path):
 
 def read_arpa(path):
     """Parse an ARPA file back into an NGramModel; malformed input raises FormatError."""
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         raw = f.read().splitlines()
 
     def fail(lineno, message):

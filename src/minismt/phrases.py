@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .align import NULL_WORD
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _open_text
 
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
 
@@ -184,7 +184,7 @@ def write_table(table, path, prune=TABLE_PRUNE_LIMIT):
 
 def read_table(path):
     entries = {}
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.rstrip("\n")
             if not line:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, mert, phrases
 from .decode import Decoder, DecoderConfig, Weights
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, MissingArtifactError, _open_text
 
 
 def parse_number(text):
@@ -123,13 +123,14 @@ def load_config(path):
     """Parse an INI config file into a PipelineConfig (defaults applied)."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        with _open_text(path) as f:
+            parser.read_file(f)
         raw = {(section, key): value.strip()
                for section in parser.sections() for key, value in parser[section].items()}
+    except OSError:
+        raise ConfigError("cannot read config file %s" % path)
     except configparser.Error as exc:  # its messages span lines; the CLI prints one
         raise ConfigError(" ".join(str(exc).split()))
-    if not read:
-        raise ConfigError("cannot read config file %s" % path)
     for section, key in raw:
         if (section, key) not in _KEYS:
             raise ConfigError("unknown config key [%s] %s" % (section, key))
@@ -204,7 +205,7 @@ def _write_lines(path, lines):
 
 
 def _read_tokenized(path):
-    with open(path, encoding="utf-8") as f:
+    with _open_text(path) as f:
         return [tuple(line.split()) for line in f.read().splitlines()]
 
 

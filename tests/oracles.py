@@ -160,6 +160,24 @@ def enumerate_all_translations(sentence, table, model, weights, distortion_limit
     return sorted(results.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def future_of_by_bits(coverage, full_mask, table):
+    """Future cost of a coverage by testing one bit at a time: the sum of
+    table[(i, j)] over the maximal uncovered runs, left to right."""
+    total = 0.0
+    i = 0
+    n = full_mask.bit_length()
+    while i < n:
+        if coverage >> i & 1:
+            i += 1
+            continue
+        j = i
+        while j < n and not (coverage >> j & 1):
+            j += 1
+        total += table[(i, j)]
+        i = j
+    return total
+
+
 def _oracle_inc(context, last_end, opt, coverage_after, full, model):
     i, j, target, logs, unknown = opt
     inc = [0.0] * 8

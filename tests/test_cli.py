@@ -271,6 +271,8 @@ _NAN_ARPA = "\\data\\\nngram 1=2\n\n\\1-grams:\nnan\tx\n-1.0\t<unk>\n\n\\end\\\n
     ("weights", "lm nan\n"),
     ("weights", "lm -inf\n"),
     ("weights", b"\xff\xfe"),
+    *((name, b"\xff\xfe")
+      for name in ("source", "table", "lm", "lexicon", "alignments", "inventory", "config")),
     ("lexicon", "a\tx\n"),
     ("alignments", "0-x\n"),
     ("alignments", "0-0 9-9\n"),
@@ -282,7 +284,8 @@ _NAN_ARPA = "\\data\\\nngram 1=2\n\n\\1-grams:\nnan\tx\n-1.0\t<unk>\n\n\\end\\\n
     ("config", "[lm]\norder = 3\norder = 4\n"),
 ])
 def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text):
-    # a config file's faults are config errors, every other file's are format errors
+    # a config file's faults are config errors, every other file's are format
+    # errors, and so is a file that is not UTF-8 text, which the line names
     files = _tiny_model_files(tmp_path)
     f = {name: str(path) for name, path in files.items()}
     files[broken].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -296,8 +299,11 @@ def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text
                "config": ["validate", f["config"]]}.get(broken, decode)
     assert main(command) == 1
     err = capsys.readouterr().err.splitlines()
-    category = "config" if broken == "config" else "format"
+    not_utf8 = isinstance(text, bytes)
+    category = "config" if broken == "config" and not not_utf8 else "format"
     assert len(err) == 1 and err[0].startswith("ERROR %s:" % category), err
+    if not_utf8:
+        assert f[broken] in err[0], err
 
 
 def test_subcommands_use_pipeline_defaults():

@@ -9,12 +9,13 @@ from minismt.decode import (
     DecoderConfig,
     UNKNOWN_WORD_PENALTY,
     Weights,
+    _future_of,
     collect_options,
 )
 from minismt.errors import ParameterError
 
 from conftest import random_phrase_table
-from oracles import enumerate_all_translations, exhaustive_decode
+from oracles import enumerate_all_translations, exhaustive_decode, future_of_by_bits
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -131,14 +132,45 @@ def test_unpruned_decode_equals_exhaustive():
         assert got.tokens == want_tokens, trial
 
 
-def test_distortion_limit_zero_equals_monotone_exhaustive():
+@pytest.mark.parametrize("dl", [0, 1, 2, 3])
+def test_distortion_limit_decode_equals_exhaustive(dl):
     rng = random.Random(7)
-    config = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=0)
+    config = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=dl)
     for trial in range(20):
         sentence, table, model, weights = _random_instance(rng)
         got = Decoder(table, model, weights, config).decode(sentence)
-        want_score, _ = exhaustive_decode(sentence, table, model, weights, distortion_limit=0)
+        want_score, want_tokens = exhaustive_decode(sentence, table, model, weights,
+                                                    distortion_limit=dl)
         assert got.score == want_score, trial
+        assert got.tokens == want_tokens, trial
+
+
+def test_future_of_equals_bit_by_bit_gap_walk():
+    # every coverage of every n <= 9, so the empty and the full coverage and
+    # gaps that run to the last position are all among them
+    rng = random.Random(17)
+    for n in range(1, 10):
+        table = {(i, j): rng.uniform(-9.0, 0.0) for i in range(n) for j in range(i + 1, n + 1)}
+        full = (1 << n) - 1
+        for coverage in range(full + 1):
+            want = future_of_by_bits(coverage, full, table)
+            assert _future_of(coverage, full, table) == want, (n, coverage)
+
+
+def test_reused_decoders_equal_fresh_ones():
+    # pruning reads the future cost and the sentences share coverages, so a
+    # memo that outlived its sentence, or ignored the weights, shows here
+    rng = random.Random(23)
+    table = random_phrase_table(rng, SRC_VOCAB, TGT_VOCAB, n_entries=12, max_len=2)
+    model = _random_model(rng, order=3)
+    sentences = [tuple(rng.choice(SRC_VOCAB) for _ in range(rng.randint(2, 6)))
+                 for _ in range(8)]
+    config = DecoderConfig(stack_size=2, beam_threshold=None, distortion_limit=None)
+    reused = [Decoder(table, model, _random_weights(rng), config) for _ in range(2)]
+    for sentence in sentences + sentences[:3]:
+        for decoder in reused:
+            fresh = Decoder(table, model, decoder.weights, config)
+            assert decoder.nbest(sentence, 10) == fresh.nbest(sentence, 10), sentence
 
 
 def test_tightening_distortion_limit_never_helps():
