@@ -11,14 +11,21 @@ import sys
 
 from . import align, artok, bleu, corpus, lm, mert, phrases, pipeline
 from .decode import Decoder, Weights
-from .errors import MinismtError, ParameterError, _open_text
+from .errors import FormatError, MinismtError, ParameterError, _open_text
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
 
 
 def _input_lines(path):
     if path in (None, "-"):
-        return [line.rstrip("\n") for line in sys.stdin]
+        # strict UTF-8 whatever the locale: in the C locale Python would
+        # otherwise pass undecodable bytes through as surrogates
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+        try:
+            return [line.rstrip("\n") for line in sys.stdin]
+        except UnicodeDecodeError as exc:
+            raise FormatError("standard input is not UTF-8 text (%s)" % exc) from None
     with _open_text(path) as f:
         return f.read().splitlines()
 
@@ -301,9 +308,6 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print("ERROR io: %s" % exc, file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:  # files are read through _open_text
-        print("ERROR format: standard input is not UTF-8 text (%s)" % exc, file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,20 @@ interval (leftmost on ties). Directions are the 8 coordinate axes plus 8
 seeded random directions per round; accepted steps must gain more than
 `GAIN_THRESHOLD` BLEU, and weights are renormalized to unit L1 norm, which
 leaves the decoding argmax unchanged.
+
+The line search does only the work that differs between directions, and
+computes every float as a plain per-direction evaluation would:
+- each optimizer round computes base·f for every pool entry once and
+  shares it with its 16 line searches, since the base does not change
+  within a round;
+- a slope adds only the terms of nonzero direction components, in feature
+  order onto 0.0 (an axis slope is 0.0 + f[i]). Features are finite, so a
+  skipped term is ±0.0, and adding ±0.0 to a sum that starts at +0.0 never
+  changes it: the float is that of Weights.dot, which adds all eight;
+- the sweep keeps its running BLEU statistics in one list of ints, exact
+  under any order of additions, and scores each interval by passing a
+  BleuStats built from it to bleu.corpus_bleu, so the scores are the same
+  floats.
 """
 
 import math
@@ -44,20 +58,44 @@ def build_pool_entry(tokens, features, references):
     return PoolEntry(tuple(tokens), tuple(features), bleu.sentence_stats(tokens, references))
 
 
-def _envelope(lines):
-    """Upper envelope of (slope, intercept, index) lines.
+def _dots(columns, vector, n):
+    """vector·f for each of `n` feature vectors given as `columns`.
+
+    The terms of the nonzero components are added in feature order onto
+    0.0, as Weights.dot adds all eight; a skipped term is ±0.0 on finite
+    features and leaves such a sum unchanged, so the floats are Weights.dot's.
+    """
+    total = [0.0] * n
+    for v, column in zip(vector, columns):
+        if v != 0.0:
+            total = [t + v * f for t, f in zip(total, column)]
+    return total
+
+
+def _base_scores(pool, base_v):
+    """Per sentence: base·f by entry index, the entry indices in ascending
+    base·f order (later entries first among equals), and the feature
+    columns in that order."""
+    out = []
+    for entries in pool:
+        features = [e.features for e in entries]
+        scores = _dots(list(zip(*features)), base_v, len(features))
+        order = sorted(range(len(features) - 1, -1, -1), key=scores.__getitem__)
+        out.append((scores, order, list(zip(*(features[i] for i in order)))))
+    return out
+
+
+def _envelope(slopes, order, intercepts):
+    """Upper envelope of the lines intercepts[i] + gamma * slope, the slopes
+    listed in `order`.
 
     Returns (start, index) segments in increasing start order; the first
-    segment starts at -inf.
+    segment starts at -inf. Of parallel lines the highest wins, the first
+    among equals: the line dict() keeps, the last of its slope in `order`.
     """
-    by_slope = {}
-    for m, b, idx in lines:
-        cur = by_slope.get(m)
-        if cur is None or b > cur[0] or (b == cur[0] and idx < cur[1]):
-            by_slope[m] = (b, idx)
-    ordered = sorted((m, b, idx) for m, (b, idx) in by_slope.items())
     hull = []  # (start, slope, intercept, index)
-    for m, b, idx in ordered:
+    for m, idx in sorted(dict(zip(slopes, order)).items()):
+        b = intercepts[idx]
         while hull:
             start, hm, hb, hidx = hull[-1]
             cross = (hb - b) / (m - hm)
@@ -70,27 +108,37 @@ def _envelope(lines):
     return [(start, idx) for start, _, _, idx in hull]
 
 
-def line_search(pool, base, direction):
+def _counts(stats):
+    return stats.matches + stats.totals + (stats.hyp_len, stats.ref_len)
+
+
+def _corpus_bleu(counts):
+    n = bleu.MAX_ORDER
+    return bleu.corpus_bleu(
+        bleu.BleuStats(tuple(counts[:n]), tuple(counts[n : 2 * n]), counts[-2], counts[-1])
+    )
+
+
+def line_search(pool, base, direction, *, _base=None):
     """Exact best step along `direction` from `base` for corpus BLEU on the pool.
 
-    `pool` is a list (one item per sentence) of lists of PoolEntry.
+    `pool` is a list (one item per sentence) of lists of PoolEntry. `_base`,
+    if given, is `_base_scores(pool, base)`, shared by the directions of an
+    optimizer round.
     """
     if all(abs(d) == 0.0 for d in direction):
         raise ParameterError("line search direction must be nonzero")
-    base_v = base.values if isinstance(base, Weights) else tuple(base)
+    if _base is None:
+        _base = _base_scores(pool, base.values if isinstance(base, Weights) else tuple(base))
 
     envelopes = []
     events = []  # (gamma, sentence index, segment position)
-    running = bleu.BleuStats.zero()
-    for s, entries in enumerate(pool):
-        lines = []
-        for idx, entry in enumerate(entries):
-            slope = sum(d * f for d, f in zip(direction, entry.features))
-            intercept = sum(w * f for w, f in zip(base_v, entry.features))
-            lines.append((slope, intercept, idx))
-        segments = _envelope(lines)
+    running = [0] * (2 * bleu.MAX_ORDER + 2)  # the _counts of the selections
+    for s, (entries, (intercepts, order, columns)) in enumerate(zip(pool, _base)):
+        segments = _envelope(_dots(columns, direction, len(order)), order, intercepts)
         envelopes.append(segments)
-        running = running + entries[segments[0][1]].stats
+        for k, c in enumerate(_counts(entries[segments[0][1]].stats)):
+            running[k] += c
         for pos in range(1, len(segments)):
             events.append((segments[pos][0], s, pos))
     events.sort()
@@ -102,18 +150,19 @@ def line_search(pool, base, direction):
     best_bleu, best_index = -1.0, 0
     cursor = -math.inf
     for gamma, s, pos in events:
-        score = bleu.corpus_bleu(running)
-        intervals.append((cursor, gamma, score))
-        if score > best_bleu and cursor < gamma:
-            best_bleu, best_index = score, len(intervals) - 1
+        value = _corpus_bleu(running)
+        intervals.append((cursor, gamma, value))
+        if value > best_bleu and cursor < gamma:
+            best_bleu, best_index = value, len(intervals) - 1
         old = pool[s][envelopes[s][pos - 1][1]].stats
         new = pool[s][envelopes[s][pos][1]].stats
-        running = running + new + _negate(old)
+        for k, (a, b) in enumerate(zip(_counts(new), _counts(old))):
+            running[k] += a - b
         cursor = gamma
-    score = bleu.corpus_bleu(running)
-    intervals.append((cursor, math.inf, score))
-    if score > best_bleu:
-        best_bleu, best_index = score, len(intervals) - 1
+    value = _corpus_bleu(running)
+    intervals.append((cursor, math.inf, value))
+    if value > best_bleu:
+        best_bleu, best_index = value, len(intervals) - 1
 
     start, end, _ = intervals[best_index]
     if math.isinf(start) and math.isinf(end):
@@ -125,15 +174,6 @@ def line_search(pool, base, direction):
     else:
         step = (start + end) / 2.0
     return LineSearchResult(tuple(direction), step, best_bleu, tuple(intervals))
-
-
-def _negate(stats):
-    return bleu.BleuStats(
-        tuple(-m for m in stats.matches),
-        tuple(-t for t in stats.totals),
-        -stats.hyp_len,
-        -stats.ref_len,
-    )
 
 
 def pool_bleu(pool, weights):
@@ -163,11 +203,13 @@ def optimize_on_pool(pool, weights, rng, log_lines=None):
     current = weights.l1_normalized()
     current_bleu = pool_bleu(pool, current)
     while True:
+        base = _base_scores(pool, current.values)  # the same for every direction of the round
         directions = _axis_directions() + [
             tuple(rng.uniform(-1.0, 1.0) for _ in range(N_FEATURES)) for _ in range(N_FEATURES)
         ]
         # the first of equally good directions wins
-        best = max((line_search(pool, current, d) for d in directions), key=lambda r: r.best_bleu)
+        best = max((line_search(pool, current, d, _base=base) for d in directions),
+                   key=lambda r: r.best_bleu)
         if best.best_bleu - current_bleu <= GAIN_THRESHOLD:
             return current, current_bleu
         stepped = tuple(

@@ -3,11 +3,15 @@
 These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation,
 line search by dense grid evaluation, and language model probabilities by
-recounting the padded token stream.
+recounting the padded token stream. `line_search_reference` is the plain
+line search that the optimized one must equal float for float.
 """
+
+import math
 
 from minismt import bleu, lm
 from minismt.decode import UNKNOWN_WORD_PENALTY, Weights
+from minismt.mert import LineSearchResult
 from minismt.phrases import PhrasePair, distortion_cost
 
 
@@ -65,7 +69,7 @@ def _oracle_options(sentence, table):
     for i in range(n):
         for j in range(i + 1, n + 1):
             for target, scores in table.options(sentence[i:j]):
-                logs = tuple(__import__("math").log10(v) for v in scores.as_tuple())
+                logs = tuple(math.log10(v) for v in scores.as_tuple())
                 options.append((i, j, target, logs, False))
         if not table.options(sentence[i : i + 1]):
             options.append((i, i + 1, (sentence[i],), (0.0, 0.0, 0.0, 0.0), True))
@@ -234,3 +238,94 @@ def grid_best_bleu(pool, base, direction, lo=-5.0, hi=5.0, resolution=1e-3):
         if value > best:
             best = value
     return best
+
+
+# ---- line search, one direction at a time ------------------------------------
+
+
+def _dot(u, v):
+    """All terms left to right onto 0.0: the float of Weights.dot, and of
+    sum() before Python 3.12 made it compensated."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _envelope_reference(lines):
+    """Upper envelope of (slope, intercept, index) lines as (start, index) segments."""
+    by_slope = {}
+    for m, b, idx in lines:
+        cur = by_slope.get(m)
+        if cur is None or b > cur[0] or (b == cur[0] and idx < cur[1]):
+            by_slope[m] = (b, idx)
+    ordered = sorted((m, b, idx) for m, (b, idx) in by_slope.items())
+    hull = []  # (start, slope, intercept, index)
+    for m, b, idx in ordered:
+        while hull:
+            start, hm, hb, hidx = hull[-1]
+            cross = (hb - b) / (m - hm)
+            if cross <= start:
+                hull.pop()
+            else:
+                break
+        start = -math.inf if not hull else cross
+        hull.append((start, m, b, idx))
+    return [(start, idx) for start, _, _, idx in hull]
+
+
+def _negate(stats):
+    return bleu.BleuStats(
+        tuple(-m for m in stats.matches),
+        tuple(-t for t in stats.totals),
+        -stats.hyp_len,
+        -stats.ref_len,
+    )
+
+
+def line_search_reference(pool, base, direction):
+    """mert.line_search computed directly: both dot products of every entry
+    over all eight terms for each direction, and a new BleuStats per event."""
+    base_v = base.values if isinstance(base, Weights) else tuple(base)
+
+    envelopes = []
+    events = []  # (gamma, sentence index, segment position)
+    running = bleu.BleuStats.zero()
+    for s, entries in enumerate(pool):
+        lines = []
+        for idx, entry in enumerate(entries):
+            lines.append((_dot(direction, entry.features), _dot(base_v, entry.features), idx))
+        segments = _envelope_reference(lines)
+        envelopes.append(segments)
+        running = running + entries[segments[0][1]].stats
+        for pos in range(1, len(segments)):
+            events.append((segments[pos][0], s, pos))
+    events.sort()
+
+    intervals = []
+    best_bleu, best_index = -1.0, 0
+    cursor = -math.inf
+    for gamma, s, pos in events:
+        score = bleu.corpus_bleu(running)
+        intervals.append((cursor, gamma, score))
+        if score > best_bleu and cursor < gamma:
+            best_bleu, best_index = score, len(intervals) - 1
+        old = pool[s][envelopes[s][pos - 1][1]].stats
+        new = pool[s][envelopes[s][pos][1]].stats
+        running = running + new + _negate(old)
+        cursor = gamma
+    score = bleu.corpus_bleu(running)
+    intervals.append((cursor, math.inf, score))
+    if score > best_bleu:
+        best_bleu, best_index = score, len(intervals) - 1
+
+    start, end, _ = intervals[best_index]
+    if math.isinf(start) and math.isinf(end):
+        step = 0.0
+    elif math.isinf(start):
+        step = end - 1.0
+    elif math.isinf(end):
+        step = start + 1.0
+    else:
+        step = (start + end) / 2.0
+    return LineSearchResult(tuple(direction), step, best_bleu, tuple(intervals))

@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import minismt
 from minismt import lm, pipeline
 from minismt.cli import build_parser, main
 from minismt.decode import FEATURE_NAMES
@@ -304,6 +308,27 @@ def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text
     assert len(err) == 1 and err[0].startswith("ERROR %s:" % category), err
     if not_utf8:
         assert f[broken] in err[0], err
+
+
+def test_non_utf8_stdin_is_one_format_error_line_in_c_locale():
+    # without LANG and LC_ALL Python runs in the C locale, where standard
+    # input would decode undecodable bytes to surrogates rather than fail
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
+    src = str(Path(minismt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, *argv], input=b"\xff\n", env=env,
+                              capture_output=True, timeout=60)
+
+    assert run("-c", "import sys; print(sys.stdin.errors)").stdout == b"surrogateescape\n"
+    for command in (["tokenize"], ["detokenize"]):
+        proc = run("-m", "minismt.cli", *command)
+        err = proc.stderr.decode("utf-8").splitlines()
+        assert proc.returncode == 1 and proc.stdout == b"", (command, proc)
+        assert len(err) == 1 and err[0].startswith(
+            "ERROR format: standard input is not UTF-8 text"), err
 
 
 def test_subcommands_use_pipeline_defaults():

@@ -7,7 +7,7 @@ from minismt import corpus, lm, mert, phrases
 from minismt.decode import Decoder, DecoderConfig, Weights
 from minismt.errors import ParameterError
 
-from oracles import grid_best_bleu
+from oracles import grid_best_bleu, line_search_reference
 
 REF = tuple("the cat sat on the mat".split())
 
@@ -122,6 +122,57 @@ def test_interval_partition_properties():
         assert e1 == s2
     hyp_count = sum(len(entries) for entries in pool)
     assert len(ivs) <= hyp_count
+
+
+def _mixed_pool(rng, n_sentences, n_hyps):
+    """Features mix floats, small integers (so lines share slopes), 0.0 and -0.0."""
+    draws = (
+        lambda: rng.uniform(-2, 2),
+        lambda: float(rng.randint(-2, 2)),
+        lambda: 0.0,
+        lambda: -0.0,
+    )
+    pool = []
+    for _ in range(n_sentences):
+        ref = tuple(rng.choice("abcde") for _ in range(rng.randint(4, 7)))
+        entries = {}
+        for _ in range(n_hyps):
+            tokens = tuple(rng.choice("abcde") for _ in range(rng.randint(3, 7)))
+            entries[tokens] = tuple(rng.choice(draws)() for _ in range(8))
+        pool.append([_entry(t, f, [ref]) for t, f in entries.items()])
+    return pool
+
+
+def _sparse(rng, vector):
+    """`vector` with a random subset of its components set to 0.0 or -0.0."""
+    out = tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.5 else v for v in vector)
+    return out if any(out) else vector
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_line_search_equals_reference_float_for_float(seed):
+    rng = random.Random(seed)
+    axes = [tuple(1.0 if j == i else 0.0 for j in range(8)) for i in range(8)]
+    for _ in range(8):
+        pool = _mixed_pool(rng, rng.randint(1, 5), rng.randint(2, 12))
+        bases = [
+            Weights.uniform(),
+            Weights(_sparse(rng, tuple(rng.uniform(-1, 1) for _ in range(8)))),
+            tuple(float(rng.randint(-2, 2)) for _ in range(8)),
+        ]
+        directions = axes + [
+            tuple(rng.uniform(-1, 1) for _ in range(8)),
+            _sparse(rng, tuple(rng.uniform(-1, 1) for _ in range(8))),
+            _sparse(rng, tuple(float(rng.randint(-2, 2)) or 1.0 for _ in range(8))),
+        ]
+        for base in bases:
+            shared = mert._base_scores(pool, base.values if isinstance(base, Weights) else base)
+            for direction in directions:
+                got = mert.line_search(pool, base, direction)
+                want = line_search_reference(pool, base, direction)
+                # the whole result, intervals included; repr also tells -0.0 from 0.0
+                assert got == want and repr(got) == repr(want), (base, direction)
+                assert mert.line_search(pool, base, direction, _base=shared) == got
 
 
 # ---- optimizer ----------------------------------------------------------------
