@@ -3,10 +3,16 @@
 Statistics are additive across sentences, so corpus scores come from one
 accumulated BleuStats. Evaluation is strict (unsmoothed): if any order up
 to `max_order` has zero matches the score is zero.
+
+A sentence's statistics have a reference side (each n-gram's largest count
+in any one reference, and the reference lengths) and a hypothesis side.
+The reference side is computed once per reference list and reused while
+consecutive calls pass an equal list, as MERT does for the ~100 hypotheses
+of one dev sentence; it depends on nothing else, so the stats are the same.
 """
 
+import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -35,7 +41,26 @@ class BleuStats:
 
 
 def _ngram_counts(tokens, n):
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    counts = {}
+    for i in range(len(tokens) - n + 1):
+        gram = tokens[i : i + n]
+        counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_side(references):
+    """For each order, each n-gram's largest count in any one of the
+    `references` (a tuple of token tuples); and the reference lengths."""
+    max_counts = []
+    for n in range(1, MAX_ORDER + 1):
+        best = {}
+        for ref in references:
+            for gram, c in _ngram_counts(ref, n).items():
+                if c > best.get(gram, 0):
+                    best[gram] = c
+        max_counts.append(best)
+    return max_counts, tuple(len(r) for r in references)
 
 
 def sentence_stats(hypothesis, references):
@@ -43,18 +68,13 @@ def sentence_stats(hypothesis, references):
     if not references:
         raise ParameterError("at least one reference is required")
     hypothesis = tuple(hypothesis)
-    references = [tuple(r) for r in references]
+    max_counts, ref_lens = _reference_side(tuple(tuple(r) for r in references))
     matches, totals = [], []
-    for n in range(1, MAX_ORDER + 1):
+    for n, max_ref in enumerate(max_counts, 1):
         hyp_counts = _ngram_counts(hypothesis, n)
-        max_ref = Counter()
-        for ref in references:
-            for gram, c in _ngram_counts(ref, n).items():
-                if c > max_ref[gram]:
-                    max_ref[gram] = c
-        matches.append(sum(min(c, max_ref[gram]) for gram, c in hyp_counts.items()))
+        matches.append(sum(min(c, max_ref.get(gram, 0)) for gram, c in hyp_counts.items()))
         totals.append(sum(hyp_counts.values()))
-    ref_len = min((len(r) for r in references), key=lambda L: (abs(L - len(hypothesis)), L))
+    ref_len = min(ref_lens, key=lambda L: (abs(L - len(hypothesis)), L))
     return BleuStats(tuple(matches), tuple(totals), len(hypothesis), ref_len)
 
 

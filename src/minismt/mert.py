@@ -23,7 +23,19 @@ computes every float as a plain per-direction evaluation would:
 - the sweep keeps its running BLEU statistics in one list of ints, exact
   under any order of additions, and scores each interval by passing a
   BleuStats built from it to bleu.corpus_bleu, so the scores are the same
-  floats.
+  floats;
+- an accepted step's base·f is computed once: it gives the candidate's pool
+  BLEU (pool_bleu's selection over the same floats) and is the next
+  round's base.
+
+The MERT loop stops when an n-best pass adds no new pool entry. When an
+optimizer call returns the very weights the last pass decoded with, the
+next pass is not run: the decoder is a deterministic function of its
+weights, so it would return the same lists, all of them already in the
+pool, and the iteration logs its 0 new entries and stops as before.
+Weights compare by float value, so +0.0 and -0.0 count as equal; the
+decoder cannot tell them apart, since each weighted sum starts at +0.0
+and a ±0.0 term leaves such a sum unchanged on finite features.
 """
 
 import math
@@ -176,17 +188,24 @@ def line_search(pool, base, direction, *, _base=None):
     return LineSearchResult(tuple(direction), step, best_bleu, tuple(intervals))
 
 
+def _selected_bleu(pool, scores):
+    """Corpus BLEU of each sentence's highest-scoring entry, `scores[s][i]`
+    being the score of pool[s][i]; ties go to the smaller target string."""
+    total = bleu.BleuStats.zero()
+    for entries, row in zip(pool, scores):
+        top = max(row)
+        best = min((e for e, x in zip(entries, row) if x == top), key=lambda e: e.tokens)
+        total = total + best.stats
+    return bleu.corpus_bleu(total)
+
+
 def pool_bleu(pool, weights):
     """Corpus BLEU of the per-sentence argmax selections under `weights`.
 
     Score ties go to the lexicographically smaller target string, matching
     the decoder's tie-break.
     """
-    total = bleu.BleuStats.zero()
-    for entries in pool:
-        best = min(entries, key=lambda e: (-weights.dot(e.features), e.tokens))
-        total = total + best.stats
-    return bleu.corpus_bleu(total)
+    return _selected_bleu(pool, [[weights.dot(e.features) for e in entries] for entries in pool])
 
 
 def _axis_directions():
@@ -201,9 +220,9 @@ def _axis_directions():
 def optimize_on_pool(pool, weights, rng, log_lines=None):
     """Repeated line searches until no direction gains more than the threshold."""
     current = weights.l1_normalized()
-    current_bleu = pool_bleu(pool, current)
+    base = _base_scores(pool, current.values)  # the same for every direction of a round
+    current_bleu = _selected_bleu(pool, [scores for scores, _, _ in base])
     while True:
-        base = _base_scores(pool, current.values)  # the same for every direction of the round
         directions = _axis_directions() + [
             tuple(rng.uniform(-1.0, 1.0) for _ in range(N_FEATURES)) for _ in range(N_FEATURES)
         ]
@@ -216,7 +235,8 @@ def optimize_on_pool(pool, weights, rng, log_lines=None):
             w + best.best_step * d for w, d in zip(current.values, best.direction)
         )
         candidate = Weights(stepped).l1_normalized()
-        candidate_bleu = pool_bleu(pool, candidate)
+        candidate_base = _base_scores(pool, candidate.values)
+        candidate_bleu = _selected_bleu(pool, [scores for scores, _, _ in candidate_base])
         if candidate_bleu <= current_bleu:  # interval-midpoint tie fell flat
             return current, current_bleu
         if log_lines is not None:
@@ -229,7 +249,7 @@ def optimize_on_pool(pool, weights, rng, log_lines=None):
                     candidate_bleu,
                 )
             )
-        current, current_bleu = candidate, candidate_bleu
+        current, current_bleu, base = candidate, candidate_bleu, candidate_base
 
 
 def mert(
@@ -244,7 +264,9 @@ def mert(
     """Full MERT loop.
 
     `dev_corpus` supplies (source, reference) pairs; `decoder_factory(w)`
-    must return an object with nbest(sentence, n). Returns the tuned
+    must return an object with nbest(sentence, n), deterministic in `w`:
+    an iteration that starts at the weights of the last n-best pass
+    decodes nothing, as that pass's lists are all in the pool. Returns the tuned
     Weights; the result never scores below the initial weights on the
     final accumulated pool. Deterministic for a fixed seed.
     """
@@ -255,19 +277,21 @@ def mert(
     current = initial
     pool = [[] for _ in dev_corpus.pairs]
     seen = [set() for _ in dev_corpus.pairs]
+    decoded = None  # the weights of the last n-best pass
 
     for it in range(1, iterations + 1):
-        decoder = decoder_factory(current)
         new_entries = 0
-        for s, pair in enumerate(dev_corpus.pairs):
-            for translation in decoder.nbest(pair.source, nbest_size):
-                if translation.tokens in seen[s]:
-                    continue
-                seen[s].add(translation.tokens)
-                pool[s].append(
-                    build_pool_entry(translation.tokens, translation.features, [pair.target])
-                )
-                new_entries += 1
+        if current != decoded:
+            decoder, decoded = decoder_factory(current), current
+            for s, pair in enumerate(dev_corpus.pairs):
+                for translation in decoder.nbest(pair.source, nbest_size):
+                    if translation.tokens in seen[s]:
+                        continue
+                    seen[s].add(translation.tokens)
+                    pool[s].append(
+                        build_pool_entry(translation.tokens, translation.features, [pair.target])
+                    )
+                    new_entries += 1
         if log_lines is not None:
             log_lines.append(
                 "iteration %d: %d new pool entries, pool size %d"

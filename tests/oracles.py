@@ -4,14 +4,18 @@ These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation,
 line search by dense grid evaluation, and language model probabilities by
 recounting the padded token stream. `line_search_reference` is the plain
-line search that the optimized one must equal float for float.
+line search that the optimized one must equal float for float;
+`sentence_stats_reference` recounts every reference for each hypothesis,
+and `mert_reference` decodes on every iteration.
 """
 
 import math
+import random
+from collections import Counter
 
 from minismt import bleu, lm
-from minismt.decode import UNKNOWN_WORD_PENALTY, Weights
-from minismt.mert import LineSearchResult
+from minismt.decode import N_FEATURES, UNKNOWN_WORD_PENALTY, Weights
+from minismt.mert import GAIN_THRESHOLD, LineSearchResult, PoolEntry
 from minismt.phrases import PhrasePair, distortion_cost
 
 
@@ -329,3 +333,95 @@ def line_search_reference(pool, base, direction):
     else:
         step = (start + end) / 2.0
     return LineSearchResult(tuple(direction), step, best_bleu, tuple(intervals))
+
+
+# ---- BLEU and the MERT loop, without reuse --------------------------------------
+
+
+def _ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def sentence_stats_reference(hypothesis, references):
+    """bleu.sentence_stats with every reference's n-grams recounted per call."""
+    hypothesis = tuple(hypothesis)
+    references = [tuple(r) for r in references]
+    matches, totals = [], []
+    for n in range(1, bleu.MAX_ORDER + 1):
+        hyp_counts = _ngram_counts(hypothesis, n)
+        max_ref = Counter()
+        for ref in references:
+            for gram, c in _ngram_counts(ref, n).items():
+                if c > max_ref[gram]:
+                    max_ref[gram] = c
+        matches.append(sum(min(c, max_ref[gram]) for gram, c in hyp_counts.items()))
+        totals.append(sum(hyp_counts.values()))
+    ref_len = min((len(r) for r in references), key=lambda L: (abs(L - len(hypothesis)), L))
+    return bleu.BleuStats(tuple(matches), tuple(totals), len(hypothesis), ref_len)
+
+
+def pool_bleu_reference(pool, weights):
+    total = bleu.BleuStats.zero()
+    for entries in pool:
+        best = min(entries, key=lambda e: (-weights.dot(e.features), e.tokens))
+        total = total + best.stats
+    return bleu.corpus_bleu(total)
+
+
+def optimize_reference(pool, weights, rng, log_lines):
+    """mert.optimize_on_pool with every line search and pool BLEU computed
+    on its own."""
+    axes = [tuple(1.0 if j == i else 0.0 for j in range(N_FEATURES)) for i in range(N_FEATURES)]
+    current = weights.l1_normalized()
+    current_bleu = pool_bleu_reference(pool, current)
+    while True:
+        directions = axes + [
+            tuple(rng.uniform(-1.0, 1.0) for _ in range(N_FEATURES)) for _ in range(N_FEATURES)
+        ]
+        best = max((line_search_reference(pool, current, d) for d in directions),
+                   key=lambda r: r.best_bleu)
+        if best.best_bleu - current_bleu <= GAIN_THRESHOLD:
+            return current, current_bleu
+        stepped = tuple(w + best.best_step * d for w, d in zip(current.values, best.direction))
+        candidate = Weights(stepped).l1_normalized()
+        candidate_bleu = pool_bleu_reference(pool, candidate)
+        if candidate_bleu <= current_bleu:
+            return current, current_bleu
+        log_lines.append(
+            "step %.6f along (%s): pool BLEU %.6f -> %.6f"
+            % (best.best_step, " ".join("%.4f" % d for d in best.direction),
+               current_bleu, candidate_bleu)
+        )
+        current, current_bleu = candidate, candidate_bleu
+
+
+def mert_reference(dev_corpus, decoder_factory, initial, iterations, nbest_size, seed,
+                   log_lines):
+    """mert.mert with an n-best pass on every iteration, whatever its weights."""
+    rng = random.Random(seed)
+    initial = initial.l1_normalized()
+    current = initial
+    pool = [[] for _ in dev_corpus.pairs]
+    seen = [set() for _ in dev_corpus.pairs]
+    for it in range(1, iterations + 1):
+        decoder = decoder_factory(current)
+        new_entries = 0
+        for s, pair in enumerate(dev_corpus.pairs):
+            for translation in decoder.nbest(pair.source, nbest_size):
+                if translation.tokens in seen[s]:
+                    continue
+                seen[s].add(translation.tokens)
+                pool[s].append(PoolEntry(
+                    translation.tokens, translation.features,
+                    sentence_stats_reference(translation.tokens, [pair.target]),
+                ))
+                new_entries += 1
+        log_lines.append("iteration %d: %d new pool entries, pool size %d"
+                         % (it, new_entries, sum(len(p) for p in pool)))
+        if new_entries == 0:
+            break
+        current, current_bleu = optimize_reference(pool, current, rng, log_lines)
+        log_lines.append("iteration %d: pool BLEU %.6f" % (it, current_bleu))
+    if pool_bleu_reference(pool, current) < pool_bleu_reference(pool, initial):
+        current = initial
+    return current

@@ -7,6 +7,8 @@ from minismt import bleu
 from minismt.errors import ParameterError
 from minismt.pipeline import parse_number
 
+from oracles import sentence_stats_reference
+
 
 def test_identity_hypothesis_scores_one():
     ref = tuple("the quick brown fox jumps".split())
@@ -77,6 +79,27 @@ def test_bounds_random():
         ref = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 9)))
         total = total + bleu.sentence_stats(hyp, [ref])
     assert 0.0 <= bleu.corpus_bleu(total) <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sentence_stats_equal_reference(seed):
+    rng = random.Random(seed)
+
+    def tokens(lo, hi):
+        # three symbols, so n-grams repeat within and across sentences
+        return tuple(rng.choice("abc") for _ in range(rng.randint(lo, hi)))
+
+    ref_lists = [[tokens(1, 9) for _ in range(rng.randint(1, 3))] for _ in range(4)]
+    ref_lists.append([ref_lists[0][0]] + ref_lists[1])  # one reference in common
+    # runs of one reference list, lists alternating A, B, A, as MERT and
+    # corpus_stats pass them
+    for refs in [ref_lists[i] for i in (0, 1, 0, 2, 2, 3, 4, 0)]:
+        hyps = [(), ("a",), ("c", "a"), tokens(3, 3), refs[0], refs[-1] * 2]
+        hyps += [tokens(0, 10) for _ in range(12)]
+        for hyp in hyps:
+            want = sentence_stats_reference(hyp, refs)
+            assert bleu.sentence_stats(hyp, refs) == want, (hyp, refs)
+            assert bleu.sentence_stats(list(hyp), [list(r) for r in refs]) == want
 
 
 def test_requires_reference():

@@ -7,7 +7,13 @@ from minismt import corpus, lm, mert, phrases
 from minismt.decode import Decoder, DecoderConfig, Weights
 from minismt.errors import ParameterError
 
-from oracles import grid_best_bleu, line_search_reference
+from oracles import (
+    grid_best_bleu,
+    line_search_reference,
+    mert_reference,
+    optimize_reference,
+    pool_bleu_reference,
+)
 
 REF = tuple("the cat sat on the mat".split())
 
@@ -124,8 +130,25 @@ def test_interval_partition_properties():
     assert len(ivs) <= hyp_count
 
 
-def _mixed_pool(rng, n_sentences, n_hyps):
-    """Features mix floats, small integers (so lines share slopes), 0.0 and -0.0."""
+def _edit(rng, ref):
+    """`ref` with one token replaced, deleted or inserted."""
+    tokens = list(ref)
+    i = rng.randrange(len(tokens))
+    op = rng.randrange(3)
+    if op == 0:
+        tokens[i] = rng.choice("abcde")
+    elif op == 1:
+        del tokens[i]
+    else:
+        tokens.insert(i, rng.choice("abcde"))
+    return tuple(tokens)
+
+
+def _mixed_pool(rng, n_sentences, n_hyps, edits=False):
+    """Features mix floats, small integers (so lines share slopes), 0.0 and -0.0.
+
+    With `edits`, each hypothesis is a one-token edit of the reference, so
+    BLEU is rarely zero."""
     draws = (
         lambda: rng.uniform(-2, 2),
         lambda: float(rng.randint(-2, 2)),
@@ -137,7 +160,10 @@ def _mixed_pool(rng, n_sentences, n_hyps):
         ref = tuple(rng.choice("abcde") for _ in range(rng.randint(4, 7)))
         entries = {}
         for _ in range(n_hyps):
-            tokens = tuple(rng.choice("abcde") for _ in range(rng.randint(3, 7)))
+            if edits:
+                tokens = _edit(rng, ref)
+            else:
+                tokens = tuple(rng.choice("abcde") for _ in range(rng.randint(3, 7)))
             entries[tokens] = tuple(rng.choice(draws)() for _ in range(8))
         pool.append([_entry(t, f, [ref]) for t, f in entries.items()])
     return pool
@@ -186,6 +212,24 @@ def test_fixed_point_pool():
     tuned, value = mert.optimize_on_pool([[good, bad]], w0, random.Random(0))
     assert value == 1.0
     assert tuned == w0.l1_normalized()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_optimize_on_pool_equals_reference(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(3):
+        pool = _mixed_pool(rng, rng.randint(2, 5), rng.randint(3, 10), edits=True)
+        w0 = Weights(_sparse(rng, tuple(rng.uniform(-1, 1) for _ in range(8))))
+        got_log, want_log = [], []
+        got = mert.optimize_on_pool(pool, w0, random.Random(seed), got_log)
+        want = optimize_reference(pool, w0, random.Random(seed), want_log)
+        assert got == want and repr(got) == repr(want)
+        assert got_log == want_log
+        # sparse integer weights tie often (all of them at zero weights); ties
+        # go to the smaller tokens
+        for _ in range(3):
+            w = Weights(tuple(rng.choice((0.0, 0.0, 0.0, 1.0, -1.0)) for _ in range(8)))
+            assert mert.pool_bleu(pool, w) == pool_bleu_reference(pool, w)
 
 
 def test_optimizer_never_worsens_pool_bleu():
@@ -303,3 +347,55 @@ def test_mert_parameter_validation():
     dev = _dev_corpus()
     with pytest.raises(ParameterError):
         mert.mert(dev, lambda w: None, Weights.uniform(), iterations=0)
+
+
+def _random_task(rng):
+    """A random 5-word phrase table, trigram LM and 3-sentence dev set."""
+    words = range(5)
+    entries = {}
+    for w in words:
+        for k in range(rng.randint(2, 3)):
+            entries[(("w%d" % w,), ("t%d%d" % (w, k),))] = phrases.Scores(
+                *(rng.uniform(0.05, 1.0) for _ in range(4)))
+    for _ in range(2):
+        a, b = rng.sample(words, 2)
+        entries[(("w%d" % a, "w%d" % b), ("t%d0" % a, "t%d1" % b))] = phrases.Scores(
+            *(rng.uniform(0.05, 1.0) for _ in range(4)))
+    model = lm.train(
+        [tuple("t%d%d" % (rng.randrange(5), rng.randrange(2)) for _ in range(rng.randint(3, 5)))
+         for _ in range(6)],
+        3,
+    )
+    pairs = []
+    for i in range(3):
+        source = [rng.choice(words) for _ in range(rng.randint(3, 4))]
+        pairs.append(corpus.SentencePair(
+            tuple("w%d" % w for w in source),
+            tuple("t%d%d" % (w, rng.randrange(2)) for w in source),
+            i,
+        ))
+    return phrases.PhraseTable(entries), model, corpus.ParallelCorpus(tuple(pairs), "en", "ar")
+
+
+# tasks whose last optimizer call returns the weights of the last n-best pass,
+# which is then not repeated, after `n_passes` passes at distinct weights
+@pytest.mark.parametrize("task, n_passes", [(18, 2), (279, 3), (129, 4)])
+def test_mert_skips_only_the_pass_at_unchanged_weights(task, n_passes):
+    table, model, dev = _random_task(random.Random(task))
+    config = DecoderConfig(stack_size=50, beam_threshold=None, distortion_limit=2)
+    passes = []
+
+    def factory(w):
+        passes.append(w)
+        return Decoder(table, model, w, config)
+
+    log = []
+    got = mert.mert(dev, factory, Weights.uniform(), iterations=6, nbest_size=3, seed=1,
+                    log_lines=log)
+    got_passes, passes[:] = passes[:], []
+    want_log = []
+    want = mert_reference(dev, factory, Weights.uniform(), 6, 3, 1, want_log)
+    assert got == want and repr(got) == repr(want)
+    assert log == want_log
+    assert len(got_passes) == n_passes and got_passes == passes[:-1]
+    assert all(a != b for a, b in zip(got_passes, got_passes[1:]))
