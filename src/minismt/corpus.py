@@ -32,9 +32,6 @@ class ParallelCorpus:
     def __len__(self):
         return len(self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
 
 @dataclass(frozen=True)
 class SideStats:
@@ -56,8 +53,10 @@ def tokenize_line(line):
     return tuple(line.split())
 
 
-def load_parallel(source_path, target_path, source_lang=None, target_lang=None):
+def load_parallel(source_path, target_path):
     """Pair up two one-sentence-per-line UTF-8 files, preserving line order.
+
+    Each side's language label is its file's suffix (`en` for `train.en`).
 
     Raises CorpusAlignmentError (naming both counts) when the files have
     different numbers of lines; I/O problems surface as OSError.
@@ -75,11 +74,7 @@ def load_parallel(source_path, target_path, source_lang=None, target_lang=None):
         SentencePair(tokenize_line(s), tokenize_line(t), i)
         for i, (s, t) in enumerate(zip(source_lines, target_lines))
     )
-    return ParallelCorpus(
-        pairs,
-        source_lang or _suffix(source_path),
-        target_lang or _suffix(target_path),
-    )
+    return ParallelCorpus(pairs, _suffix(source_path), _suffix(target_path))
 
 
 def _suffix(path):

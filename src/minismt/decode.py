@@ -13,12 +13,12 @@ estimate, which is looked up once per recombined state as a stack is ranked.
 Each search keeps three memos for its one sentence, since many expansions
 repeat the same lookup: the LM sum of a target phrase after a context
 (with the context it leaves), the </s> term after a context, and the future
-cost of a coverage. A miss computes the value exactly as before, so every
-score is bit-identical; nothing outlives the call, so memory stays bounded
-by one sentence's search. A hypothesis keeps only its LM and distortion
-values; the 8-feature increment is built for the paths that are returned.
-Its weighted score is summed inline, term by term in Weights.dot's order
-from 0.0, which gives the same float as Weights.dot.
+cost of a coverage. A hit returns the float its first computation gave, so
+a score does not depend on which lookups hit; nothing outlives the call, so
+memory stays bounded by one sentence's search. A hypothesis keeps only its
+LM and distortion values; the 8-feature increment is built for the paths
+that are returned. Its weighted score is summed inline, term by term in
+Weights.dot's order from 0.0, which gives the same float as Weights.dot.
 
 The eight features, in order (FEATURE_NAMES): language model log10
 probability; forward phrase translation log-prob and lexical weight;
@@ -132,8 +132,6 @@ class Option:
     start: int
     end: int  # exclusive
     target: tuple
-    trans_logs: tuple  # log10 of the four phrase-table scores
-    unknown: bool
     mask: int  # the covered source positions as a bitmask
     static: tuple  # the feature increment without LM and distortion, whose slots hold 0.0
 
@@ -203,15 +201,14 @@ def collect_options(sentence, table):
     for i in range(n):
         for j in range(i + 1, min(n, i + max_len) + 1):
             for target, scores in table.options(sentence[i:j]):
-                spans.append((i, j, target, log10_scores(scores), False))
+                spans.append((i, j, target, log10_scores(scores), 0.0))
         if not table.options(sentence[i : i + 1]):
-            spans.append((i, i + 1, (sentence[i],), (0.0, 0.0, 0.0, 0.0), True))
+            spans.append((i, i + 1, (sentence[i],), (0.0, 0.0, 0.0, 0.0), UNKNOWN_WORD_PENALTY))
     spans.sort(key=lambda span: span[:3])
     return [
-        Option(i, j, target, logs, unknown, ((1 << (j - i)) - 1) << i,
-               (0.0, *logs, 0.0,
-                -float(len(target)) - (UNKNOWN_WORD_PENALTY if unknown else 0.0), -1.0))
-        for i, j, target, logs, unknown in spans
+        Option(i, j, target, ((1 << (j - i)) - 1) << i,
+               (0.0, *logs, 0.0, -float(len(target)) - penalty, -1.0))
+        for i, j, target, logs, penalty in spans
     ]
 
 
@@ -223,18 +220,15 @@ def _lm_word_bounds(model, weights_lm):
     in any context from above; under a negative LM weight a crude lower
     bound is used instead so the estimate stays optimistic.
     """
-    best = {}
-    worst = {}
+    pick = max if weights_lm >= 0 else min
+    bounds = {}
     for gram, prob in model.probs.items():
         w = gram[-1]
-        if w not in best or prob > best[w]:
-            best[w] = prob
-        if w not in worst or prob < worst[w]:
-            worst[w] = prob
+        bounds[w] = pick(bounds.get(w, prob), prob)
     if weights_lm >= 0:
-        return best
+        return bounds
     slack = (model.order - 1) * min(0.0, min(model.backoffs.values(), default=0.0))
-    return {w: worst[w] + slack for w in worst}
+    return {w: p + slack for w, p in bounds.items()}
 
 
 class Decoder:
@@ -402,7 +396,7 @@ class Decoder:
         if not finals:
             raise MinismtError("search produced no complete hypothesis")
         paths = _KBestPaths()
-        # a final state's best path scores its own search score (see _ensure)
+        # a final state's best path scores its own search score (see kth)
         heap = [(-rep.score, rep.serial, rep, 0) for rep in finals.values()]
         heapq.heapify(heap)
         # paths pop in non-increasing score order, so the first path of each
@@ -423,46 +417,38 @@ class Decoder:
             if nxt is not None:
                 heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
         ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
-        return [_materialize_path(hyps) for _, (_, hyps) in ranked[:n]]
+        return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
 
 
 class _KBestPaths:
-    """Lazy k-best path enumeration over the recombination graph."""
+    """Lazy k-best path enumeration over the recombination graph
+    (Huang & Chiang 2005, Better k-best parsing, Algorithm 3)."""
 
     def __init__(self):
-        self._state = {}
+        self._state = {}  # id(rep) -> (paths found so far, heap of candidates)
 
-    def _ensure(self, rep):
+    def kth(self, rep, k):
+        """k-th best (score, hypothesis path) reaching rep's state, or None."""
         state = self._state.get(id(rep))
         if state is None:
             # every entry's rank-0 path goes through its predecessor's best
             # path, and predecessors are representatives, so the rank-0
             # value is just the entry's own search score
-            heap = []
-            for entry in [rep] + rep.arcs:
-                heapq.heappush(heap, (-entry.score, entry.serial, entry, 0))
-            state = {"found": [], "heap": heap}
-            self._state[id(rep)] = state
-        return state
-
-    def kth(self, rep, k):
-        """k-th best (score, hypothesis path) reaching rep's state, or None."""
-        state = self._ensure(rep)
-        found, heap = state["found"], state["heap"]
+            heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep] + rep.arcs]
+            heapq.heapify(heap)
+            state = self._state[id(rep)] = ([], heap)
+        found, heap = state
         while len(found) <= k and heap:
             neg, _, entry, rank = heapq.heappop(heap)
-            if entry.prev is None:
-                if rank == 0:
-                    found.append((-neg, []))
-            else:
-                prev_entry = self.kth(entry.prev, rank)
-                if prev_entry is not None:
-                    found.append((-neg, prev_entry[1] + [entry]))
-                    nxt = self.kth(entry.prev, rank + 1)
-                    if nxt is not None:
-                        heapq.heappush(
-                            heap, (-(nxt[0] + entry.inc_score), entry.serial, entry, rank + 1)
-                        )
+            if entry.prev is None:  # the root: one entry, popped at rank 0 only
+                found.append((-neg, []))
+                continue
+            # an entry at rank r >= 1 was pushed once its predecessor's r-th
+            # path was found, and every state has a rank-0 path
+            found.append((-neg, self.kth(entry.prev, rank)[1] + [entry]))
+            nxt = self.kth(entry.prev, rank + 1)
+            if nxt is not None:
+                heapq.heappush(heap, (-(nxt[0] + entry.inc_score), entry.serial, entry, rank + 1))
         return found[k] if k < len(found) else None
 
 
@@ -478,16 +464,15 @@ def _future_of(coverage, full_mask, table):
     return total
 
 
-def _materialize_path(hyps):
+def _materialize_path(hyps, score):
+    """The Translation of a path; `score` is the path's score as _kbest found it."""
     tokens = []
     features = list(_ZERO)
     steps = []
-    score = 0.0
     for node in hyps:
         s = node.option.static
         inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(node.distortion), s[6], s[7])
         tokens.extend(node.option.target)
         features = [f + d for f, d in zip(features, inc)]
         steps.append(DerivationStep(node.option, inc))
-        score += node.inc_score
     return Translation(tuple(tokens), tuple(features), score, tuple(steps))

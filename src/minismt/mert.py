@@ -28,14 +28,16 @@ computes every float as a plain per-direction evaluation would:
   BLEU (pool_bleu's selection over the same floats) and is the next
   round's base.
 
-The MERT loop stops when an n-best pass adds no new pool entry. When an
-optimizer call returns the very weights the last pass decoded with, the
-next pass is not run: the decoder is a deterministic function of its
-weights, so it would return the same lists, all of them already in the
-pool, and the iteration logs its 0 new entries and stops as before.
-Weights compare by float value, so +0.0 and -0.0 count as equal; the
-decoder cannot tell them apart, since each weighted sum starts at +0.0
-and a ±0.0 term leaves such a sum unchanged on finite features.
+The MERT loop stops when an n-best pass adds no new pool entry. An
+iteration that starts at the very weights the last pass decoded with runs
+no pass: the decoder is a deterministic function of its weights, so the
+pass would return the same lists, all of them already in the pool; the
+iteration logs 0 new entries and the loop stops. Weights compare by float
+value, so +0.0 and -0.0 count as equal; the decoder cannot tell them
+apart, since each weighted sum starts at +0.0 and a ±0.0 term leaves such
+a sum unchanged on finite features. Entries join the pool only before an
+optimizer call, so the pool BLEU that the last call returns is that of the
+final pool, which the closing comparison with the initial weights reads.
 """
 
 import math
@@ -208,13 +210,8 @@ def pool_bleu(pool, weights):
     return _selected_bleu(pool, [[weights.dot(e.features) for e in entries] for entries in pool])
 
 
-def _axis_directions():
-    out = []
-    for i in range(N_FEATURES):
-        d = [0.0] * N_FEATURES
-        d[i] = 1.0
-        out.append(tuple(d))
-    return out
+_AXIS_DIRECTIONS = tuple(tuple(float(i == j) for j in range(N_FEATURES))
+                         for i in range(N_FEATURES))
 
 
 def optimize_on_pool(pool, weights, rng, log_lines=None):
@@ -223,7 +220,7 @@ def optimize_on_pool(pool, weights, rng, log_lines=None):
     base = _base_scores(pool, current.values)  # the same for every direction of a round
     current_bleu = _selected_bleu(pool, [scores for scores, _, _ in base])
     while True:
-        directions = _axis_directions() + [
+        directions = list(_AXIS_DIRECTIONS) + [
             tuple(rng.uniform(-1.0, 1.0) for _ in range(N_FEATURES)) for _ in range(N_FEATURES)
         ]
         # the first of equally good directions wins
@@ -278,6 +275,7 @@ def mert(
     pool = [[] for _ in dev_corpus.pairs]
     seen = [set() for _ in dev_corpus.pairs]
     decoded = None  # the weights of the last n-best pass
+    current_bleu = None  # the pool BLEU the last optimizer call returned
 
     for it in range(1, iterations + 1):
         new_entries = 0
@@ -303,7 +301,8 @@ def mert(
         if log_lines is not None:
             log_lines.append("iteration %d: pool BLEU %.6f" % (it, current_bleu))
 
-    if pool_bleu(pool, current) < pool_bleu(pool, initial):
+    # without an optimizer call (an empty dev set) current is initial
+    if current_bleu is not None and current_bleu < pool_bleu(pool, initial):
         current = initial  # never return weights worse than the start
     return current
 

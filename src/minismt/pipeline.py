@@ -224,12 +224,12 @@ def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_t
               (cfg.dev_source, cfg.dev_target, dev_src, dev_tgt),
               (cfg.test_source, cfg.test_target, test_src, test_tgt))
     for source, target, src_art, tgt_art in splits:
-        corp = corpus.load_parallel(source, target, "en", "ar")
+        corp = corpus.load_parallel(source, target)
         pairs = tuple(
             corpus.SentencePair(p.source, artok.tokenize(p.target, scheme, inventory, lexicon), p.pair_id)
             for p in corp.pairs
         )
-        corp = corpus.ParallelCorpus(pairs, "en", "ar")
+        corp = corpus.ParallelCorpus(pairs)
         if src_art == train_src:
             corp = corpus.clean(corp, cfg.clean_max_len, cfg.clean_max_ratio)
             _write_lines(stats, corpus.format_stats_table(
@@ -244,7 +244,7 @@ def _stage_lm(cfg, train_tgt, lm_out):
 
 
 def _stage_align(cfg, train_src, train_tgt, alignments, lex_fwd, lex_bwd):
-    corp = corpus.load_parallel(train_src, train_tgt, "en", "ar")
+    corp = corpus.load_parallel(train_src, train_tgt)
     matrices, fwd, bwd = align.align_corpus(corp, cfg.align_iterations, cfg.align_heuristic)
     align.write_alignments(matrices, alignments)
     align.write_lexicon(fwd, lex_fwd)
@@ -270,25 +270,23 @@ def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limi
     return phrases.read_table(table_path), lm.read_arpa(lm_path), config
 
 
-def _stage_mert(cfg, dev_src, dev_tgt, table_path, lm_path, weights, weights_uniform, log):
-    dev = corpus.load_parallel(dev_src, dev_tgt, "en", "ar")
+def _stage_mert(cfg, dev_src, dev_tgt, table_path, lm_path, weights, log):
+    dev = corpus.load_parallel(dev_src, dev_tgt)
     table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
                                       cfg.beam_threshold, cfg.distortion_limit)
-    uniform = Weights.uniform()
-    tuned, log_lines = mert.tune(dev, table, model, dconf, uniform, cfg.mert_iterations,
-                                 cfg.mert_nbest, cfg.seed)
+    tuned, log_lines = mert.tune(dev, table, model, dconf, Weights.uniform(),
+                                 cfg.mert_iterations, cfg.mert_nbest, cfg.seed)
     tuned.to_file(weights)
-    uniform.to_file(weights_uniform)
     _write_lines(log, log_lines)
 
 
-def _stage_decode(cfg, test_src, table_path, lm_path, weights, weights_uniform,
-                  hyp, hyp_uniform, hyp_detok):
+def _stage_decode(cfg, test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok):
+    """Decode the test set with the tuned weights and with the uniform start MERT tuned from."""
     sentences = _read_tokenized(test_src)
     table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
                                       cfg.beam_threshold, cfg.distortion_limit)
-    for weights_path, out_path in ((weights, hyp), (weights_uniform, hyp_uniform)):
-        decoder = Decoder(table, model, Weights.from_file(weights_path), dconf)
+    for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
+        decoder = Decoder(table, model, w, dconf)
         hyps = [decoder.decode(s).tokens for s in sentences]
         _write_lines(out_path, [" ".join(h) for h in hyps])
         if out_path == hyp:
@@ -329,11 +327,11 @@ _GRAPH = (
            ("corpus.train.en", "corpus.train.ar", "train.align", "lexicon.fwd", "lexicon.bwd"),
            ("phrase-table.txt",), {"max_len": "max_phrase_len"}),
     _Stage("mert", _stage_mert, ("corpus.dev.en", "corpus.dev.ar", "phrase-table.txt", "lm.arpa"),
-           ("weights.txt", "weights.uniform.txt", "mert.log"),
+           ("weights.txt", "mert.log"),
            {"iterations": "mert_iterations", "nbest": "mert_nbest", "seed": "seed",
             **_SEARCH_PARAMS}),
     _Stage("decode", _stage_decode,
-           ("corpus.test.en", "phrase-table.txt", "lm.arpa", "weights.txt", "weights.uniform.txt"),
+           ("corpus.test.en", "phrase-table.txt", "lm.arpa", "weights.txt"),
            ("test.hyp.ar", "test.hyp.uniform.ar", "test.hyp.detok.ar"), _SEARCH_PARAMS),
     _Stage("evaluate", _stage_evaluate, ("corpus.test.ar", "test.hyp.ar", "test.hyp.uniform.ar"),
            ("bleu.txt",), {}),

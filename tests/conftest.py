@@ -36,7 +36,7 @@ def toy_paths():
 
 @pytest.fixture(scope="session")
 def toy_train(toy_paths):
-    return corpus.load_parallel(toy_paths["train_en"], toy_paths["train_ar"], "en", "ar")
+    return corpus.load_parallel(toy_paths["train_en"], toy_paths["train_ar"])
 
 
 @pytest.fixture(scope="session")

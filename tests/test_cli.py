@@ -365,9 +365,8 @@ def _copy_run(config_path, out):
     return copy
 
 
-def _overwrite_table(config, work):
-    table = work / "phrase-table.txt"
-    table.write_text(table.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+def _drop_first_line(path):
+    path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
 
 
 def _rerun_lm_at_order_3(config, work):
@@ -376,20 +375,27 @@ def _rerun_lm_at_order_3(config, work):
 
 
 def _overwrite_train_target(config, work):
-    path = Path(pipeline.load_config(config).train_target)
-    path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    _drop_first_line(Path(pipeline.load_config(config).train_target))
 
 
-@pytest.mark.parametrize("change, stage, writer", [
-    ("\n[lm]\norder = 3\n", "mert", "lm"),
-    ("\n[decoder]\nbeam_threshold = 5\n", "decode", "mert"),
-    (_overwrite_table, "decode", "phrases"),
-    (lambda config, work: (work / "lm.manifest.json").unlink(), "mert", "lm"),
-    (_rerun_lm_at_order_3, "decode", "mert"),
-    (_overwrite_train_target, "lm", "prepare"),
+@pytest.mark.parametrize("change, stage, writer, reason", [
+    ("\n[lm]\norder = 3\n", "mert", "lm", "lm ran with other order"),
+    ("\n[decoder]\nbeam_threshold = 5\n", "decode", "mert", "mert ran with other beam_threshold"),
+    (lambda config, work: _drop_first_line(work / "phrase-table.txt"), "decode", "phrases",
+     "phrase-table.txt changed since phrases wrote it"),
+    (lambda config, work: (work / "lm.manifest.json").unlink(), "mert", "lm",
+     "lm left no readable manifest"),
+    (_rerun_lm_at_order_3, "decode", "mert", "lm.arpa changed since mert read it"),
+    (_overwrite_train_target, "lm", "prepare", "toy.train.ar changed since prepare read it"),
+    # decode reads no corpus.train.ar: the check reaches it through phrases' reads
+    (lambda config, work: _drop_first_line(work / "corpus.train.ar"), "decode", "prepare",
+     "corpus.train.ar changed since prepare wrote it"),
+    (lambda config, work: (work / "corpus.train.ar").unlink(), "decode", "prepare",
+     "corpus.train.ar is missing"),
 ], ids=["lm-order-changed", "beam-threshold-changed", "table-overwritten", "lm-manifest-deleted",
-        "lm-rerun-at-new-order", "train-target-overwritten"])
-def test_stage_refuses_stale_inputs(small_run, tmp_path, capsys, change, stage, writer):
+        "lm-rerun-at-new-order", "train-target-overwritten", "tokenized-train-target-overwritten",
+        "tokenized-train-target-deleted"])
+def test_stage_refuses_stale_inputs(small_run, tmp_path, capsys, change, stage, writer, reason):
     config = _copy_run(small_run, tmp_path / "run")
     work = Path(pipeline.load_config(config).work_dir)
     if callable(change):
@@ -401,7 +407,7 @@ def test_stage_refuses_stale_inputs(small_run, tmp_path, capsys, change, stage, 
     assert main(["pipeline", str(config), "--stage", stage]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("ERROR stage: stale artifact"), err
-    assert err[0].endswith("; rerun stage '%s'" % writer), err
+    assert err[0].endswith(" (%s); rerun stage '%s'" % (reason, writer)), err
     assert {p.name: p.read_bytes() for p in work.iterdir()} == before  # nothing written
 
 

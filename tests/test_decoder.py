@@ -219,11 +219,13 @@ def test_derivation_features_recomputable():
         covered += o.end - o.start
         if covered == len(sentence):
             lm_score += lm.logprob(model, lm.END, ctx)
+        # an option the table does not hold is an unknown word's copy
+        scores = dict(table.options(sentence[o.start : o.end])).get(o.target)
         expected = (
             lm_score,
-            *o.trans_logs,
+            *((0.0,) * 4 if scores is None else phrases.log10_scores(scores)),
             -float(phrases.distortion_cost(last_end, o.start)),
-            -float(len(o.target)) - (UNKNOWN_WORD_PENALTY if o.unknown else 0.0),
+            -float(len(o.target)) - (UNKNOWN_WORD_PENALTY if scores is None else 0.0),
             -1.0,
         )
         assert step.features == expected
@@ -246,13 +248,26 @@ def test_future_table_dp_property():
 
 
 def test_future_table_is_optimistic():
+    # MERT's random directions can make the LM weight negative; the bound
+    # then takes each word's lowest probability plus the lowest backoff sum
+    # a context can add
     rng = random.Random(29)
     for _ in range(10):
         sentence, table, model, weights = _random_instance(rng, max_len=4)
-        d = Decoder(table, model, weights, UNPRUNED)
-        fut = d.future_cost_table(sentence)
-        best, _ = exhaustive_decode(sentence, table, model, weights)
-        assert fut[(0, len(sentence))] >= best - 1e-9
+        probs = {}
+        for gram, prob in model.probs.items():
+            probs.setdefault(gram[-1], []).append(prob)
+        slack = (model.order - 1) * min([0.0, *model.backoffs.values()])
+        negated = Weights((-weights.values[0],) + weights.values[1:])
+        for w, bounds, end in ((weights, {v: max(p) for v, p in probs.items()}, 0.0),
+                               (negated, {v: min(p) + slack for v, p in probs.items()},
+                                negated.values[0] * (min(probs[lm.END]) + slack))):
+            d = Decoder(table, model, w, UNPRUNED)
+            assert d._bounds == bounds
+            fut = d.future_cost_table(sentence)
+            best, _ = exhaustive_decode(sentence, table, model, w)
+            # the table leaves out the </s> term, which adds at most `end`
+            assert fut[(0, len(sentence))] + end >= best - 1e-9
 
 
 def test_single_word_future_is_best_option():
@@ -378,6 +393,27 @@ def test_pruned_search_still_reasonable():
     pruned = Decoder(table, model, weights, tight).decode(sentence)
     full = Decoder(table, model, weights, UNPRUNED).decode(sentence)
     assert pruned.score <= full.score + 1e-12
+
+
+def test_wide_beam_threshold_prunes_nothing():
+    # a window wider than any score gap keeps every hypothesis
+    rng = random.Random(47)
+    wide = DecoderConfig(stack_size=10**6, beam_threshold=1e6, distortion_limit=None)
+    for trial in range(10):
+        sentence, table, model, weights = _random_instance(rng)
+        want = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 20)
+        assert Decoder(table, model, weights, wide).nbest(sentence, 20) == want, trial
+
+
+def test_zero_beam_threshold_prunes_the_best_path():
+    # a zero window keeps only the states ranked best in each stack; here
+    # the unpruned best path passes through a state that is not, so the
+    # best score under the threshold is lower
+    sentence, table, model, weights = _random_instance(random.Random(0))
+    zero = DecoderConfig(stack_size=10**6, beam_threshold=0.0, distortion_limit=None)
+    full = Decoder(table, model, weights, UNPRUNED).decode(sentence)
+    pruned = Decoder(table, model, weights, zero).decode(sentence)
+    assert pruned.score < full.score
 
 
 def test_decoding_deterministic():

@@ -349,6 +349,46 @@ def test_mert_parameter_validation():
         mert.mert(dev, lambda w: None, Weights.uniform(), iterations=0)
 
 
+def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
+    # the closing guard takes the last optimizer call's pool BLEU, which is
+    # the final pool's, and scores only the initial weights itself
+    table, model = _toy_models()
+    config = DecoderConfig(stack_size=50, beam_threshold=None, distortion_limit=None)
+    initial = Weights.uniform()
+    real_pool_bleu = mert.pool_bleu
+    signed_axes = [Weights(tuple(s * float(i == j) for j in range(8)))
+                   for i in range(8) for s in (-1.0, 1.0)]
+
+    def worsening_optimizer(pool, weights, rng, log_lines=None):
+        start = real_pool_bleu(pool, initial)
+        for w in [initial.scaled(-1.0)] + signed_axes:
+            value = real_pool_bleu(pool, w)
+            if value < start:
+                return w, value
+        raise AssertionError("no weights score below the start on this pool")
+
+    scored = []
+
+    def counted_pool_bleu(pool, weights):
+        scored.append(weights)
+        return real_pool_bleu(pool, weights)
+
+    monkeypatch.setattr(mert, "optimize_on_pool", worsening_optimizer)
+    monkeypatch.setattr(mert, "pool_bleu", counted_pool_bleu)
+    log = []
+    tuned = mert.mert(_dev_corpus(), lambda w: Decoder(table, model, w, config), initial,
+                      iterations=3, nbest_size=10, seed=5, log_lines=log)
+    assert tuned == initial
+    assert scored == [initial]
+    assert sum("pool BLEU" in line for line in log) >= 2  # the guard saw a later call's value
+
+    # with no dev sentence no optimizer call runs, and the start comes back
+    scored.clear()
+    empty = corpus.ParallelCorpus(())
+    assert mert.mert(empty, lambda w: None, initial.scaled(2.0)) == initial
+    assert scored == []
+
+
 def _random_task(rng):
     """A random 5-word phrase table, trigram LM and 3-sentence dev set."""
     words = range(5)
