@@ -99,7 +99,9 @@ def em_train(corpus, iterations):
                     expected[f][e] += table[f][e] / denom
         history.append(log_likelihood)
         for f, row in expected.items():
-            total = sum(row.values())
+            total = 0.0  # summed left to right: sum() of floats rounds differently from 3.12 on
+            for value in row.values():
+                total += value
             for e in row:
                 table[f][e] = row[e] / total
 

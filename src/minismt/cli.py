@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import align, artok, bleu, corpus, lm, mert, phrases, pipeline
-from .decode import Decoder, Weights
+from .decode import Decoder, Weights, translate_all
 from .errors import FormatError, MinismtError, ParameterError, _open_text
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
@@ -28,6 +28,10 @@ def _input_lines(path):
             raise FormatError("standard input is not UTF-8 text (%s)" % exc) from None
     with _open_text(path) as f:
         return f.read().splitlines()
+
+
+def _input_sentences(path):
+    return [tuple(line.split()) for line in _input_lines(path)]
 
 
 def _load_artok(args):
@@ -60,8 +64,7 @@ def _cmd_stats(args):
 
 
 def _cmd_train_lm(args):
-    sentences = [tuple(line.split()) for line in _input_lines(args.corpus)]
-    model = lm.train(sentences, args.order, args.smoothing)
+    model = lm.train(_input_sentences(args.corpus), args.order, args.smoothing)
     lm.write_arpa(model, args.output)
     print("wrote %s (order %d, %s)" % (args.output, args.order, args.smoothing))
     return 0
@@ -69,7 +72,7 @@ def _cmd_train_lm(args):
 
 def _cmd_query_lm(args):
     model = lm.read_arpa(args.model)
-    sentences = [tuple(line.split()) for line in _input_lines(args.input)]
+    sentences = _input_sentences(args.input)
     for s in sentences:
         print("%.6f" % lm.sentence_logprob(model, s))
     if sentences:
@@ -105,15 +108,15 @@ def _decoder_from_args(args):
 
 def _cmd_decode(args):
     decoder = _decoder_from_args(args)
-    for line in _input_lines(args.input):
-        print(" ".join(decoder.decode(tuple(line.split())).tokens))
+    for t in translate_all(decoder, _input_sentences(args.input)):
+        print(" ".join(t.tokens))
     return 0
 
 
 def _cmd_nbest(args):
     decoder = _decoder_from_args(args)
-    for idx, line in enumerate(_input_lines(args.input)):
-        for t in decoder.nbest(tuple(line.split()), args.n):
+    for idx, nbest in enumerate(translate_all(decoder, _input_sentences(args.input), args.n)):
+        for t in nbest:
             print(
                 "%d ||| %s ||| %s ||| %.6f"
                 % (idx, " ".join(t.tokens), " ".join("%.6f" % f for f in t.features), t.score)
@@ -137,8 +140,8 @@ def _cmd_mert(args):
 
 
 def _cmd_bleu(args):
-    hyps = [tuple(line.split()) for line in _input_lines(args.hypothesis)]
-    ref_files = [[tuple(line.split()) for line in _input_lines(p)] for p in args.references]
+    hyps = _input_sentences(args.hypothesis)
+    ref_files = [_input_sentences(p) for p in args.references]
     for i, refs in enumerate(ref_files):
         if len(refs) != len(hyps):
             raise ParameterError(

@@ -8,6 +8,7 @@ construction and safe to share across threads.
 import logging
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import CorpusAlignmentError, ParameterError, _open_text
 
@@ -74,12 +75,13 @@ def load_parallel(source_path, target_path):
         SentencePair(tokenize_line(s), tokenize_line(t), i)
         for i, (s, t) in enumerate(zip(source_lines, target_lines))
     )
-    return ParallelCorpus(pairs, _suffix(source_path), _suffix(target_path))
+    return ParallelCorpus(pairs, _suffix(source_path, "src"), _suffix(target_path, "tgt"))
 
 
-def _suffix(path):
-    name = str(path)
-    return name.rsplit(".", 1)[1] if "." in name else "src"
+def _suffix(path, default):
+    """The language label of a corpus file: its file name's suffix, else `default`."""
+    suffix = Path(path).suffix
+    return suffix[1:] if suffix else default
 
 
 CLEAN_MAX_LEN = 80

@@ -19,6 +19,14 @@ memory stays bounded by one sentence's search. A hypothesis keeps only its
 LM and distortion values; the 8-feature increment is built for the paths
 that are returned. Its weighted score is summed inline, term by term in
 Weights.dot's order from 0.0, which gives the same float as Weights.dot.
+Only decode() builds a derivation; n-best entries carry the tokens,
+features and score that their readers read.
+
+translate_all decodes a list of sentences on every CPU in the process's
+affinity mask (`taskset` limits it). Each search depends only on the
+decoder and its sentence, so forked workers each take one sentence at a
+time and the results come back in input order, the same values a serial
+loop gives whatever the number of CPUs.
 
 The eight features, in order (FEATURE_NAMES): language model log10
 probability; forward phrase translation log-prob and lexical weight;
@@ -32,6 +40,8 @@ product of weights and accumulated features to within 1e-9.
 
 import heapq
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 from . import lm as lm_mod
@@ -79,7 +89,10 @@ class Weights:
         return Weights(tuple(w * c for w in self.values))
 
     def l1_normalized(self):
-        norm = sum(abs(w) for w in self.values)
+        # summed left to right: sum() of floats rounds differently from 3.12 on
+        norm = 0.0
+        for w in self.values:
+            norm += abs(w)
         return self if norm == 0.0 else self.scaled(1.0 / norm)
 
     def to_file(self, path):
@@ -147,7 +160,7 @@ class Translation:
     tokens: tuple
     features: tuple
     score: float
-    derivation: tuple
+    derivation: tuple = ()  # DerivationSteps, built by decode() only
 
 
 class _Hyp:
@@ -375,23 +388,23 @@ class Decoder:
     def decode(self, sentence):
         """Best translation with its feature vector, score, and derivation:
         the first entry of nbest()."""
-        return self._kbest(sentence, 1)[0]
+        return self._kbest(sentence, 1, derivation=True)[0]
 
     def nbest(self, sentence, n):
         """The n best distinct translations, best score first.
 
         Ties are broken toward the lexicographically smaller target string.
         Fewer than n entries come back only when the search graph holds
-        fewer than n distinct target strings.
+        fewer than n distinct target strings. The entries carry no derivation.
         """
         if n < 1:
             raise ParameterError("nbest size must be >= 1, got %r" % (n,))
         return self._kbest(sentence, n)
 
-    def _kbest(self, sentence, n):
+    def _kbest(self, sentence, n, derivation=False):
         sentence = tuple(sentence)
         if not sentence:
-            return [Translation((), _ZERO, 0.0, ())]
+            return [Translation((), _ZERO, 0.0)]
         finals = self._search(sentence)
         if not finals:
             raise MinismtError("search produced no complete hypothesis")
@@ -417,7 +430,7 @@ class Decoder:
             if nxt is not None:
                 heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
         ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
-        return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
+        return [_materialize_path(hyps, score, derivation) for _, (score, hyps) in ranked[:n]]
 
 
 class _KBestPaths:
@@ -464,8 +477,9 @@ def _future_of(coverage, full_mask, table):
     return total
 
 
-def _materialize_path(hyps, score):
-    """The Translation of a path; `score` is the path's score as _kbest found it."""
+def _materialize_path(hyps, score, derivation):
+    """The Translation of a path; `score` is the path's score as _kbest found it.
+    Its DerivationSteps are built only if `derivation` is true."""
     tokens = []
     features = list(_ZERO)
     steps = []
@@ -474,5 +488,61 @@ def _materialize_path(hyps, score):
         inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(node.distortion), s[6], s[7])
         tokens.extend(node.option.target)
         features = [f + d for f, d in zip(features, inc)]
-        steps.append(DerivationStep(node.option, inc))
+        if derivation:
+            steps.append(DerivationStep(node.option, inc))
     return Translation(tuple(tokens), tuple(features), score, tuple(steps))
+
+
+# ---- decoding a sentence list on every CPU -----------------------------
+
+_SHARED = None  # (decoder, n) of the running translate_all, inherited by forked workers
+
+
+def _available_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _translate(decoder, sentence, n):
+    """What translate_all yields for one sentence; a 1-best drops its derivation."""
+    if n is None:
+        t = decoder.decode(sentence)
+        return Translation(t.tokens, t.features, t.score)
+    return decoder.nbest(sentence, n)
+
+
+def _translate_shared(sentence):
+    decoder, n = _SHARED
+    return _translate(decoder, sentence, n)
+
+
+def translate_all(decoder, sentences, n=None):
+    """Yield, in input order, decoder.decode(s) without its derivation (n None)
+    or decoder.nbest(s, n) for each sentence.
+
+    The sentences are decoded in forked worker processes, one per available
+    CPU up to the number of sentences, each taking one sentence at a time;
+    with one worker the loop runs in this process. The decoder reaches the
+    workers by fork inheritance and is never pickled. A MinismtError raised
+    for a sentence is raised here, with its class and message, once the
+    results before it have been yielded, as a serial loop would.
+    """
+    global _SHARED
+    sentences = list(sentences)
+    workers = min(_available_cpus(), len(sentences))
+    if workers <= 1:
+        for sentence in sentences:
+            yield _translate(decoder, sentence, n)
+        return
+    # fork, not spawn: the phrase table and LM reach the workers unpickled.
+    # minismt starts no thread of its own, and each pool's threads are joined
+    # when its with-block ends; the fork start method flushes stdout and
+    # stderr before each fork, so no buffered line is written twice
+    _SHARED = (decoder, n)
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            yield from pool.imap(_translate_shared, sentences, chunksize=1)
+    finally:
+        _SHARED = None

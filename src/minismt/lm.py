@@ -174,11 +174,6 @@ def perplexity(model, sentences):
     return 10.0 ** (-total / events)
 
 
-def conditional_sum(model, context):
-    """Sum of the backoff-resolved conditional distribution over the event vocabulary."""
-    return sum(10.0 ** logprob(model, w, context) for w in sorted(model.event_vocab()))
-
-
 def write_arpa(model, path):
     """Serialize in the standard ARPA text layout (log10, tab-separated)."""
     grams_by_order = [[] for _ in range(model.order + 1)]

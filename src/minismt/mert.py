@@ -28,7 +28,10 @@ computes every float as a plain per-direction evaluation would:
   BLEU (pool_bleu's selection over the same floats) and is the next
   round's base.
 
-The MERT loop stops when an n-best pass adds no new pool entry. An
+An n-best pass decodes the dev sentences with decode.translate_all, on
+every available CPU; the lists come back in sentence order and are the
+same on any number of CPUs, so the pool and every float computed from it
+are too. The MERT loop stops when an n-best pass adds no new pool entry. An
 iteration that starts at the very weights the last pass decoded with runs
 no pass: the decoder is a deterministic function of its weights, so the
 pass would return the same lists, all of them already in the pool; the
@@ -45,7 +48,7 @@ import random
 from dataclasses import dataclass
 
 from . import bleu
-from .decode import N_FEATURES, Decoder, Weights
+from .decode import N_FEATURES, Decoder, Weights, translate_all
 from .errors import ParameterError
 
 DEFAULT_NBEST = 100
@@ -261,9 +264,10 @@ def mert(
     """Full MERT loop.
 
     `dev_corpus` supplies (source, reference) pairs; `decoder_factory(w)`
-    must return an object with nbest(sentence, n), deterministic in `w`:
-    an iteration that starts at the weights of the last n-best pass
-    decodes nothing, as that pass's lists are all in the pool. Returns the tuned
+    must return an object with nbest(sentence, n), deterministic in `w`,
+    which translate_all calls (in forked workers when more than one CPU is
+    available). An iteration that starts at the weights of the last n-best
+    pass decodes nothing, as that pass's lists are all in the pool. Returns the tuned
     Weights; the result never scores below the initial weights on the
     final accumulated pool. Deterministic for a fixed seed.
     """
@@ -281,13 +285,15 @@ def mert(
         new_entries = 0
         if current != decoded:
             decoder, decoded = decoder_factory(current), current
-            for s, pair in enumerate(dev_corpus.pairs):
-                for translation in decoder.nbest(pair.source, nbest_size):
+            sources = [pair.source for pair in dev_corpus.pairs]
+            for s, nbest in enumerate(translate_all(decoder, sources, nbest_size)):
+                references = [dev_corpus.pairs[s].target]
+                for translation in nbest:
                     if translation.tokens in seen[s]:
                         continue
                     seen[s].add(translation.tokens)
                     pool[s].append(
-                        build_pool_entry(translation.tokens, translation.features, [pair.target])
+                        build_pool_entry(translation.tokens, translation.features, references)
                     )
                     new_entries += 1
         if log_lines is not None:

@@ -148,7 +148,10 @@ def _lexical_weight(given_phrase, out_phrase, links, lexicon):
     for j, out in enumerate(out_phrase):
         linked = [i for i, jj in links if jj == j]
         if linked:
-            p = sum(lexicon.prob(out, given_phrase[i]) for i in linked) / len(linked)
+            p = 0.0  # summed left to right: sum() of floats rounds differently from 3.12 on
+            for i in linked:
+                p += lexicon.prob(out, given_phrase[i])
+            p /= len(linked)
         else:
             p = lexicon.prob(out, NULL_WORD)
         weight *= p

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, mert, phrases
-from .decode import Decoder, DecoderConfig, Weights
+from .decode import Decoder, DecoderConfig, Weights, translate_all
 from .errors import ConfigError, MissingArtifactError, _open_text
 
 
@@ -286,8 +286,7 @@ def _stage_decode(cfg, test_src, table_path, lm_path, weights, hyp, hyp_uniform,
     table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
                                       cfg.beam_threshold, cfg.distortion_limit)
     for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
-        decoder = Decoder(table, model, w, dconf)
-        hyps = [decoder.decode(s).tokens for s in sentences]
+        hyps = [t.tokens for t in translate_all(Decoder(table, model, w, dconf), sentences)]
         _write_lines(out_path, [" ".join(h) for h in hyps])
         if out_path == hyp:
             _write_lines(hyp_detok, [" ".join(artok.detokenize(h)) for h in hyps])

@@ -3,7 +3,8 @@
 These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation,
 line search by dense grid evaluation, and language model probabilities by
-recounting the padded token stream. `line_search_reference` is the plain
+recounting the padded token stream (`conditional_sum` sums one context's
+conditional distribution over the vocabulary). `line_search_reference` is the plain
 line search that the optimized one must equal float for float;
 `sentence_stats_reference` recounts every reference for each hypothesis,
 and `mert_reference` decodes on every iteration.
@@ -29,6 +30,11 @@ def count_padded(sentences, order):
                 gram = tuple(padded[i : i + m])
                 counts[gram] = counts.get(gram, 0) + 1
     return counts
+
+
+def conditional_sum(model, context):
+    """Sum of the backoff-resolved conditional distribution over the event vocabulary."""
+    return sum(10.0 ** lm.logprob(model, w, context) for w in sorted(model.event_vocab()))
 
 
 def brute_force_extract(pair, alignment, max_len):

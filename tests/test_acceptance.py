@@ -6,21 +6,28 @@ criteria run the bundled ~1k-pair toy corpus through the real pipeline,
 twice, to check both quality and byte-level determinism.
 """
 
+import hashlib
 import math
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 
-from minismt import align, artok, bleu, corpus, lm, mert, phrases, pipeline
+from minismt import align, artok, bleu, corpus, decode, lm, mert, phrases, pipeline
 from minismt.decode import Decoder, DecoderConfig, Weights
 
 from conftest import random_alignment, random_phrase_table
-from oracles import brute_force_extract, exhaustive_decode, grid_best_bleu
+from oracles import brute_force_extract, conditional_sum, exhaustive_decode, grid_best_bleu
 from test_artok import AR_SENTENCES, BW_SENTENCES, scheme_normal_form
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
+
+# sha256sum of every toy work file but the manifests, which name absolute
+# paths; after a deliberate output change, regenerate it in the work dir with
+# sha256sum $(ls | grep -v manifest)
+TOY_WORK_SHA256 = Path(__file__).parent / "data" / "toy_work.sha256"
 
 
 def _ok(name):
@@ -29,15 +36,23 @@ def _ok(name):
 
 @pytest.fixture(scope="module")
 def toy_runs(tmp_path_factory):
-    """Two full pipeline runs over the bundled toy corpus, with timings."""
+    """Two full pipeline runs over the bundled toy corpus, with timings: the
+    first decodes on every available CPU, the second in this process only."""
     runs = []
     for tag in ("first", "second"):
         out = tmp_path_factory.mktemp("toy-%s" % tag)
         cfg = pipeline.load_config(pipeline.make_toy_config(out))
-        started = time.monotonic()
-        work = pipeline.run_pipeline(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            if tag == "second":
+                mp.setattr(decode, "_available_cpus", lambda: 1)
+            started = time.monotonic()
+            work = pipeline.run_pipeline(cfg)
         runs.append({"work": work, "elapsed": time.monotonic() - started})
     return runs
+
+
+def _work_files(work):
+    return sorted(p.name for p in work.iterdir() if not p.name.endswith(".manifest.json"))
 
 
 def _report_scores(report_path):
@@ -63,12 +78,28 @@ def test_toy_pipeline_speed_and_mert_gain(toy_runs):
 
 
 def test_full_determinism(toy_runs):
-    """Identical config and seed give byte-identical artifacts."""
+    """Identical config and seed give byte-identical artifacts, decoded on
+    every CPU or on one."""
     first, second = (r["work"] for r in toy_runs)
-    for name in ("test.hyp.ar", "test.hyp.detok.ar", "test.hyp.uniform.ar",
-                 "weights.txt", "bleu.txt"):
+    names = _work_files(first)
+    assert names == _work_files(second)
+    for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
-    _ok("byte-identical translations, weights, and BLEU report across reruns")
+    _ok("byte-identical work files across reruns, parallel and serial (%d files)" % len(names))
+
+
+def test_toy_work_files_match_checked_in_hashes(toy_runs):
+    """Every toy work file but the manifests has the checked-in sha256, so
+    every Python version and CPU count gives the same bytes."""
+    work = toy_runs[0]["work"]
+    want = {}
+    for line in TOY_WORK_SHA256.read_text(encoding="utf-8").splitlines():
+        digest, name = line.split()
+        want[name] = digest
+    got = {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+           for name in _work_files(work)}
+    assert got == want
+    _ok("%d toy work files match %s" % (len(got), TOY_WORK_SHA256.name))
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +118,7 @@ def test_lm_normalization_orders_1_to_5(toy_sentences):
         observed = [()] + sorted(model.backoffs)
         for _ in range(100):
             ctx = observed[rng.randrange(len(observed))]
-            assert lm.conditional_sum(model, ctx) == pytest.approx(1.0, abs=1e-6)
+            assert conditional_sum(model, ctx) == pytest.approx(1.0, abs=1e-6)
             checked += 1
     elapsed = time.monotonic() - started
     assert checked == 500

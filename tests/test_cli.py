@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import minismt
-from minismt import lm, pipeline
+from minismt import decode, lm, pipeline
 from minismt.cli import build_parser, main
 from minismt.decode import FEATURE_NAMES
 from minismt.errors import MissingArtifactError
@@ -76,6 +76,17 @@ def test_stats_command(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "a.en"), str(tmp_path / "a.ar")]) == 0
     out = capsys.readouterr().out
     assert "source_tokens=3" in out and "target_lines=2" in out
+
+
+def test_stats_labels_come_from_file_names(tmp_path, capsys):
+    # a dotted directory is not a suffix: suffix-less files are src and tgt
+    run = tmp_path / "run.d"
+    run.mkdir()
+    (run / "train").write_text("a b\nc\n", encoding="utf-8")
+    (run / "test").write_text("x\ny z\n", encoding="utf-8")
+    assert main(["stats", str(run / "train"), str(run / "test")]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows[1:3]] == ["src", "tgt"]
 
 
 def test_stats_mismatch_error_line(tmp_path, capsys):
@@ -310,13 +321,19 @@ def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text
         assert f[broken] in err[0], err
 
 
+def _child_env(drop=()):
+    """This environment without the variables in `drop`, with the tested
+    package's source directory first on PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(minismt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_non_utf8_stdin_is_one_format_error_line_in_c_locale():
     # without LANG and LC_ALL Python runs in the C locale, where standard
     # input would decode undecodable bytes to surrogates rather than fail
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")}
-    src = str(Path(minismt.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env(("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8"))
 
     def run(*argv):
         return subprocess.run([sys.executable, *argv], input=b"\xff\n", env=env,
@@ -329,6 +346,42 @@ def test_non_utf8_stdin_is_one_format_error_line_in_c_locale():
         assert proc.returncode == 1 and proc.stdout == b"", (command, proc)
         assert len(err) == 1 and err[0].startswith(
             "ERROR format: standard input is not UTF-8 text"), err
+
+
+def _run_cli_on_two_workers(argv):
+    """`minismt argv` in a fresh process whose stdout is a pipe, decoding on
+    two workers, after an unflushed line "start"."""
+    script = ("import sys; from minismt import cli, decode; "
+              "decode._available_cpus = lambda: 2; print('start'); "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(),
+                          capture_output=True, timeout=120)
+
+
+def test_nbest_and_decode_on_two_workers_print_the_serial_output_once(
+        tmp_path, monkeypatch, capsys):
+    files = _tiny_model_files(tmp_path)
+    files["table"].write_text(
+        "a ||| x ||| 0.5 0.5 0.5 0.5\na ||| y ||| 0.3 0.4 0.2 0.5\n"
+        "b ||| y ||| 0.6 0.5 0.5 0.4\nb ||| x ||| 0.2 0.3 0.4 0.1\n"
+        "a b ||| x y ||| 0.4 0.4 0.4 0.4\n", encoding="utf-8")
+    files["source"].write_text("a b\nb a\na\nb a b a\nc a b\n\na a b b\n", encoding="utf-8")
+    models = ["--table", str(files["table"]), "--lm", str(files["lm"]),
+              "--input", str(files["source"])]
+    monkeypatch.setattr(decode, "_available_cpus", lambda: 1)
+    for argv in (["nbest", "-n", "3"] + models, ["decode"] + models):
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert len(serial.splitlines()) >= 7
+        proc = _run_cli_on_two_workers(argv)
+        assert (proc.returncode, proc.stderr) == (0, b""), proc
+        assert proc.stdout.decode("utf-8") == "start\n" + serial
+
+    # an error raised in a worker is still one ERROR line
+    proc = _run_cli_on_two_workers(["nbest", "-n", "0"] + models)
+    assert proc.returncode == 1 and proc.stdout == b"start\n", proc
+    assert proc.stderr.decode("utf-8").splitlines() == [
+        "ERROR usage: nbest size must be >= 1, got 0"]
 
 
 def test_subcommands_use_pipeline_defaults():

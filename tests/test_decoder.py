@@ -1,18 +1,22 @@
 import math
+import os
 import random
+import threading
 
 import pytest
 
-from minismt import lm, phrases
+from minismt import decode, lm, phrases
 from minismt.decode import (
     Decoder,
     DecoderConfig,
+    Translation,
     UNKNOWN_WORD_PENALTY,
     Weights,
     _future_of,
     collect_options,
+    translate_all,
 )
-from minismt.errors import ParameterError
+from minismt.errors import FormatError, ParameterError
 
 from conftest import random_phrase_table
 from oracles import enumerate_all_translations, exhaustive_decode, future_of_by_bits
@@ -425,3 +429,88 @@ def test_decoding_deterministic():
     na = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 10)
     nb = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 10)
     assert na == nb
+
+
+# ---- translate_all: a sentence list on every CPU ------------------------------
+
+
+def _outcome(decoder, sentences, n=None):
+    """What translate_all yields before it stops, and the error it stops with."""
+    got = []
+    try:
+        for result in translate_all(decoder, sentences, n):
+            got.append(result)
+    except Exception as exc:
+        assert decode._SHARED is None
+        return got, (type(exc), str(exc))
+    assert decode._SHARED is None
+    return got, None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_translate_all_equals_per_sentence_search(monkeypatch, workers):
+    monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
+    rng = random.Random(29)
+    config = DecoderConfig(stack_size=20, beam_threshold=None, distortion_limit=2)
+    for trial in range(4):
+        _, table, model, weights = _random_instance(rng)
+        decoder = Decoder(table, model, weights, config)
+        # the longest sentence first, so that a worker finishing out of turn
+        # would show as a reordering
+        sentences = sorted((tuple(rng.choice(SRC_VOCAB) for _ in range(rng.randint(0, 6)))
+                            for _ in range(7)), key=len, reverse=True)
+        want = [decoder.decode(s) for s in sentences]
+        assert _outcome(decoder, sentences) == (
+            [Translation(t.tokens, t.features, t.score) for t in want], None), trial
+        want = [decoder.nbest(s, 4) for s in sentences]
+        assert _outcome(decoder, sentences, 4) == (want, None), trial
+
+
+class _EchoDecoder:
+    """Translates a sentence to itself and the id of the process that decoded
+    it; fails on the word "bad". The lock cannot be pickled, so the decoder
+    reaches a worker only by fork inheritance."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+
+    def decode(self, sentence):
+        if "bad" in sentence:
+            raise FormatError("cannot decode %s" % " ".join(sentence))
+        return Translation(sentence + (str(os.getpid()),), (0.0,) * 8, float(len(sentence)))
+
+    def nbest(self, sentence, n):
+        return [self.decode(sentence)] * n
+
+
+def test_translate_all_decodes_in_forked_workers(monkeypatch):
+    monkeypatch.setattr(decode, "_available_cpus", lambda: 2)
+    sentences = [("s%d" % i,) for i in range(6)]
+    got, error = _outcome(_EchoDecoder(), sentences)
+    assert error is None
+    assert [t.tokens[:-1] for t in got] == sentences
+    assert str(os.getpid()) not in {t.tokens[-1] for t in got}
+    # capped at the number of sentences: one sentence runs in this process
+    got, _ = _outcome(_EchoDecoder(), sentences[:1])
+    assert got[0].tokens == ("s0", str(os.getpid()))
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_translate_all_raises_a_workers_error_as_the_serial_loop(monkeypatch, n):
+    sentences = [("a",), ("b", "c"), ("bad", "x"), ("d",), ("bad", "y"), ("e",)]
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
+        got, error = _outcome(_EchoDecoder(), sentences, n)
+        outcomes.append(([r if n is None else r[0] for r in got], error))
+    for got, error in outcomes:
+        assert [t.tokens[:-1] for t in got] == sentences[:2]
+        assert error == (FormatError, "cannot decode bad x")
+    # a real decoder's refusal comes back with its class and message too
+    _, table, model, weights = _random_instance(random.Random(31))
+    decoder = Decoder(table, model, weights, UNPRUNED)
+    errors = []
+    for workers in (1, 2):
+        monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
+        errors.append(_outcome(decoder, [("f0",), ("f1", "f0")], 0))
+    assert errors[0] == errors[1] == ([], (ParameterError, "nbest size must be >= 1, got 0"))

@@ -7,7 +7,7 @@ import pytest
 from minismt import lm
 from minismt.errors import FormatError, ParameterError, TrainingError
 
-from oracles import count_padded
+from oracles import conditional_sum, count_padded
 
 GOLDEN = Path(__file__).parent / "data" / "unigram.arpa"
 
@@ -83,7 +83,7 @@ def test_normalization_every_observed_context():
         m = lm.train(sentences, order)
         contexts = [()] + sorted(m.backoffs)
         for ctx in contexts:
-            assert lm.conditional_sum(m, ctx) == pytest.approx(1.0, abs=1e-6)
+            assert conditional_sum(m, ctx) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_backoff_weight_contexts_have_continuations():
