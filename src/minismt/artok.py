@@ -24,7 +24,7 @@ import enum
 import logging
 from dataclasses import dataclass
 
-from .errors import FormatError, _open_text
+from .errors import FormatError, ParameterError, _open_text
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +61,7 @@ class Scheme(enum.Enum):
         try:
             return cls(name.strip().lower())
         except ValueError:
-            raise FormatError("unknown tokenization scheme %r (expected atb or myd3)" % name)
+            raise ParameterError("unknown tokenization scheme %r (expected atb or myd3)" % name)
 
 
 PROCLITIC_CLASSES = ("QUES", "CONJ", "PART", "DET")

@@ -64,9 +64,9 @@ def _cmd_stats(args):
 
 
 def _cmd_train_lm(args):
-    model = lm.train(_input_sentences(args.corpus), args.order, args.smoothing)
+    model = lm.train(_input_sentences(args.corpus), args.order)
     lm.write_arpa(model, args.output)
-    print("wrote %s (order %d, %s)" % (args.output, args.order, args.smoothing))
+    print("wrote %s (order %d)" % (args.output, args.order))
     return 0
 
 
@@ -225,7 +225,6 @@ def build_parser():
     sub = commands.add_parser("train-lm", help="train a backoff n-gram model")
     sub.add_argument("corpus", help="tokenized corpus, one sentence per line")
     sub.add_argument("--order", type=int, default=_DEFAULTS.lm_order)
-    sub.add_argument("--smoothing", default=_DEFAULTS.lm_smoothing, choices=("witten-bell", "mle"))
     sub.add_argument("-o", "--output", required=True)
     sub.set_defaults(fn=_cmd_train_lm)
 

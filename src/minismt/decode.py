@@ -253,7 +253,7 @@ class Decoder:
         self.weights = weights
         self.config = config or DecoderConfig()
         if (lm_mod.UNK,) not in model.probs:
-            # without <unk> mass (an MLE model) unseen words score -inf
+            # without <unk> mass (an ARPA file from another toolkit) unseen words score -inf
             raise ParameterError("the language model has no <unk> probability; "
                                  "decode with a smoothed model")
         self._bounds = _lm_word_bounds(model, weights.values[0])

@@ -2,21 +2,17 @@
 
 Sentences are padded with a single start symbol (contexts truncate near
 the sentence start, the ARPA-ecosystem convention) and one end symbol,
-which is a scored event. Two estimators:
-
-* ``witten-bell`` -- interpolated Witten-Bell, stored in backoff form.
-  The start symbol is context only, never a predicted event; the unknown
-  symbol is reserved with a floor count of 1, so scoring is total and
-  every observed context's conditional distribution sums to one over the
-  event vocabulary.
-* ``mle`` -- relative frequencies over the padded token stream, zero mass
-  to unseen events. Hand-checkable; not for decoding.
+which is a scored event. The estimator is interpolated Witten-Bell,
+stored in backoff form. The start symbol is context only, never a
+predicted event; the unknown symbol is reserved with a floor count of 1,
+so scoring is total and every observed context's conditional
+distribution sums to one over the event vocabulary.
 
 All probabilities are log10.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FormatError, ParameterError, TrainingError, _open_text
 
@@ -32,17 +28,13 @@ _NO_PROB = -99.0  # ARPA sentinel for the unscored start symbol
 @dataclass(frozen=True)
 class NGramModel:
     order: int
-    smoothing: str
     probs: dict  # token tuple -> log10 conditional probability
     backoffs: dict  # context tuple -> log10 backoff weight
-    vocab: frozenset = field(default=frozenset())
+    vocab: frozenset
 
     def event_vocab(self):
         """Tokens that can be predicted: vocabulary minus the start symbol."""
         return self.vocab - {START}
-
-    def logprob(self, word, context=()):
-        return logprob(self, word, context)
 
 
 def _count_windows(sentences, order):
@@ -57,12 +49,10 @@ def _count_windows(sentences, order):
     return counts
 
 
-def train(sentences, order, smoothing="witten-bell"):
-    """Estimate an NGramModel from tokenized sentences."""
+def train(sentences, order):
+    """Estimate an interpolated Witten-Bell NGramModel from tokenized sentences."""
     if not 1 <= order <= MAX_ORDER:
         raise ParameterError("order must be in 1..%d, got %r" % (MAX_ORDER, order))
-    if smoothing not in ("witten-bell", "mle"):
-        raise ParameterError("smoothing must be 'witten-bell' or 'mle', got %r" % smoothing)
     sentences = [tuple(s) for s in sentences]
     if not sentences:
         raise TrainingError("cannot train a language model on an empty corpus")
@@ -71,25 +61,9 @@ def train(sentences, order, smoothing="witten-bell"):
             raise TrainingError("sentence %d is empty; training requires nonempty sentences" % i)
 
     counts = _count_windows(sentences, order)
-    if smoothing == "mle":
-        probs = _estimate_mle(counts, order)
-        backoffs = {}
-        vocab = frozenset(w for (w,) in counts[1])
-    else:
-        probs, backoffs = _estimate_witten_bell(counts, order)
-        vocab = frozenset(w for (w,) in counts[1]) | {UNK}
-    return NGramModel(order, smoothing, probs, backoffs, vocab)
-
-
-def _estimate_mle(counts, order):
-    probs = {}
-    total = sum(counts[1].values())  # padded stream length, start symbol included
-    for gram, c in counts[1].items():
-        probs[gram] = math.log10(c / total)
-    for m in range(2, order + 1):
-        for gram, c in counts[m].items():
-            probs[gram] = math.log10(c / counts[m - 1][gram[:-1]])
-    return probs
+    probs, backoffs = _estimate_witten_bell(counts, order)
+    vocab = frozenset(w for (w,) in counts[1]) | {UNK}
+    return NGramModel(order, probs, backoffs, vocab)
 
 
 def _estimate_witten_bell(counts, order):
@@ -120,9 +94,9 @@ def _estimate_witten_bell(counts, order):
 def logprob(model, word, context=()):
     """log10 P(word | context); contexts longer than order-1 are truncated.
 
-    Witten-Bell models resolve unseen n-grams through backoff weights and
-    map out-of-vocabulary words to the unknown symbol; mle models assign
-    them zero probability (-inf).
+    Unseen n-grams resolve through backoff weights, a missing weight
+    counting as 0.0 (the ARPA convention), and out-of-vocabulary words map
+    to the unknown symbol.
     """
     ctx = tuple(context)
     if model.order > 1:
@@ -131,9 +105,6 @@ def logprob(model, word, context=()):
         ctx = ()
     if word == START or (word,) not in model.probs:
         word = UNK
-
-    if model.smoothing == "mle":
-        return model.probs.get(ctx + (word,), NEG_INF)
 
     score = 0.0
     while True:
@@ -179,7 +150,7 @@ def write_arpa(model, path):
     grams_by_order = [[] for _ in range(model.order + 1)]
     for gram in model.probs:
         grams_by_order[len(gram)].append(gram)
-    if model.smoothing != "mle" and (START,) not in model.probs and START in model.vocab:
+    if (START,) not in model.probs and START in model.vocab:
         grams_by_order[1].append((START,))
     for grams in grams_by_order[1:]:
         grams.sort()
@@ -272,6 +243,8 @@ def read_arpa(path):
         gram = tuple(fields[1].split())
         if len(gram) != current:
             fail(lineno, "%d-gram %r in \\%d-grams: section" % (len(gram), fields[1], current))
+        if gram in probs:
+            fail(lineno, "duplicate %d-gram %r" % (current, fields[1]))
         probs[gram] = prob
         if len(fields) == 3:
             backoffs[gram] = number(lineno, fields[2], "backoff weight")
@@ -287,8 +260,5 @@ def read_arpa(path):
     vocab = frozenset(g[0] for g in probs if len(g) == 1)
     # pure-lookup entries: drop the start symbol's placeholder probability
     if (START,) in probs and probs[(START,)] <= _NO_PROB:
-        probs = dict(probs)
         del probs[(START,)]
-    # Witten-Bell always reserves <unk>; mle models have neither it nor backoffs
-    smoothing = "witten-bell" if (UNK,) in probs or backoffs else "mle"
-    return NGramModel(order, smoothing, probs, backoffs, vocab)
+    return NGramModel(order, probs, backoffs, vocab)

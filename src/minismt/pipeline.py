@@ -68,7 +68,6 @@ class PipelineConfig:
     clean_max_len: int = corpus.CLEAN_MAX_LEN
     clean_max_ratio: float = corpus.CLEAN_MAX_RATIO
     lm_order: int = 5
-    lm_smoothing: str = "witten-bell"
     align_iterations: int = 5
     align_heuristic: str = "grow-diag-final"
     max_phrase_len: int = 7
@@ -101,7 +100,6 @@ _KEYS = {
     ("clean", "max_len"): ("clean_max_len", int),
     ("clean", "max_ratio"): ("clean_max_ratio", parse_number),
     ("lm", "order"): ("lm_order", int),
-    ("lm", "smoothing"): ("lm_smoothing", str.lower),
     ("align", "iterations"): ("align_iterations", int),
     ("align", "heuristic"): ("align_heuristic", str.lower),
     ("phrases", "max_len"): ("max_phrase_len", int),
@@ -165,9 +163,6 @@ def validate(cfg):
         problems.append("clean.max_ratio must be >= 1.0")
     if not 1 <= cfg.lm_order <= lm.MAX_ORDER:
         problems.append("lm.order must be in 1..%d, got %d" % (lm.MAX_ORDER, cfg.lm_order))
-    if cfg.lm_smoothing != "witten-bell":
-        problems.append("lm.smoothing must be witten-bell (the decoder refuses mle models), "
-                        "got %r" % cfg.lm_smoothing)
     if cfg.align_iterations < 1:
         problems.append("align.iterations must be >= 1")
     if cfg.align_heuristic not in align.HEURISTICS:
@@ -239,7 +234,7 @@ def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_t
 
 
 def _stage_lm(cfg, train_tgt, lm_out):
-    model = lm.train(_read_tokenized(train_tgt), cfg.lm_order, cfg.lm_smoothing)
+    model = lm.train(_read_tokenized(train_tgt), cfg.lm_order)
     lm.write_arpa(model, lm_out)
 
 
@@ -318,7 +313,7 @@ _GRAPH = (
            {"scheme": "scheme", "clean_max_len": "clean_max_len",
             "clean_max_ratio": "clean_max_ratio"}, _prepare_inputs),
     _Stage("lm", _stage_lm, ("corpus.train.ar",), ("lm.arpa",),
-           {"order": "lm_order", "smoothing": "lm_smoothing"}),
+           {"order": "lm_order"}),
     _Stage("align", _stage_align, ("corpus.train.en", "corpus.train.ar"),
            ("train.align", "lexicon.fwd", "lexicon.bwd"),
            {"iterations": "align_iterations", "heuristic": "align_heuristic"}),

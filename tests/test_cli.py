@@ -57,6 +57,17 @@ def test_tokenize_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "w+ AlktAb\n"
 
 
+def test_tokenize_unknown_scheme_is_a_usage_error(monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("wAlktAb\n"))
+    assert main(["tokenize", "--scheme", "foo"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "ERROR usage: unknown tokenization scheme 'foo' (expected atb or myd3)"]
+
+
 def test_full_pipeline_with_atb_scheme(small_toy, capsys):
     text = small_toy.read_text(encoding="utf-8").replace("scheme = myd3", "scheme = atb")
     small_toy.write_text(text, encoding="utf-8")
@@ -465,12 +476,11 @@ def test_stage_refuses_stale_inputs(small_run, tmp_path, capsys, change, stage, 
 
 
 def test_pipeline_refuses_mle_smoothing_up_front(small_toy, capsys):
+    work = Path(pipeline.load_config(small_toy).work_dir)
     small_toy.write_text(small_toy.read_text(encoding="utf-8") + "\n[lm]\nsmoothing = mle\n",
                          encoding="utf-8")
-    assert main(["validate", str(small_toy)]) == 1
-    out = capsys.readouterr().out
-    assert "lm.smoothing must be witten-bell" in out and "1 violation(s)" in out
-    assert main(["pipeline", str(small_toy)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("ERROR config:"), err
-    assert not Path(pipeline.load_config(small_toy).work_dir).exists()
+    for command in ("validate", "pipeline"):
+        assert main([command, str(small_toy)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ERROR config: unknown config key [lm] smoothing"], err
+    assert not work.exists()

@@ -59,11 +59,11 @@ def test_weights_file_round_trip(tmp_path):
 
 def test_decoder_refuses_a_model_without_unk(tmp_path):
     table = phrases.PhraseTable({(("f0",), ("x",)): phrases.Scores(0.5, 0.5, 0.5, 0.5)})
-    model = lm.train([("x", "y")], 2, smoothing="mle")
-    lm.write_arpa(model, tmp_path / "m.arpa")
-    for m in (model, lm.read_arpa(tmp_path / "m.arpa")):
-        with pytest.raises(ParameterError):
-            Decoder(table, m, Weights.uniform())
+    path = tmp_path / "m.arpa"
+    path.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-99\t<s>\n-0.2\tx\n"
+                    "\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(ParameterError):
+        Decoder(table, lm.read_arpa(path), Weights.uniform())
 
 
 def test_weights_validation():

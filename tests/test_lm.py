@@ -12,65 +12,61 @@ from oracles import conditional_sum, count_padded
 GOLDEN = Path(__file__).parent / "data" / "unigram.arpa"
 
 
-# ---- training: mle ------------------------------------------------------
+# ---- training ------------------------------------------------------------
 
 
-def test_mle_unigram_padded_counts():
-    # padded stream: <s> a a b </s>  (5 tokens)
-    m = lm.train([("a", "a", "b")], 1, "mle")
+def test_witten_bell_unigram_padded_counts():
+    # events of <s> a a b </s>: a:2 b:1 </s>:1, plus the <unk> floor of 1
+    m = lm.train([("a", "a", "b")], 1)
     assert m.probs[("a",)] == math.log10(2 / 5)
     assert m.probs[("b",)] == math.log10(1 / 5)
     assert m.probs[(lm.END,)] == math.log10(1 / 5)
+    assert m.probs[(lm.UNK,)] == math.log10(1 / 5)
+    assert (lm.START,) not in m.probs
+    # a:1 </s>:1 <unk>:1
+    assert 10 ** lm.logprob(lm.train([("a",)], 1), "a") == pytest.approx(1 / 3, abs=1e-12)
 
 
-def test_mle_single_event_ratio():
-    m = lm.train([("a",)], 1, "mle")
-    assert 10 ** m.logprob("a") == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_mle_matches_count_oracle():
+def test_witten_bell_matches_count_oracle():
     sentences = [tuple("abcab"), tuple("bca"), tuple("aab")]
     counts = count_padded(sentences, 2)
-    m = lm.train(sentences, 2, "mle")
-    for gram, c in counts.items():
-        if len(gram) == 2:
-            expected = math.log10(c / counts[gram[:1]])
-            assert m.probs[gram] == pytest.approx(expected, abs=1e-12)
-
-
-def test_mle_zero_mass_to_unseen():
-    m = lm.train([("a", "b")], 2, "mle")
-    assert m.logprob("a", ("b",)) == float("-inf")
-    assert m.logprob("zzz") == float("-inf")
-
-
-# ---- training: witten-bell ----------------------------------------------
+    events = {g[0]: c for g, c in counts.items() if len(g) == 1 and g[0] != lm.START}
+    events[lm.UNK] = 1
+    total = sum(events.values())
+    m = lm.train(sentences, 2)
+    for ctx in sorted({g[:1] for g in counts if len(g) == 2}):
+        seen = {g[1]: c for g, c in counts.items() if len(g) == 2 and g[0] == ctx[0]}
+        denom = sum(seen.values()) + len(seen)
+        assert 10 ** m.backoffs[ctx] == pytest.approx(len(seen) / denom, abs=1e-12)
+        for w, c_unigram in events.items():
+            expected = (seen.get(w, 0) + len(seen) * c_unigram / total) / denom
+            assert 10 ** lm.logprob(m, w, ctx) == pytest.approx(expected, abs=1e-12), (ctx, w)
 
 
 def test_witten_bell_hand_formula():
     # contexts: (a) has continuations b:1, c:1 -> count 2, distinct 2
     m = lm.train([("a", "b"), ("a", "c")], 2)
-    assert 10 ** m.logprob("b", ("a",)) == pytest.approx(9 / 28, abs=1e-12)
-    assert 10 ** m.logprob("a", (lm.START,)) == pytest.approx(16 / 21, abs=1e-12)
+    assert 10 ** lm.logprob(m, "b", ("a",)) == pytest.approx(9 / 28, abs=1e-12)
+    assert 10 ** lm.logprob(m, "a", (lm.START,)) == pytest.approx(16 / 21, abs=1e-12)
     assert 10 ** m.backoffs[("a",)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_backoff_composition_two_table():
     m = lm.train([("a", "b"), ("a", "c")], 2)
     # unseen bigram (a, a): backoff weight of (a) plus the unigram
-    assert m.logprob("a", ("a",)) == m.backoffs[("a",)] + m.probs[("a",)]
+    assert lm.logprob(m, "a", ("a",)) == m.backoffs[("a",)] + m.probs[("a",)]
 
 
 def test_unknown_word_floor():
     m = lm.train([("a", "b")], 2)
-    assert m.logprob("zzz") == m.probs[(lm.UNK,)]
-    assert m.logprob("zzz", ("also-unseen",)) > float("-inf")
+    assert lm.logprob(m, "zzz") == m.probs[(lm.UNK,)]
+    assert lm.logprob(m, "zzz", ("also-unseen",)) > float("-inf")
 
 
 def test_start_symbol_is_context_only():
     m = lm.train([("a", "b")], 2)
     assert lm.START not in m.event_vocab()
-    assert m.logprob(lm.START) == m.probs[(lm.UNK,)]
+    assert lm.logprob(m, lm.START) == m.probs[(lm.UNK,)]
 
 
 def test_normalization_every_observed_context():
@@ -107,8 +103,6 @@ def test_train_errors():
         lm.train([("a",)], 0)
     with pytest.raises(ParameterError):
         lm.train([("a",)], 6)
-    with pytest.raises(ParameterError):
-        lm.train([("a",)], 2, "kneser-ney")
 
 
 # ---- queries -------------------------------------------------------------
@@ -116,7 +110,7 @@ def test_train_errors():
 
 def test_context_truncation():
     m = lm.train([("a", "b", "c")], 2)
-    assert m.logprob("c", ("x", "y", "b")) == m.logprob("c", ("b",))
+    assert lm.logprob(m, "c", ("x", "y", "b")) == lm.logprob(m, "c", ("b",))
 
 
 def test_sentence_logprob_decomposes():
@@ -130,7 +124,7 @@ def test_sentence_logprob_decomposes():
 
 
 def test_sentence_logprob_single_token_order1():
-    m = lm.train([("a", "a", "b")], 1, "mle")
+    m = lm.train([("a", "a", "b")], 1)
     assert lm.sentence_logprob(m, ("a",)) == m.probs[("a",)] + m.probs[(lm.END,)]
 
 
@@ -155,19 +149,8 @@ def test_product_identity():
 def test_perplexity_uniform_model():
     vocab = ["a", "b", "c", lm.END]
     probs = {(w,): math.log10(1 / len(vocab)) for w in vocab}
-    m = lm.NGramModel(1, "witten-bell", probs, {}, frozenset(vocab))
+    m = lm.NGramModel(1, probs, {}, frozenset(vocab))
     assert lm.perplexity(m, [("a", "b"), ("c",)]) == pytest.approx(len(vocab), rel=1e-12)
-
-
-def test_perplexity_mle_beats_witten_bell_on_train():
-    # orders >= 2 only: the order-1 mle denominator includes the start pad
-    # (that is what makes its arithmetic hand-checkable), which leaks mass
-    # the event distribution never gets back
-    sentences = [tuple("abcab"), tuple("bcb"), tuple("abc")]
-    for order in (2, 3, 4):
-        mle = lm.perplexity(lm.train(sentences, order, "mle"), sentences)
-        wb = lm.perplexity(lm.train(sentences, order), sentences)
-        assert mle <= wb
 
 
 def test_perplexity_matches_hand_computation():
@@ -193,9 +176,9 @@ def test_arpa_golden_file(tmp_path):
     assert out.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
 
 
-def test_arpa_round_trip_random_queries(toy_tokenized_ar):
+def test_arpa_round_trip_random_queries(toy_tokenized_ar, tmp_path):
     m = lm.train(toy_tokenized_ar[:300], 3)
-    path = "/tmp/minismt-roundtrip.arpa"
+    path = tmp_path / "roundtrip.arpa"
     lm.write_arpa(m, path)
     r = lm.read_arpa(path)
     rng = random.Random(11)
@@ -207,19 +190,33 @@ def test_arpa_round_trip_random_queries(toy_tokenized_ar):
 
 
 def test_arpa_round_trip_keeps_the_estimator(tmp_path):
-    sentences = [tuple("abcab"), tuple("bcb")]
-    for smoothing in ("mle", "witten-bell"):
-        m = lm.train(sentences, 2, smoothing)
-        path = tmp_path / ("%s.arpa" % smoothing)
-        lm.write_arpa(m, path)
-        r = lm.read_arpa(path)
-        assert r.smoothing == smoothing
-        contexts = {gram[:-1] for gram in m.probs}
-        for ctx in contexts:
-            for w in sorted(m.vocab):  # approx matches -inf only to -inf
-                expected = pytest.approx(lm.logprob(m, w, ctx), abs=1e-6)
-                assert lm.logprob(r, w, ctx) == expected, (w, ctx)
-    assert lm.logprob(lm.read_arpa(tmp_path / "mle.arpa"), "a", ("a",)) == float("-inf")
+    m = lm.train([tuple("abcab"), tuple("bcb")], 2)
+    path = tmp_path / "m.arpa"
+    lm.write_arpa(m, path)
+    r = lm.read_arpa(path)
+    assert (r.order, r.vocab, set(r.backoffs)) == (m.order, m.vocab, set(m.backoffs))
+    contexts = {gram[:-1] for gram in m.probs} | {("zzz",)}
+    for ctx in contexts:
+        for w in sorted(m.vocab) + ["zzz"]:
+            expected = pytest.approx(lm.logprob(m, w, ctx), abs=1e-6)
+            assert lm.logprob(r, w, ctx) == expected, (w, ctx)
+
+
+def test_arpa_without_unk_or_backoffs_scores_as_a_backoff_model(tmp_path):
+    path = tmp_path / "plain.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=4\nngram 2=3\n\n\\1-grams:\n-0.3\t</s>\n-99\t<s>\n"
+        "-0.4\ta\n-0.5\tb\n\n\\2-grams:\n-0.1\t<s> a\n-0.2\ta b\n-0.05\tb </s>\n"
+        "\n\\end\\\n",
+        encoding="utf-8",
+    )
+    m = lm.read_arpa(path)
+    assert lm.logprob(m, "b", ("a",)) == -0.2
+    # an unseen bigram of known words: a missing backoff weight counts as 0.0
+    assert lm.logprob(m, "a", ("b",)) == -0.4
+    assert lm.logprob(m, lm.END, ("a",)) == -0.3
+    assert lm.logprob(m, "zzz", ("a",)) == float("-inf")
+    assert lm.logprob(m, "zzz") == float("-inf")
 
 
 def test_arpa_count_mismatch(tmp_path):
@@ -231,6 +228,17 @@ def test_arpa_count_mismatch(tmp_path):
     with pytest.raises(FormatError) as err:
         lm.read_arpa(bad)
     assert "declared 3" in str(err.value)
+
+
+def test_arpa_repeated_ngram(tmp_path):
+    bad = tmp_path / "bad.arpa"
+    bad.write_text(
+        "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5\ta\n-0.1\ta\n-0.3\t<unk>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(FormatError) as err:
+        lm.read_arpa(bad)
+    assert str(err.value) == "%s line 6: duplicate 1-gram 'a'" % bad
 
 
 def test_arpa_malformed_header(tmp_path):
