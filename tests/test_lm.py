@@ -23,8 +23,12 @@ def test_witten_bell_unigram_padded_counts():
     assert m.probs[(lm.END,)] == math.log10(1 / 5)
     assert m.probs[(lm.UNK,)] == math.log10(1 / 5)
     assert (lm.START,) not in m.probs
-    # a:1 </s>:1 <unk>:1
-    assert 10 ** lm.logprob(lm.train([("a",)], 1), "a") == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_witten_bell_single_event_ratio():
+    # events of <s> a </s>: a:1 </s>:1, plus the <unk> floor of 1
+    m = lm.train([("a",)], 1)
+    assert 10 ** lm.logprob(m, "a") == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_witten_bell_matches_count_oracle():
