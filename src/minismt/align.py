@@ -30,7 +30,6 @@ class TranslationLexicon:
 
 @dataclass(frozen=True)
 class AlignmentMatrix:
-    pair_id: int
     links: frozenset  # (source index, target index)
     source_len: int
     target_len: int
@@ -45,17 +44,13 @@ class AlignmentMatrix:
 
     def transpose(self):
         return AlignmentMatrix(
-            self.pair_id,
-            frozenset((j, i) for i, j in self.links),
-            self.target_len,
-            self.source_len,
+            frozenset((j, i) for i, j in self.links), self.target_len, self.source_len
         )
 
 
 def transpose_corpus(corpus):
     """Swap source and target sides (for training the reverse direction)."""
-    pairs = tuple(SentencePair(p.target, p.source, p.pair_id) for p in corpus.pairs)
-    return ParallelCorpus(pairs, corpus.target_lang, corpus.source_lang)
+    return ParallelCorpus(tuple(SentencePair(p.target, p.source) for p in corpus.pairs))
 
 
 def em_train(corpus, iterations):
@@ -124,7 +119,7 @@ def viterbi_align(lexicon, pair):
                 best_i, best_p = i, p
         if best_i is not None:
             links.add((best_i, j))
-    return AlignmentMatrix(pair.pair_id, frozenset(links), len(pair.source), len(pair.target))
+    return AlignmentMatrix(frozenset(links), len(pair.source), len(pair.target))
 
 
 def align_corpus(corpus, iterations, heuristic):
@@ -137,7 +132,7 @@ def align_corpus(corpus, iterations, heuristic):
     matrices = []
     for pair in corpus.pairs:
         f = viterbi_align(fwd, pair)
-        b = viterbi_align(bwd, SentencePair(pair.target, pair.source, pair.pair_id))
+        b = viterbi_align(bwd, SentencePair(pair.target, pair.source))
         matrices.append(symmetrize(f, b, heuristic))
     return matrices, fwd, bwd
 
@@ -165,7 +160,7 @@ def symmetrize(forward, backward, heuristic="grow-diag-final"):
         links = union
     else:
         links = _grow_diag_final(inter, union, forward.source_len, forward.target_len)
-    return AlignmentMatrix(forward.pair_id, frozenset(links), forward.source_len, forward.target_len)
+    return AlignmentMatrix(frozenset(links), forward.source_len, forward.target_len)
 
 
 def _grow_diag_final(intersection, union, source_len, target_len):
@@ -220,9 +215,7 @@ def read_alignments(path, corpus):
             except ValueError:
                 raise FormatError("%s line %d: bad link %r, expected i-j" % (path, lineno, chunk))
         try:
-            matrices.append(
-                AlignmentMatrix(pair.pair_id, frozenset(links), len(pair.source), len(pair.target))
-            )
+            matrices.append(AlignmentMatrix(frozenset(links), len(pair.source), len(pair.target)))
         except ParameterError as exc:
             raise FormatError("%s line %d: %s" % (path, lineno, exc))
     return matrices
@@ -242,8 +235,12 @@ def read_lexicon(path):
         for lineno, raw in enumerate(f, 1):
             try:
                 given, out, prob = raw.rstrip("\n").split("\t")
-                table.setdefault(given, {})[out] = float(prob)
+                prob = float(prob)
             except ValueError:
                 raise FormatError(
                     "%s line %d: expected given<TAB>out<TAB>probability" % (path, lineno))
+            if not 0.0 <= prob <= 1.0:  # nan fails this too
+                raise FormatError("%s line %d: probability %r is not in [0,1]"
+                                  % (path, lineno, prob))
+            table.setdefault(given, {})[out] = prob
     return TranslationLexicon(table)

@@ -8,10 +8,11 @@ exit nonzero after printing a single machine-parsable line of the form
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, mert, phrases, pipeline
 from .decode import Decoder, Weights, translate_all
-from .errors import FormatError, MinismtError, ParameterError, _open_text
+from .errors import CorpusAlignmentError, FormatError, MinismtError, _open_text
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
 
@@ -57,9 +58,9 @@ def _cmd_detokenize(args):
 
 def _cmd_stats(args):
     corp = corpus.load_parallel(args.source, args.target)
-    sys.stdout.write(
-        corpus.format_stats_table(corpus.stats(corp), corp.source_lang, corp.target_lang)
-    )
+    # each side's label is its file name's suffix: en for train.en
+    labels = Path(args.source).suffix[1:] or "src", Path(args.target).suffix[1:] or "tgt"
+    sys.stdout.write(corpus.format_stats_table(corpus.stats(corp), *labels))
     return 0
 
 
@@ -84,9 +85,8 @@ def _cmd_align(args):
     corp = corpus.load_parallel(args.source, args.target)
     matrices, fwd, bwd = align.align_corpus(corp, args.iterations, args.heuristic)
     align.write_alignments(matrices, args.output)
-    if args.save_lexicons:
-        align.write_lexicon(fwd, args.output + ".lex.fwd")
-        align.write_lexicon(bwd, args.output + ".lex.bwd")
+    align.write_lexicon(fwd, args.output + ".lex.fwd")
+    align.write_lexicon(bwd, args.output + ".lex.bwd")
     print("wrote %s (%d pairs)" % (args.output, len(matrices)))
     return 0
 
@@ -108,8 +108,8 @@ def _decoder_from_args(args):
 
 def _cmd_decode(args):
     decoder = _decoder_from_args(args)
-    for t in translate_all(decoder, _input_sentences(args.input)):
-        print(" ".join(t.tokens))
+    for nbest in translate_all(decoder, _input_sentences(args.input), 1):
+        print(" ".join(nbest[0].tokens))
     return 0
 
 
@@ -144,7 +144,7 @@ def _cmd_bleu(args):
     ref_files = [_input_sentences(p) for p in args.references]
     for i, refs in enumerate(ref_files):
         if len(refs) != len(hyps):
-            raise ParameterError(
+            raise CorpusAlignmentError(
                 "reference file %s has %d lines, hypothesis has %d"
                 % (args.references[i], len(refs), len(hyps))
             )
@@ -238,9 +238,8 @@ def build_parser():
     sub.add_argument("--target", required=True)
     sub.add_argument("--iterations", type=int, default=_DEFAULTS.align_iterations)
     sub.add_argument("--heuristic", default=_DEFAULTS.align_heuristic, choices=align.HEURISTICS)
-    sub.add_argument("--save-lexicons", action="store_true",
-                     help="also write <output>.lex.fwd / .lex.bwd")
-    sub.add_argument("-o", "--output", required=True)
+    sub.add_argument("-o", "--output", required=True,
+                     help="alignment file; the lexicons go to <output>.lex.fwd / .lex.bwd")
     sub.set_defaults(fn=_cmd_align)
 
     sub = commands.add_parser("extract", help="extract and score a phrase table")

@@ -8,27 +8,21 @@ construction and safe to share across threads.
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import CorpusAlignmentError, ParameterError, _open_text
 
 log = logging.getLogger(__name__)
 
-Sentence = tuple  # tuple of whitespace-free token strings
-
 
 @dataclass(frozen=True)
 class SentencePair:
-    source: Sentence
-    target: Sentence
-    pair_id: int
+    source: tuple  # whitespace-free token strings
+    target: tuple
 
 
 @dataclass(frozen=True)
 class ParallelCorpus:
     pairs: tuple
-    source_lang: str = "src"
-    target_lang: str = "tgt"
 
     def __len__(self):
         return len(self.pairs)
@@ -49,16 +43,10 @@ class CorpusStats:
     target: SideStats
 
 
-def tokenize_line(line):
-    """Whitespace tokenization; empty lines give an empty sentence."""
-    return tuple(line.split())
-
-
 def load_parallel(source_path, target_path):
     """Pair up two one-sentence-per-line UTF-8 files, preserving line order.
 
-    Each side's language label is its file's suffix (`en` for `train.en`).
-
+    Tokenization is whitespace splitting; an empty line gives an empty side.
     Raises CorpusAlignmentError (naming both counts) when the files have
     different numbers of lines; I/O problems surface as OSError.
     """
@@ -71,17 +59,10 @@ def load_parallel(source_path, target_path):
             "line count mismatch: %s has %d lines, %s has %d lines"
             % (source_path, len(source_lines), target_path, len(target_lines))
         )
-    pairs = tuple(
-        SentencePair(tokenize_line(s), tokenize_line(t), i)
-        for i, (s, t) in enumerate(zip(source_lines, target_lines))
-    )
-    return ParallelCorpus(pairs, _suffix(source_path, "src"), _suffix(target_path, "tgt"))
-
-
-def _suffix(path, default):
-    """The language label of a corpus file: its file name's suffix, else `default`."""
-    suffix = Path(path).suffix
-    return suffix[1:] if suffix else default
+    return ParallelCorpus(tuple(
+        SentencePair(tuple(s.split()), tuple(t.split()))
+        for s, t in zip(source_lines, target_lines)
+    ))
 
 
 CLEAN_MAX_LEN = 80
@@ -91,12 +72,11 @@ CLEAN_MAX_RATIO = 9.0
 def clean(corpus, max_len=CLEAN_MAX_LEN, max_ratio=CLEAN_MAX_RATIO):
     """Drop pairs with an empty side, an over-long side, or an extreme length ratio.
 
-    Surviving pairs keep their order and are re-numbered densely from 0.
-    Idempotent.
+    Surviving pairs keep their order. Idempotent.
     """
     if max_len < 1:
         raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
-    if max_ratio < 1.0:
+    if not max_ratio >= 1.0:  # nan fails
         raise ParameterError("max_ratio must be >= 1.0, got %r" % (max_ratio,))
     kept = []
     for pair in corpus.pairs:
@@ -107,8 +87,8 @@ def clean(corpus, max_len=CLEAN_MAX_LEN, max_ratio=CLEAN_MAX_RATIO):
             continue
         if max(ls / lt, lt / ls) > max_ratio:
             continue
-        kept.append(SentencePair(pair.source, pair.target, len(kept)))
-    return ParallelCorpus(tuple(kept), corpus.source_lang, corpus.target_lang)
+        kept.append(pair)
+    return ParallelCorpus(tuple(kept))
 
 
 def stats(corpus):

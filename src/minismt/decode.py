@@ -134,7 +134,7 @@ class DecoderConfig:
     def __post_init__(self):
         if self.stack_size < 1:
             raise ParameterError("stack_size must be >= 1")
-        if self.beam_threshold is not None and self.beam_threshold < 0:
+        if self.beam_threshold is not None and not self.beam_threshold >= 0:  # nan fails
             raise ParameterError("beam_threshold must be >= 0")
         if self.distortion_limit is not None and self.distortion_limit < 0:
             raise ParameterError("distortion_limit must be >= 0")
@@ -505,22 +505,13 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
-def _translate(decoder, sentence, n):
-    """What translate_all yields for one sentence; a 1-best drops its derivation."""
-    if n is None:
-        t = decoder.decode(sentence)
-        return Translation(t.tokens, t.features, t.score)
+def _nbest_shared(sentence):
+    decoder, n = _SHARED
     return decoder.nbest(sentence, n)
 
 
-def _translate_shared(sentence):
-    decoder, n = _SHARED
-    return _translate(decoder, sentence, n)
-
-
-def translate_all(decoder, sentences, n=None):
-    """Yield, in input order, decoder.decode(s) without its derivation (n None)
-    or decoder.nbest(s, n) for each sentence.
+def translate_all(decoder, sentences, n):
+    """Yield decoder.nbest(s, n) for each sentence, in input order.
 
     The sentences are decoded in forked worker processes, one per available
     CPU up to the number of sentences, each taking one sentence at a time;
@@ -534,7 +525,7 @@ def translate_all(decoder, sentences, n=None):
     workers = min(_available_cpus(), len(sentences))
     if workers <= 1:
         for sentence in sentences:
-            yield _translate(decoder, sentence, n)
+            yield decoder.nbest(sentence, n)
         return
     # fork, not spawn: the phrase table and LM reach the workers unpickled.
     # minismt starts no thread of its own, and each pool's threads are joined
@@ -543,6 +534,6 @@ def translate_all(decoder, sentences, n=None):
     _SHARED = (decoder, n)
     try:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield from pool.imap(_translate_shared, sentences, chunksize=1)
+            yield from pool.imap(_nbest_shared, sentences, chunksize=1)
     finally:
         _SHARED = None

@@ -32,10 +32,6 @@ class NGramModel:
     backoffs: dict  # context tuple -> log10 backoff weight
     vocab: frozenset
 
-    def event_vocab(self):
-        """Tokens that can be predicted: vocabulary minus the start symbol."""
-        return self.vocab - {START}
-
 
 def _count_windows(sentences, order):
     counts = [None] + [{} for _ in range(order)]

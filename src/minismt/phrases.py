@@ -91,17 +91,16 @@ class PhraseTable:
 
     def __init__(self, entries):
         # entries: dict[(source tuple, target tuple)] -> Scores
-        self.entries = entries
         self.by_source = {}
         for (src, tgt), scores in sorted(entries.items()):
             self.by_source.setdefault(src, []).append((tgt, scores))
-        self.max_source_len = max((len(s) for s, _ in entries), default=0)
+        self.max_source_len = max(map(len, self.by_source), default=0)
 
     def options(self, source_phrase):
         return self.by_source.get(tuple(source_phrase), [])
 
     def __len__(self):
-        return len(self.entries)
+        return sum(map(len, self.by_source.values()))
 
 
 def score(extracted, lexicon_fwd, lexicon_bwd):

@@ -159,7 +159,7 @@ def validate(cfg):
         problems.append("tokenize.scheme must be atb or myd3, got %r" % cfg.scheme)
     if cfg.clean_max_len < 1:
         problems.append("clean.max_len must be >= 1")
-    if cfg.clean_max_ratio < 1.0:
+    if not cfg.clean_max_ratio >= 1.0:  # nan fails
         problems.append("clean.max_ratio must be >= 1.0")
     if not 1 <= cfg.lm_order <= lm.MAX_ORDER:
         problems.append("lm.order must be in 1..%d, got %d" % (lm.MAX_ORDER, cfg.lm_order))
@@ -171,7 +171,7 @@ def validate(cfg):
         problems.append("phrases.max_len must be >= 1")
     if cfg.stack_size < 1:
         problems.append("decoder.stack_size must be >= 1")
-    if cfg.beam_threshold is not None and cfg.beam_threshold < 0:
+    if cfg.beam_threshold is not None and not cfg.beam_threshold >= 0:  # nan fails
         problems.append("decoder.beam_threshold must be >= 0 or none")
     if cfg.distortion_limit is not None and cfg.distortion_limit < 0:
         problems.append("decoder.distortion_limit must be >= 0 or none")
@@ -221,7 +221,7 @@ def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_t
     for source, target, src_art, tgt_art in splits:
         corp = corpus.load_parallel(source, target)
         pairs = tuple(
-            corpus.SentencePair(p.source, artok.tokenize(p.target, scheme, inventory, lexicon), p.pair_id)
+            corpus.SentencePair(p.source, artok.tokenize(p.target, scheme, inventory, lexicon))
             for p in corp.pairs
         )
         corp = corpus.ParallelCorpus(pairs)
@@ -281,7 +281,8 @@ def _stage_decode(cfg, test_src, table_path, lm_path, weights, hyp, hyp_uniform,
     table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
                                       cfg.beam_threshold, cfg.distortion_limit)
     for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
-        hyps = [t.tokens for t in translate_all(Decoder(table, model, w, dconf), sentences)]
+        decoder = Decoder(table, model, w, dconf)
+        hyps = [nbest[0].tokens for nbest in translate_all(decoder, sentences, 1)]
         _write_lines(out_path, [" ".join(h) for h in hyps])
         if out_path == hyp:
             _write_lines(hyp_detok, [" ".join(artok.detokenize(h)) for h in hyps])

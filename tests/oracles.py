@@ -4,7 +4,7 @@ These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation,
 line search by dense grid evaluation, and language model probabilities by
 recounting the padded token stream (`conditional_sum` sums one context's
-conditional distribution over the vocabulary). `line_search_reference` is the plain
+conditional distribution over `event_vocab`). `line_search_reference` is the plain
 line search that the optimized one must equal float for float;
 `sentence_stats_reference` recounts every reference for each hypothesis,
 and `mert_reference` decodes on every iteration.
@@ -32,9 +32,14 @@ def count_padded(sentences, order):
     return counts
 
 
+def event_vocab(model):
+    """Tokens that can be predicted: the vocabulary minus the start symbol."""
+    return model.vocab - {lm.START}
+
+
 def conditional_sum(model, context):
     """Sum of the backoff-resolved conditional distribution over the event vocabulary."""
-    return sum(10.0 ** lm.logprob(model, w, context) for w in sorted(model.event_vocab()))
+    return sum(10.0 ** lm.logprob(model, w, context) for w in sorted(event_vocab(model)))
 
 
 def brute_force_extract(pair, alignment, max_len):

@@ -19,7 +19,8 @@ from minismt import align, artok, bleu, corpus, decode, lm, mert, phrases, pipel
 from minismt.decode import Decoder, DecoderConfig, Weights
 
 from conftest import random_alignment, random_phrase_table
-from oracles import brute_force_extract, conditional_sum, exhaustive_decode, grid_best_bleu
+from oracles import (brute_force_extract, conditional_sum, event_vocab, exhaustive_decode,
+                     grid_best_bleu)
 from test_artok import AR_SENTENCES, BW_SENTENCES, scheme_normal_form
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
@@ -129,7 +130,7 @@ def test_lm_normalization_orders_1_to_5(toy_sentences):
 def test_sentence_logprob_decomposition_exact(toy_sentences):
     """sentence_logprob equals the per-word logprob sum exactly, 1000 sentences."""
     model = lm.train(toy_sentences, 5)
-    vocab = sorted(model.event_vocab() - {lm.END, lm.UNK}) + ["oov-token"]
+    vocab = sorted(event_vocab(model) - {lm.END, lm.UNK}) + ["oov-token"]
     rng = random.Random(202)
     for _ in range(1000):
         sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 9)))
@@ -148,7 +149,7 @@ def test_arpa_round_trip_100_queries(toy_sentences, tmp_path):
     lm.write_arpa(model, path)
     loaded = lm.read_arpa(path)
     rng = random.Random(303)
-    vocab = sorted(model.event_vocab())
+    vocab = sorted(event_vocab(model))
     for _ in range(100):
         word = rng.choice(vocab)
         ctx = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 3)))
@@ -183,9 +184,9 @@ def test_phrase_extraction_oracle_200_pairs():
     for trial in range(200):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         pair = corpus.SentencePair(
-            tuple("f%d" % i for i in range(n)), tuple("e%d" % j for j in range(m)), 0
+            tuple("f%d" % i for i in range(n)), tuple("e%d" % j for j in range(m))
         )
-        matrix = align.AlignmentMatrix(0, random_alignment(rng, n, m), n, m)
+        matrix = align.AlignmentMatrix(random_alignment(rng, n, m), n, m)
         max_len = rng.choice([2, 3, 7])
         assert phrases.extract(pair, matrix, max_len) == brute_force_extract(
             pair, matrix, max_len

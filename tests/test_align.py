@@ -9,7 +9,7 @@ from minismt.errors import ParameterError, TrainingError
 
 def make_corpus(*pairs):
     return corpus.ParallelCorpus(
-        tuple(corpus.SentencePair(tuple(s.split()), tuple(t.split()), i) for i, (s, t) in enumerate(pairs))
+        tuple(corpus.SentencePair(tuple(s.split()), tuple(t.split())) for s, t in pairs)
     )
 
 
@@ -56,19 +56,19 @@ def test_em_errors():
 
 def test_viterbi_argmax():
     lex = TranslationLexicon({"a": {"x": 0.9}, NULL_WORD: {"x": 0.1}})
-    pair = corpus.SentencePair(("a",), ("x",), 0)
+    pair = corpus.SentencePair(("a",), ("x",))
     assert align.viterbi_align(lex, pair).links == {(0, 0)}
 
 
 def test_viterbi_tie_prefers_smaller_index():
     lex = TranslationLexicon({"a": {"x": 0.5}, "b": {"x": 0.5}, NULL_WORD: {"x": 0.1}})
-    pair = corpus.SentencePair(("a", "b"), ("x",), 0)
+    pair = corpus.SentencePair(("a", "b"), ("x",))
     assert align.viterbi_align(lex, pair).links == {(0, 0)}
 
 
 def test_viterbi_null_wins_ties():
     lex = TranslationLexicon({"a": {"x": 0.1}, NULL_WORD: {"x": 0.1}})
-    pair = corpus.SentencePair(("a",), ("x",), 0)
+    pair = corpus.SentencePair(("a",), ("x",))
     assert align.viterbi_align(lex, pair).links == frozenset()
 
 
@@ -78,7 +78,7 @@ def test_viterbi_matches_bruteforce_argmax():
     tgt = ("e0", "e1", "e2")
     table = {f: {e: rng.random() for e in tgt} for f in src + (NULL_WORD,)}
     lex = TranslationLexicon(table)
-    got = align.viterbi_align(lex, corpus.SentencePair(src, tgt, 0)).links
+    got = align.viterbi_align(lex, corpus.SentencePair(src, tgt)).links
     expected = set()
     for j, e in enumerate(tgt):
         candidates = [(table[NULL_WORD][e], -1)] + [(table[f][e], i) for i, f in enumerate(src)]
@@ -92,8 +92,8 @@ def test_viterbi_matches_bruteforce_argmax():
 # ---- symmetrization --------------------------------------------------------
 
 
-def _mat(links, n, m, pair_id=0):
-    return AlignmentMatrix(pair_id, frozenset(links), n, m)
+def _mat(links, n, m):
+    return AlignmentMatrix(frozenset(links), n, m)
 
 
 def test_symmetrize_fixed_point():
@@ -153,7 +153,7 @@ def test_alignment_matrix_bounds():
 
 def test_alignment_file_round_trip(tmp_path):
     corp = make_corpus(("a b", "x y"), ("c", "z"))
-    mats = [_mat({(0, 1), (1, 0)}, 2, 2, 0), _mat({(0, 0)}, 1, 1, 1)]
+    mats = [_mat({(0, 1), (1, 0)}, 2, 2), _mat({(0, 0)}, 1, 1)]
     path = tmp_path / "al"
     align.write_alignments(mats, path)
     assert path.read_text(encoding="utf-8") == "0-1 1-0\n0-0\n"

@@ -100,6 +100,16 @@ def test_stats_labels_come_from_file_names(tmp_path, capsys):
     assert [row.split()[0] for row in rows[1:3]] == ["src", "tgt"]
 
 
+def test_bleu_line_count_mismatch_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "hyp").write_text("a b\nc\n", encoding="utf-8")
+    (tmp_path / "ref").write_text("a b\n", encoding="utf-8")
+    assert main(["bleu", str(tmp_path / "hyp"), str(tmp_path / "ref")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "ERROR data: reference file %s has 1 lines, hypothesis has 2" % (tmp_path / "ref")]
+
+
 def test_stats_mismatch_error_line(tmp_path, capsys):
     (tmp_path / "a.en").write_text("a\nb\n", encoding="utf-8")
     (tmp_path / "a.ar").write_text("x\n", encoding="utf-8")
@@ -128,7 +138,7 @@ def test_align_extract_decode_nbest_bleu_chain(tmp_path, capsys):
     alignments = tmp_path / "al"
     assert main([
         "align", "--source", str(src), "--target", str(tgt),
-        "--iterations", "4", "-o", str(alignments), "--save-lexicons",
+        "--iterations", "4", "-o", str(alignments),
     ]) == 0
     table = tmp_path / "pt"
     assert main([
@@ -169,7 +179,7 @@ def test_mert_subcommand(tmp_path, capsys):
     tgt.write_text("AlktAb hnA alAn tmAm\nAlbyt hnA alAn tmAm\n" * 4, encoding="utf-8")
     alignments = tmp_path / "al"
     assert main(["align", "--source", str(src), "--target", str(tgt),
-                 "-o", str(alignments), "--save-lexicons"]) == 0
+                 "-o", str(alignments)]) == 0
     table = tmp_path / "pt"
     assert main(["extract", "--source", str(src), "--target", str(tgt),
                  "--alignments", str(alignments),
@@ -192,14 +202,17 @@ def test_mert_subcommand(tmp_path, capsys):
 def test_validate_reports_all_violations(tmp_path, capsys):
     config = tmp_path / "bad.ini"
     config.write_text(
-        "[data]\ntrain_source = missing.en\n\n[lm]\norder = 9\n\n[run]\nwork_dir =\n",
+        "[data]\ntrain_source = missing.en\n\n[clean]\nmax_ratio = nan\n\n[lm]\norder = 9\n\n"
+        "[decoder]\nbeam_threshold = nan\n\n[run]\nwork_dir =\n",
         encoding="utf-8",
     )
     assert main(["validate", str(config)]) == 1
-    out = capsys.readouterr().out
-    assert "lm.order" in out
-    assert "train_source" in out
-    assert "dev_source" in out  # all violations listed, not just the first
+    out = capsys.readouterr().out.splitlines()
+    assert "lm.order must be in 1..5, got 9" in out
+    assert "data.train_source: no such file missing.en" in out
+    assert "data.dev_source is required" in out  # all violations listed, not just the first
+    assert "clean.max_ratio must be >= 1.0" in out
+    assert "decoder.beam_threshold must be >= 0 or none" in out
 
 
 def test_validate_ok(small_toy, capsys):
@@ -330,6 +343,28 @@ def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text
     assert len(err) == 1 and err[0].startswith("ERROR %s:" % category), err
     if not_utf8:
         assert f[broken] in err[0], err
+
+
+@pytest.mark.parametrize("prob", ["nan", "inf", "1.5", "-0.25"])
+def test_lexicon_probability_outside_the_unit_interval(tmp_path, capsys, prob):
+    files = _tiny_model_files(tmp_path)
+    files["lexicon"].write_text("a\tx\t1\nb\ty\t%s\n" % prob, encoding="utf-8")
+    table = tmp_path / "pt"
+    assert main(["extract", "--source", str(files["source"]), "--target", str(files["target"]),
+                 "--alignments", str(files["alignments"]), "--lex-fwd", str(files["lexicon"]),
+                 "--lex-bwd", str(files["lexicon"]), "-o", str(table)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR format: %s line 2: probability %r is not in [0,1]" % (files["lexicon"], float(prob))]
+    assert not table.exists()
+
+
+def test_decode_refuses_a_nan_beam_threshold(tmp_path, capsys):
+    files = _tiny_model_files(tmp_path)
+    assert main(["decode", "--table", str(files["table"]), "--lm", str(files["lm"]),
+                 "--input", str(files["source"]), "--beam-threshold", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ERROR usage: beam_threshold must be >= 0"]
 
 
 def _child_env(drop=()):

@@ -434,7 +434,7 @@ def test_decoding_deterministic():
 # ---- translate_all: a sentence list on every CPU ------------------------------
 
 
-def _outcome(decoder, sentences, n=None):
+def _outcome(decoder, sentences, n):
     """What translate_all yields before it stops, and the error it stops with."""
     got = []
     try:
@@ -459,9 +459,10 @@ def test_translate_all_equals_per_sentence_search(monkeypatch, workers):
         # would show as a reordering
         sentences = sorted((tuple(rng.choice(SRC_VOCAB) for _ in range(rng.randint(0, 6)))
                             for _ in range(7)), key=len, reverse=True)
-        want = [decoder.decode(s) for s in sentences]
-        assert _outcome(decoder, sentences) == (
-            [Translation(t.tokens, t.features, t.score) for t in want], None), trial
+        # a 1-best list holds decode()'s translation without its derivation
+        want = [[Translation(t.tokens, t.features, t.score)]
+                for t in (decoder.decode(s) for s in sentences)]
+        assert _outcome(decoder, sentences, 1) == (want, None), trial
         want = [decoder.nbest(s, 4) for s in sentences]
         assert _outcome(decoder, sentences, 4) == (want, None), trial
 
@@ -474,35 +475,32 @@ class _EchoDecoder:
     def __init__(self):
         self.lock = threading.Lock()
 
-    def decode(self, sentence):
+    def nbest(self, sentence, n):
         if "bad" in sentence:
             raise FormatError("cannot decode %s" % " ".join(sentence))
-        return Translation(sentence + (str(os.getpid()),), (0.0,) * 8, float(len(sentence)))
-
-    def nbest(self, sentence, n):
-        return [self.decode(sentence)] * n
+        return [Translation(sentence + (str(os.getpid()),), (0.0,) * 8, float(len(sentence)))] * n
 
 
 def test_translate_all_decodes_in_forked_workers(monkeypatch):
     monkeypatch.setattr(decode, "_available_cpus", lambda: 2)
     sentences = [("s%d" % i,) for i in range(6)]
-    got, error = _outcome(_EchoDecoder(), sentences)
+    got, error = _outcome(_EchoDecoder(), sentences, 1)
     assert error is None
-    assert [t.tokens[:-1] for t in got] == sentences
-    assert str(os.getpid()) not in {t.tokens[-1] for t in got}
+    assert [nbest[0].tokens[:-1] for nbest in got] == sentences
+    assert str(os.getpid()) not in {nbest[0].tokens[-1] for nbest in got}
     # capped at the number of sentences: one sentence runs in this process
-    got, _ = _outcome(_EchoDecoder(), sentences[:1])
-    assert got[0].tokens == ("s0", str(os.getpid()))
+    got, _ = _outcome(_EchoDecoder(), sentences[:1], 1)
+    assert got[0][0].tokens == ("s0", str(os.getpid()))
 
 
-@pytest.mark.parametrize("n", [None, 3])
+@pytest.mark.parametrize("n", [1, 3])
 def test_translate_all_raises_a_workers_error_as_the_serial_loop(monkeypatch, n):
     sentences = [("a",), ("b", "c"), ("bad", "x"), ("d",), ("bad", "y"), ("e",)]
     outcomes = []
     for workers in (1, 2):
         monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
         got, error = _outcome(_EchoDecoder(), sentences, n)
-        outcomes.append(([r if n is None else r[0] for r in got], error))
+        outcomes.append(([nbest[0] for nbest in got], error))
     for got, error in outcomes:
         assert [t.tokens[:-1] for t in got] == sentences[:2]
         assert error == (FormatError, "cannot decode bad x")

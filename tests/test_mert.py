@@ -278,16 +278,16 @@ def _toy_models():
 def _dev_corpus():
     pairs = (
         corpus.SentencePair(
-            ("hello", "world", "big", "nice", "."), ("mrHbA", "EAlm", "kbyr", "jmyl", "."), 0
+            ("hello", "world", "big", "nice", "."), ("mrHbA", "EAlm", "kbyr", "jmyl", ".")
         ),
         corpus.SentencePair(
-            ("hello", "world", "nice", "big", "."), ("mrHbA", "EAlm", "jmyl", "kbyr", "."), 1
+            ("hello", "world", "nice", "big", "."), ("mrHbA", "EAlm", "jmyl", "kbyr", ".")
         ),
         corpus.SentencePair(
-            ("world", "big", "nice", "hello", "."), ("EAlm", "kbyr", "jmyl", "mrHbA", "."), 2
+            ("world", "big", "nice", "hello", "."), ("EAlm", "kbyr", "jmyl", "mrHbA", ".")
         ),
     )
-    return corpus.ParallelCorpus(pairs, "en", "ar")
+    return corpus.ParallelCorpus(pairs)
 
 
 def test_mert_improves_or_maintains_dev_bleu():
@@ -412,9 +412,8 @@ def _random_task(rng):
         pairs.append(corpus.SentencePair(
             tuple("w%d" % w for w in source),
             tuple("t%d%d" % (w, rng.randrange(2)) for w in source),
-            i,
         ))
-    return phrases.PhraseTable(entries), model, corpus.ParallelCorpus(tuple(pairs), "en", "ar")
+    return phrases.PhraseTable(entries), model, corpus.ParallelCorpus(tuple(pairs))
 
 
 # tasks whose last optimizer call returns the weights of the last n-best pass,

@@ -11,14 +11,17 @@ from conftest import random_alignment
 from oracles import brute_force_extract
 
 
-def _pair(n, m, pair_id=0):
-    return SentencePair(
-        tuple("f%d" % i for i in range(n)), tuple("e%d" % j for j in range(m)), pair_id
-    )
+def _pair(n, m):
+    return SentencePair(tuple("f%d" % i for i in range(n)), tuple("e%d" % j for j in range(m)))
 
 
 def _mat(links, n, m):
-    return AlignmentMatrix(0, frozenset(links), n, m)
+    return AlignmentMatrix(frozenset(links), n, m)
+
+
+def _entries(table):
+    """{(source, target): Scores} read back off the table's source index."""
+    return {(src, tgt): s for src, options in table.by_source.items() for tgt, s in options}
 
 
 # ---- extraction -------------------------------------------------------------
@@ -97,7 +100,7 @@ def test_score_single_pair():
     extracted = [phrases.extract(pair, _mat({(0, 0)}, 1, 1), 7)]
     fwd, bwd = _uniform_lexicons(["f0"], ["e0"])
     table = phrases.score(extracted, fwd, bwd)
-    scores = table.entries[(("f0",), ("e0",))]
+    scores = _entries(table)[(("f0",), ("e0",))]
     assert scores.phi_fwd == 1.0 and scores.phi_rev == 1.0
 
 
@@ -107,9 +110,9 @@ def test_score_relative_frequencies():
     extracted = [[pp(tgt_a)] for _ in range(3)] + [[pp(tgt_b)]]
     fwd, bwd = _uniform_lexicons(["s"], ["a", "b"])
     table = phrases.score(extracted, fwd, bwd)
-    assert table.entries[(src, tgt_a)].phi_fwd == pytest.approx(0.75)
-    assert table.entries[(src, tgt_b)].phi_fwd == pytest.approx(0.25)
-    assert table.entries[(src, tgt_a)].phi_rev == 1.0
+    assert _entries(table)[(src, tgt_a)].phi_fwd == pytest.approx(0.75)
+    assert _entries(table)[(src, tgt_b)].phi_fwd == pytest.approx(0.25)
+    assert _entries(table)[(src, tgt_a)].phi_rev == 1.0
 
 
 def test_lexical_weight_degenerate_1x1():
@@ -117,7 +120,7 @@ def test_lexical_weight_degenerate_1x1():
     bwd = TranslationLexicon({"t": {"s": 0.21}, NULL_WORD: {"s": 0.02}})
     pp = phrases.PhrasePair(("s",), ("t",), (0, 0), (0, 0), frozenset({(0, 0)}))
     table = phrases.score([[pp]], fwd, bwd)
-    scores = table.entries[(("s",), ("t",))]
+    scores = _entries(table)[(("s",), ("t",))]
     assert scores.lex_fwd == 0.37
     assert scores.lex_rev == 0.21
 
@@ -127,7 +130,7 @@ def test_lexical_weight_unaligned_scores_against_null():
     bwd = TranslationLexicon({"t": {"s": 0.5}, "u": {"s": 0.5}, NULL_WORD: {"s": 0.125}})
     pp = phrases.PhrasePair(("s",), ("t", "u"), (0, 0), (0, 1), frozenset({(0, 0)}))
     table = phrases.score([[pp]], fwd, bwd)
-    scores = table.entries[(("s",), ("t", "u"))]
+    scores = _entries(table)[(("s",), ("t", "u"))]
     assert scores.lex_fwd == pytest.approx(0.4 * 0.25)  # u unaligned -> null word
     assert scores.lex_rev == pytest.approx(0.5)  # s linked only to t
 
@@ -137,7 +140,7 @@ def test_lexical_weight_averages_multiple_links():
     bwd = TranslationLexicon({"t": {"s": 0.3, "r": 0.6}, NULL_WORD: {"s": 0.05, "r": 0.01}})
     pp = phrases.PhrasePair(("s", "r"), ("t",), (0, 1), (0, 0), frozenset({(0, 0), (1, 0)}))
     table = phrases.score([[pp]], fwd, bwd)
-    scores = table.entries[(("s", "r"), ("t",))]
+    scores = _entries(table)[(("s", "r"), ("t",))]
     assert scores.lex_fwd == pytest.approx((0.4 + 0.2) / 2)
     assert scores.lex_rev == pytest.approx(0.3 * 0.6)  # each source word linked to t
 
@@ -156,7 +159,7 @@ def test_phi_distributions_normalize(toy_train):
     fwd, bwd = _uniform_lexicons(sources, targets)
     table = phrases.score(extracted, fwd, bwd)
     by_source, by_target = {}, {}
-    for (src, tgt), scores in table.entries.items():
+    for (src, tgt), scores in _entries(table).items():
         by_source.setdefault(src, 0.0)
         by_source[src] += scores.phi_fwd
         by_target.setdefault(tgt, 0.0)
@@ -203,7 +206,8 @@ def test_table_write_read_round_trip(tmp_path):
     ]
     assert keys == sorted(keys)  # sorted by source then target, as token tuples
     back = phrases.read_table(path)
-    assert back.entries == entries
+    assert _entries(back) == entries
+    assert len(back) == 3 and back.max_source_len == 2
 
 
 def test_table_prune_keeps_best_by_phi(tmp_path):
