@@ -242,5 +242,8 @@ def read_lexicon(path):
             if not 0.0 <= prob <= 1.0:  # nan fails this too
                 raise FormatError("%s line %d: probability %r is not in [0,1]"
                                   % (path, lineno, prob))
-            table.setdefault(given, {})[out] = prob
+            row = table.setdefault(given, {})
+            if out in row:
+                raise FormatError("%s line %d: duplicate pair %r %r" % (path, lineno, given, out))
+            row[out] = prob
     return TranslationLexicon(table)

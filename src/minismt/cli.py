@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import align, artok, bleu, corpus, lm, mert, phrases, pipeline
+from . import align, artok, bleu, corpus, lm, pipeline
 from .decode import Decoder, Weights, translate_all
 from .errors import CorpusAlignmentError, FormatError, MinismtError, _open_text
 
@@ -82,20 +82,17 @@ def _cmd_query_lm(args):
 
 
 def _cmd_align(args):
-    corp = corpus.load_parallel(args.source, args.target)
-    matrices, fwd, bwd = align.align_corpus(corp, args.iterations, args.heuristic)
-    align.write_alignments(matrices, args.output)
-    align.write_lexicon(fwd, args.output + ".lex.fwd")
-    align.write_lexicon(bwd, args.output + ".lex.bwd")
-    print("wrote %s (%d pairs)" % (args.output, len(matrices)))
+    pairs = pipeline.stage_align(args.source, args.target, args.output,
+                                 args.output + ".lex.fwd", args.output + ".lex.bwd",
+                                 iterations=args.iterations, heuristic=args.heuristic)
+    print("wrote %s (%d pairs)" % (args.output, pairs))
     return 0
 
 
 def _cmd_extract(args):
-    table = pipeline.build_phrase_table(args.source, args.target, args.alignments,
-                                        args.lex_fwd, args.lex_bwd, args.max_len)
-    phrases.write_table(table, args.output)
-    print("wrote %s (%d entries)" % (args.output, len(table)))
+    entries = pipeline.stage_phrases(args.source, args.target, args.alignments, args.lex_fwd,
+                                     args.lex_bwd, args.output, max_len=args.max_len)
+    print("wrote %s (%d entries)" % (args.output, entries))
     return 0
 
 
@@ -125,16 +122,11 @@ def _cmd_nbest(args):
 
 
 def _cmd_mert(args):
-    dev = corpus.load_parallel(args.dev_source, args.dev_target)
-    table, model, config = pipeline.load_search(
-        args.table, args.lm, args.stack_size, args.beam_threshold, args.distortion_limit)
-    initial = Weights.from_file(args.init_weights) if args.init_weights else Weights.uniform()
-    tuned, log_lines = mert.tune(dev, table, model, config, initial, args.iterations,
-                                 args.nbest, args.seed)
-    tuned.to_file(args.output)
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as f:
-            f.write("\n".join(log_lines) + "\n")
+    pipeline.stage_mert(args.dev_source, args.dev_target, args.table, args.lm, args.output,
+                        args.output + ".log", iterations=args.iterations, nbest=args.nbest,
+                        seed=args.seed, stack_size=args.stack_size,
+                        beam_threshold=args.beam_threshold,
+                        distortion_limit=args.distortion_limit)
     print("wrote %s" % args.output)
     return 0
 
@@ -268,13 +260,12 @@ def build_parser():
     sub.add_argument("--dev-target", required=True)
     sub.add_argument("--table", required=True)
     sub.add_argument("--lm", required=True)
-    sub.add_argument("--init-weights")
     sub.add_argument("--iterations", type=int, default=_DEFAULTS.mert_iterations)
     sub.add_argument("--nbest", type=int, default=_DEFAULTS.mert_nbest)
     sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     _add_search_flags(sub)
-    sub.add_argument("--log", help="write the per-iteration run log here")
-    sub.add_argument("-o", "--output", required=True)
+    sub.add_argument("-o", "--output", required=True,
+                     help="weights file; the per-iteration run log goes to <output>.log")
     sub.set_defaults(fn=_cmd_mert)
 
     sub = commands.add_parser("bleu", help="corpus BLEU of a hypothesis file")

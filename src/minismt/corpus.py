@@ -1,17 +1,13 @@
-"""Sentence-aligned parallel corpora: loading, cleaning, statistics, markup stripping.
+"""Sentence-aligned parallel corpora: loading, cleaning, statistics.
 
 Tokenization here is whitespace splitting only; language-specific
 segmentation lives in `artok`. All containers are immutable after
 construction and safe to share across threads.
 """
 
-import logging
-import re
 from dataclasses import dataclass
 
 from .errors import CorpusAlignmentError, ParameterError, _open_text
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -23,9 +19,6 @@ class SentencePair:
 @dataclass(frozen=True)
 class ParallelCorpus:
     pairs: tuple
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -126,53 +119,3 @@ def format_stats_table(cs, source_lang="source", target_lang="target"):
         lines.append("%s_mean_len=%.4f" % (side, ss.mean_len))
     return "\n".join(lines) + "\n"
 
-
-_TAG = re.compile(r"<(/?)([A-Za-z][-\w.]*)((?:[^>\"']|\"[^\"]*\"|'[^']*')*)>")
-_ENTITY = re.compile(r"&(amp|lt|gt);")
-_ENTITY_MAP = {"amp": "&", "lt": "<", "gt": ">"}
-
-SEGMENT_ELEMENTS = frozenset({"seg"})
-
-
-def strip_markup(document, segment_elements=SEGMENT_ELEMENTS):
-    """Extract the text of segment-bearing elements from shallow SGML/XML.
-
-    Tags inside a segment are dropped; `&amp;` `&lt;` `&gt;` are decoded once;
-    whitespace is collapsed. Anything that does not scan as a tag (a lone
-    `<`, for instance) is literal text. A closing tag with no matching open
-    tag is logged and treated as literal text; a segment left open at end of
-    document is logged and its buffered text is still returned.
-    """
-    segments = []
-    buf = []
-    in_seg = False
-    pos = 0
-    for m in _TAG.finditer(document):
-        if in_seg:
-            buf.append(document[pos : m.start()])
-        pos = m.end()
-        closing, name = m.group(1) == "/", m.group(2).lower()
-        if name not in segment_elements:
-            continue  # non-segment tags are simply dropped
-        if not closing:
-            if in_seg:
-                log.warning("nested <%s> tag treated as literal text", name)
-                buf.append(m.group(0))
-            else:
-                in_seg, buf = True, []
-        else:
-            if in_seg:
-                segments.append(_finish_segment(buf))
-                in_seg = False
-            else:
-                log.warning("unbalanced closing tag %s treated as literal text", m.group(0))
-    if in_seg:
-        buf.append(document[pos:])
-        log.warning("segment still open at end of document; emitting buffered text")
-        segments.append(_finish_segment(buf))
-    return segments
-
-
-def _finish_segment(parts):
-    text = _ENTITY.sub(lambda m: _ENTITY_MAP[m.group(1)], "".join(parts))
-    return " ".join(text.split())

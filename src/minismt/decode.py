@@ -114,6 +114,8 @@ class Weights:
                 except ValueError:
                     raise FormatError("%s line %d: expected 'name value', found %r"
                                       % (path, lineno, line))
+                if name not in FEATURE_NAMES:
+                    raise FormatError("%s line %d: unknown weight %r" % (path, lineno, name))
                 if name in seen:
                     raise FormatError("%s line %d: duplicate weight %r" % (path, lineno, name))
                 if not math.isfinite(value):

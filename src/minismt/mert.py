@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 
 from . import bleu
-from .decode import N_FEATURES, Decoder, Weights, translate_all
+from .decode import N_FEATURES, Weights, translate_all
 from .errors import ParameterError
 
 DEFAULT_NBEST = 100
@@ -312,16 +312,3 @@ def mert(
         current = initial  # never return weights worse than the start
     return current
 
-
-def tune(dev_corpus, table, model, config, initial, iterations, nbest_size, seed):
-    """MERT with decoders over one phrase table, LM and DecoderConfig.
-
-    Returns the tuned Weights and the per-iteration log lines.
-    """
-    def factory(weights):
-        return Decoder(table, model, weights, config)
-
-    log_lines = []
-    tuned = mert(dev_corpus, factory, initial, iterations=iterations, nbest_size=nbest_size,
-                 seed=seed, log_lines=log_lines)
-    return tuned, log_lines

@@ -206,6 +206,9 @@ def read_table(path):
             source, target = tuple(fields[0].split()), tuple(fields[1].split())
             if not source or not target:
                 raise FormatError("%s line %d: empty source or target phrase" % (path, lineno))
+            if (source, target) in entries:
+                raise FormatError("%s line %d: duplicate phrase pair %r"
+                                  % (path, lineno, " ".join(source) + " ||| " + " ".join(target)))
             entries[(source, target)] = scores
     return PhraseTable(entries)
 

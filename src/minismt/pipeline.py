@@ -3,6 +3,8 @@
 Configuration is an INI-style key-value file; every key has a default
 (see PipelineConfig). The stage graph is one table (_GRAPH): for each
 stage, the work-dir files it reads and writes and its manifest params.
+A stage function is given its paths and those params and nothing else, and
+the align, extract and mert subcommands run the same functions.
 Each stage writes its artifacts plus a manifest (sha256 of inputs and
 outputs, and its params) into the work directory, so a stage can be rerun
 in isolation. Before a stage runs, every file it reads is checked against
@@ -210,14 +212,16 @@ def _prepare_inputs(cfg):
             cfg.test_source, cfg.test_target, cfg.inventory_path(), cfg.lexicon_path()]
 
 
-def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_tgt, stats):
+def stage_prepare(train_source, train_target, dev_source, dev_target, test_source, test_target,
+                  inventory, lexicon, train_src, train_tgt, dev_src, dev_tgt, test_src, test_tgt,
+                  stats, *, scheme, clean_max_len, clean_max_ratio):
     """Tokenize and clean the corpora."""
-    scheme = artok.Scheme.parse(cfg.scheme)
-    inventory = artok.CliticInventory.load(cfg.inventory_path())
-    lexicon = artok.load_lexicon(cfg.lexicon_path())
-    splits = ((cfg.train_source, cfg.train_target, train_src, train_tgt),
-              (cfg.dev_source, cfg.dev_target, dev_src, dev_tgt),
-              (cfg.test_source, cfg.test_target, test_src, test_tgt))
+    scheme = artok.Scheme.parse(scheme)
+    inventory = artok.CliticInventory.load(inventory)
+    lexicon = artok.load_lexicon(lexicon)
+    splits = ((train_source, train_target, train_src, train_tgt),
+              (dev_source, dev_target, dev_src, dev_tgt),
+              (test_source, test_target, test_src, test_tgt))
     for source, target, src_art, tgt_art in splits:
         corp = corpus.load_parallel(source, target)
         pairs = tuple(
@@ -226,37 +230,36 @@ def _stage_prepare(cfg, train_src, train_tgt, dev_src, dev_tgt, test_src, test_t
         )
         corp = corpus.ParallelCorpus(pairs)
         if src_art == train_src:
-            corp = corpus.clean(corp, cfg.clean_max_len, cfg.clean_max_ratio)
+            corp = corpus.clean(corp, clean_max_len, clean_max_ratio)
             _write_lines(stats, corpus.format_stats_table(
                 corpus.stats(corp), "en", "ar").splitlines())
         _write_lines(src_art, [" ".join(p.source) for p in corp.pairs])
         _write_lines(tgt_art, [" ".join(p.target) for p in corp.pairs])
 
 
-def _stage_lm(cfg, train_tgt, lm_out):
-    model = lm.train(_read_tokenized(train_tgt), cfg.lm_order)
+def stage_lm(train_tgt, lm_out, *, order):
+    model = lm.train(_read_tokenized(train_tgt), order)
     lm.write_arpa(model, lm_out)
 
 
-def _stage_align(cfg, train_src, train_tgt, alignments, lex_fwd, lex_bwd):
+def stage_align(train_src, train_tgt, alignments, lex_fwd, lex_bwd, *, iterations, heuristic):
+    """Align the corpus both ways; returns the number of sentence pairs."""
     corp = corpus.load_parallel(train_src, train_tgt)
-    matrices, fwd, bwd = align.align_corpus(corp, cfg.align_iterations, cfg.align_heuristic)
+    matrices, fwd, bwd = align.align_corpus(corp, iterations, heuristic)
     align.write_alignments(matrices, alignments)
     align.write_lexicon(fwd, lex_fwd)
     align.write_lexicon(bwd, lex_bwd)
+    return len(matrices)
 
 
-def build_phrase_table(source, target, alignments, lex_fwd, lex_bwd, max_len):
-    """Extract and score a phrase table from a corpus, its alignments and both lexicons."""
-    corp = corpus.load_parallel(source, target)
+def stage_phrases(train_src, train_tgt, alignments, lex_fwd, lex_bwd, table, *, max_len):
+    """Extract and score the phrase table; returns its number of entries."""
+    corp = corpus.load_parallel(train_src, train_tgt)
     matrices = align.read_alignments(alignments, corp)
     lexicons = align.read_lexicon(lex_fwd), align.read_lexicon(lex_bwd)
-    return phrases.score(phrases.extract_corpus(corp, matrices, max_len), *lexicons)
-
-
-def _stage_phrases(cfg, train_src, train_tgt, alignments, lex_fwd, lex_bwd, table):
-    phrases.write_table(build_phrase_table(train_src, train_tgt, alignments, lex_fwd, lex_bwd,
-                                           cfg.max_phrase_len), table)
+    scored = phrases.score(phrases.extract_corpus(corp, matrices, max_len), *lexicons)
+    phrases.write_table(scored, table)
+    return len(scored)
 
 
 def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limit):
@@ -265,21 +268,25 @@ def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limi
     return phrases.read_table(table_path), lm.read_arpa(lm_path), config
 
 
-def _stage_mert(cfg, dev_src, dev_tgt, table_path, lm_path, weights, log):
+def stage_mert(dev_src, dev_tgt, table_path, lm_path, weights, log, *, iterations, nbest, seed,
+               stack_size, beam_threshold, distortion_limit):
+    """Tune the weights from uniform on the dev set; write them and the run log."""
     dev = corpus.load_parallel(dev_src, dev_tgt)
-    table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
-                                      cfg.beam_threshold, cfg.distortion_limit)
-    tuned, log_lines = mert.tune(dev, table, model, dconf, Weights.uniform(),
-                                 cfg.mert_iterations, cfg.mert_nbest, cfg.seed)
+    table, model, dconf = load_search(table_path, lm_path, stack_size, beam_threshold,
+                                      distortion_limit)
+    log_lines = []
+    tuned = mert.mert(dev, lambda w: Decoder(table, model, w, dconf), Weights.uniform(),
+                      iterations, nbest, seed, log_lines)
     tuned.to_file(weights)
     _write_lines(log, log_lines)
 
 
-def _stage_decode(cfg, test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok):
+def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok, *,
+                 stack_size, beam_threshold, distortion_limit):
     """Decode the test set with the tuned weights and with the uniform start MERT tuned from."""
     sentences = _read_tokenized(test_src)
-    table, model, dconf = load_search(table_path, lm_path, cfg.stack_size,
-                                      cfg.beam_threshold, cfg.distortion_limit)
+    table, model, dconf = load_search(table_path, lm_path, stack_size, beam_threshold,
+                                      distortion_limit)
     for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
         decoder = Decoder(table, model, w, dconf)
         hyps = [nbest[0].tokens for nbest in translate_all(decoder, sentences, 1)]
@@ -288,7 +295,7 @@ def _stage_decode(cfg, test_src, table_path, lm_path, weights, hyp, hyp_uniform,
             _write_lines(hyp_detok, [" ".join(artok.detokenize(h)) for h in hyps])
 
 
-def _stage_evaluate(cfg, test_tgt, hyp, hyp_uniform, report):
+def stage_evaluate(test_tgt, hyp, hyp_uniform, report):
     refs = [[r] for r in _read_tokenized(test_tgt)]
     lines = []
     for label, path in (("tuned", hyp), ("uniform", hyp_uniform)):
@@ -306,29 +313,32 @@ _SEARCH_PARAMS = {"stack_size": "stack_size", "beam_threshold": "beam_threshold"
 # One row per stage, in run order: the work-dir files it reads, the files it
 # writes, its manifest params as {param: PipelineConfig field}, and a function
 # of the config giving the files it reads from outside the work dir. A stage
-# function takes the config, then the read paths, then the write paths.
+# function takes those outside paths, then the read paths, then the write
+# paths, then its params as keywords, and never sees the config: the params
+# row is all it is given, so the manifest records everything it depends on.
+# The align, extract and mert subcommands call the same functions.
 _GRAPH = (
-    _Stage("prepare", _stage_prepare, (),
+    _Stage("prepare", stage_prepare, (),
            ("corpus.train.en", "corpus.train.ar", "corpus.dev.en", "corpus.dev.ar",
             "corpus.test.en", "corpus.test.ar", "stats.txt"),
            {"scheme": "scheme", "clean_max_len": "clean_max_len",
             "clean_max_ratio": "clean_max_ratio"}, _prepare_inputs),
-    _Stage("lm", _stage_lm, ("corpus.train.ar",), ("lm.arpa",),
+    _Stage("lm", stage_lm, ("corpus.train.ar",), ("lm.arpa",),
            {"order": "lm_order"}),
-    _Stage("align", _stage_align, ("corpus.train.en", "corpus.train.ar"),
+    _Stage("align", stage_align, ("corpus.train.en", "corpus.train.ar"),
            ("train.align", "lexicon.fwd", "lexicon.bwd"),
            {"iterations": "align_iterations", "heuristic": "align_heuristic"}),
-    _Stage("phrases", _stage_phrases,
+    _Stage("phrases", stage_phrases,
            ("corpus.train.en", "corpus.train.ar", "train.align", "lexicon.fwd", "lexicon.bwd"),
            ("phrase-table.txt",), {"max_len": "max_phrase_len"}),
-    _Stage("mert", _stage_mert, ("corpus.dev.en", "corpus.dev.ar", "phrase-table.txt", "lm.arpa"),
+    _Stage("mert", stage_mert, ("corpus.dev.en", "corpus.dev.ar", "phrase-table.txt", "lm.arpa"),
            ("weights.txt", "mert.log"),
            {"iterations": "mert_iterations", "nbest": "mert_nbest", "seed": "seed",
             **_SEARCH_PARAMS}),
-    _Stage("decode", _stage_decode,
+    _Stage("decode", stage_decode,
            ("corpus.test.en", "phrase-table.txt", "lm.arpa", "weights.txt"),
            ("test.hyp.ar", "test.hyp.uniform.ar", "test.hyp.detok.ar"), _SEARCH_PARAMS),
-    _Stage("evaluate", _stage_evaluate, ("corpus.test.ar", "test.hyp.ar", "test.hyp.uniform.ar"),
+    _Stage("evaluate", stage_evaluate, ("corpus.test.ar", "test.hyp.ar", "test.hyp.uniform.ar"),
            ("bleu.txt",), {}),
 )
 STAGES = tuple(stage.name for stage in _GRAPH)
@@ -411,9 +421,10 @@ def run_stage(name, cfg):
         if verdict:
             raise MissingArtifactError("stale artifact %s (%s); rerun stage '%s'"
                                        % (path, verdict[1], verdict[0].name))
-    inputs = {str(p): digest(p) for p in reads + list(stage.external(cfg))}
-    stage.run(cfg, *reads, *writes)
-    manifest = {"stage": name, "params": _params(cfg, stage), "inputs": inputs,
+    external, params = list(stage.external(cfg)), _params(cfg, stage)
+    inputs = {str(p): digest(p) for p in reads + external}
+    stage.run(*external, *reads, *writes, **params)
+    manifest = {"stage": name, "params": params, "inputs": inputs,
                 "outputs": {str(p): _sha256(p) for p in writes}}
     path = _manifest_path(work, stage)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

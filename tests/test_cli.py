@@ -188,15 +188,14 @@ def test_mert_subcommand(tmp_path, capsys):
     model = tmp_path / "m.arpa"
     assert main(["train-lm", str(tgt), "--order", "2", "-o", str(model)]) == 0
     weights = tmp_path / "w.txt"
-    log = tmp_path / "mert.log"
     assert main(["mert", "--dev-source", str(src), "--dev-target", str(tgt),
                  "--table", str(table), "--lm", str(model),
                  "--iterations", "2", "--nbest", "10", "--seed", "7",
-                 "--log", str(log), "-o", str(weights)]) == 0
+                 "-o", str(weights)]) == 0
     capsys.readouterr()
     lines = weights.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 8 and lines[0].startswith("lm ")
-    assert "pool" in log.read_text(encoding="utf-8")
+    assert "pool" in (tmp_path / "w.txt.log").read_text(encoding="utf-8")
 
 
 def test_validate_reports_all_violations(tmp_path, capsys):
@@ -309,15 +308,18 @@ _NAN_ARPA = "\\data\\\nngram 1=2\n\n\\1-grams:\nnan\tx\n-1.0\t<unk>\n\n\\end\\\n
     ("weights", "".join("%s 0.125\n" % name for name in FEATURE_NAMES[1:])),
     ("weights", "lm nan\n"),
     ("weights", "lm -inf\n"),
+    ("weights", "".join("%s 0.125\n" % name for name in FEATURE_NAMES) + "lmm 5\n"),
     ("weights", b"\xff\xfe"),
     *((name, b"\xff\xfe")
       for name in ("source", "table", "lm", "lexicon", "alignments", "inventory", "config")),
     ("lexicon", "a\tx\n"),
+    ("lexicon", "a\tx\t0.5\na\tx\t0.7\n"),
     ("alignments", "0-x\n"),
     ("alignments", "0-0 9-9\n"),
     ("alignments", "0-0 1-1\n0-0\n"),
     ("lm", _NAN_ARPA),
     ("table", "a |||  ||| 0.5 0.5 0.5 0.5\n"),
+    ("table", "a ||| x ||| 0.5 0.5 0.5 0.5\na ||| x ||| 0.9 0.5 0.5 0.5\n"),
     ("inventory", "w\n"),
     ("config", "order = 3\n[lm]\n"),
     ("config", "[lm]\norder = 3\norder = 4\n"),
@@ -519,3 +521,31 @@ def test_pipeline_refuses_mle_smoothing_up_front(small_toy, capsys):
         err = capsys.readouterr().err.splitlines()
         assert err == ["ERROR config: unknown config key [lm] smoothing"], err
     assert not work.exists()
+
+
+def test_subcommands_reproduce_the_pipeline_stages(small_run, tmp_path, capsys):
+    cfg = pipeline.load_config(small_run)
+    work = Path(cfg.work_dir)
+    corpus_files = {name: str(work / ("corpus.%s" % name))
+                    for name in ("train.en", "train.ar", "dev.en", "dev.ar", "test.en")}
+    al, table, weights = tmp_path / "al", tmp_path / "pt", tmp_path / "w.txt"
+    assert main(["align", "--source", corpus_files["train.en"],
+                 "--target", corpus_files["train.ar"], "-o", str(al)]) == 0
+    assert main(["extract", "--source", corpus_files["train.en"],
+                 "--target", corpus_files["train.ar"], "--alignments", str(al),
+                 "--lex-fwd", "%s.lex.fwd" % al, "--lex-bwd", "%s.lex.bwd" % al,
+                 "-o", str(table)]) == 0
+    # the run's config sets the MERT iterations; every other flag keeps its default
+    assert main(["mert", "--dev-source", corpus_files["dev.en"],
+                 "--dev-target", corpus_files["dev.ar"], "--table", str(table),
+                 "--lm", str(work / "lm.arpa"), "--iterations", str(cfg.mert_iterations),
+                 "-o", str(weights)]) == 0
+    capsys.readouterr()
+    assert main(["decode", "--table", str(table), "--lm", str(work / "lm.arpa"),
+                 "--weights", str(work / "weights.txt"), "--input", corpus_files["test.en"]]) == 0
+    hyps = capsys.readouterr().out
+    assert hyps == (work / "test.hyp.ar").read_text(encoding="utf-8")
+    for ours, theirs in ((al, "train.align"), ("%s.lex.fwd" % al, "lexicon.fwd"),
+                         ("%s.lex.bwd" % al, "lexicon.bwd"), (table, "phrase-table.txt"),
+                         (weights, "weights.txt"), ("%s.log" % weights, "mert.log")):
+        assert Path(ours).read_bytes() == (work / theirs).read_bytes(), theirs

@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from minismt import corpus
@@ -16,7 +14,7 @@ def test_load_pairs_lines(tmp_path):
     src = _write(tmp_path, "c.en", "a b\nc\n")
     tgt = _write(tmp_path, "c.ar", "x\ny z\n")
     corp = corpus.load_parallel(src, tgt)
-    assert len(corp) == 2
+    assert len(corp.pairs) == 2
     assert corp.pairs[0].source == ("a", "b")
     assert corp.pairs[0].target == ("x",)
     assert corp.pairs[1].source == ("c",)
@@ -41,7 +39,7 @@ def test_load_preserves_order_and_content(tmp_path):
     tgt = _write(tmp_path, "o.ar", "\n".join("t%d" % i for i in range(10)) + "\n")
     corp = corpus.load_parallel(src, tgt)
     # independent recount straight off the file
-    assert len(corp) == len((tmp_path / "o.en").read_text().splitlines()) == 10
+    assert len(corp.pairs) == len((tmp_path / "o.en").read_text().splitlines()) == 10
     for i, pair in enumerate(corp.pairs):
         assert pair.source == tuple(lines[i].split())
 
@@ -124,35 +122,3 @@ def test_stats_table_format():
     assert "target_tokens=2" in text
     assert "target_mean_len=2.0000" in text
 
-
-def test_strip_markup_basics():
-    assert corpus.strip_markup("<seg id=1>hello</seg>") == ["hello"]
-    assert corpus.strip_markup("<seg>a &amp; b</seg>") == ["a & b"]
-    assert corpus.strip_markup("<seg>x &lt; y &gt; z</seg>") == ["x < y > z"]
-    # single decode only
-    assert corpus.strip_markup("<seg>&amp;lt;</seg>") == ["&lt;"]
-
-
-def test_strip_markup_nested_document():
-    doc = (
-        '<DOC docid="d1">\n<TEXT>\n'
-        '<seg id="1"> the  first   sentence </seg>\n'
-        '<seg id="2">a <b>bold</b> word</seg>\n'
-        "</TEXT>\n</DOC>\n"
-    )
-    # hand extraction of the fixture above
-    assert corpus.strip_markup(doc) == ["the first sentence", "a bold word"]
-
-
-def test_strip_markup_tolerates_unbalanced(caplog):
-    with caplog.at_level(logging.WARNING):
-        out = corpus.strip_markup("<seg>unclosed tail")
-    assert out == ["unclosed tail"]
-    assert any("still open" in r.message for r in caplog.records)
-
-    with caplog.at_level(logging.WARNING):
-        out = corpus.strip_markup("no open</seg><seg>ok</seg>")
-    assert out == ["ok"]
-
-    # a lone '<' is not a tag and stays literal
-    assert corpus.strip_markup("<seg>a < b and 3 > 2</seg>") == ["a < b and 3 > 2"]
