@@ -6,6 +6,13 @@ target words sums to one. Training the reverse direction just means
 swapping the corpus sides (see `transpose_corpus`). Everything is
 deterministic: fixed iteration order, ties resolved toward the null word
 and then the smaller source index.
+
+align_corpus trains the two directions at once, through parallel.fork_map:
+on two CPUs each runs in its own forked worker, which inherits the corpus,
+builds its side of it and sends back only its lexicon. Each EM runs
+serially in one process, so every float, and every output byte, is the
+same whatever the number of CPUs; `taskset -c 0` trains them one after
+the other in this process.
 """
 
 import math
@@ -13,8 +20,10 @@ from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, SentencePair
 from .errors import FormatError, ParameterError, TrainingError, _open_text
+from .parallel import fork_map
 
 NULL_WORD = "<null>"
+_NO_ROW = {}  # the lexicon row of a word it has never seen
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,7 @@ class TranslationLexicon:
     log_likelihood_history: tuple = field(default=(), compare=False)
 
     def prob(self, out, given):
-        return self.table.get(given, {}).get(out, 0.0)
+        return self.table.get(given, _NO_ROW).get(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -85,13 +94,16 @@ def em_train(corpus, iterations):
         log_likelihood = 0.0
         for pair in pairs:
             sources = (NULL_WORD,) + pair.source
+            rows = [table[f] for f in sources]
+            counts = [expected[f] for f in sources]
+            log_len = math.log(len(sources))
             for e in pair.target:
                 denom = 0.0
-                for f in sources:
-                    denom += table[f][e]
-                log_likelihood += math.log(denom) - math.log(len(sources))
-                for f in sources:
-                    expected[f][e] += table[f][e] / denom
+                for row in rows:
+                    denom += row[e]
+                log_likelihood += math.log(denom) - log_len
+                for row, count in zip(rows, counts):
+                    count[e] += row[e] / denom
         history.append(log_likelihood)
         for f, row in expected.items():
             total = 0.0  # summed left to right: sum() of floats rounds differently from 3.12 on
@@ -109,12 +121,15 @@ def viterbi_align(lexicon, pair):
     The null word wins ties (it sits at index -1), and among real source
     words the smaller index wins; null-aligned targets get no link.
     """
+    table = lexicon.table
+    null_row = table.get(NULL_WORD, _NO_ROW)
+    rows = [table.get(f, _NO_ROW) for f in pair.source]
     links = set()
     for j, e in enumerate(pair.target):
         best_i = None
-        best_p = lexicon.prob(e, NULL_WORD)
-        for i, f in enumerate(pair.source):
-            p = lexicon.prob(e, f)
+        best_p = null_row.get(e, 0.0)
+        for i, row in enumerate(rows):
+            p = row.get(e, 0.0)
             if p > best_p:
                 best_i, best_p = i, p
         if best_i is not None:
@@ -125,10 +140,13 @@ def viterbi_align(lexicon, pair):
 def align_corpus(corpus, iterations, heuristic):
     """Train both directions, then symmetrize each pair's Viterbi alignments.
 
-    Returns (alignment matrices, forward lexicon, backward lexicon).
+    Returns (alignment matrices, forward lexicon, backward lexicon). A
+    fork_map worker is given only whether to transpose the corpus it
+    inherits, so no corpus is pickled.
     """
-    fwd = em_train(corpus, iterations)
-    bwd = em_train(transpose_corpus(corpus), iterations)
+    fwd, bwd = fork_map(
+        lambda reverse: em_train(transpose_corpus(corpus) if reverse else corpus, iterations),
+        (False, True))
     matrices = []
     for pair in corpus.pairs:
         f = viterbi_align(fwd, pair)

@@ -277,13 +277,17 @@ def _skeleton_map(text):
     return "".join(chars), positions
 
 
+def _work_form(token, scheme):
+    return token if scheme is Scheme.ATB else dediacritize(token)
+
+
 def segment_token(token, scheme, inventory, lexicon):
     """SegmentedToken for one surface token (pass-through when nothing splits).
 
     ATB keeps the token's diacritics in the emitted slices; MYD3 works on
     the dediacritized form throughout.
     """
-    work = token if scheme is Scheme.ATB else dediacritize(token)
+    work = _work_form(token, scheme)
     if not work:
         log.warning("token %r has no characters left after dediacritization", token)
         return SegmentedToken((), normalize(token), ())
@@ -305,12 +309,30 @@ def segment_token(token, scheme, inventory, lexicon):
     return SegmentedToken(tuple(pro), stem, enc)
 
 
+def tokenize_all(sentences, scheme, inventory, lexicon):
+    """Yield tokenize(s, ...) for each sentence, segmenting each distinct token once.
+
+    The segments of a token depend only on the token and the three fixed
+    arguments, so one memo serves the whole call. A token with nothing left
+    after dediacritization stays out of it, so its warning is logged at each
+    occurrence.
+    """
+    memo = {}
+    for sentence in sentences:
+        out = []
+        for token in sentence:
+            segments = memo.get(token)
+            if segments is None:
+                segments = segment_token(token, scheme, inventory, lexicon).flatten()
+                if _work_form(token, scheme):
+                    memo[token] = segments
+            out.extend(segments)
+        yield tuple(out)
+
+
 def tokenize(sentence, scheme, inventory, lexicon):
     """Clitic-segment every token of a sentence into '+'-marked segments."""
-    out = []
-    for token in sentence:
-        out.extend(segment_token(token, scheme, inventory, lexicon).flatten())
-    return tuple(out)
+    return next(tokenize_all((sentence,), scheme, inventory, lexicon))
 
 
 def detokenize(sentence):

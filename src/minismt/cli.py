@@ -44,8 +44,8 @@ def _load_artok(args):
 
 def _cmd_tokenize(args):
     scheme, inventory, lexicon = _load_artok(args)
-    for line in _input_lines(args.input):
-        tokens = artok.tokenize(tuple(line.split()), scheme, inventory, lexicon)
+    sentences = (tuple(line.split()) for line in _input_lines(args.input))
+    for tokens in artok.tokenize_all(sentences, scheme, inventory, lexicon):
         print(" ".join(tokens))
     return 0
 

@@ -23,10 +23,10 @@ Only decode() builds a derivation; n-best entries carry the tokens,
 features and score that their readers read.
 
 translate_all decodes a list of sentences on every CPU in the process's
-affinity mask (`taskset` limits it). Each search depends only on the
-decoder and its sentence, so forked workers each take one sentence at a
-time and the results come back in input order, the same values a serial
-loop gives whatever the number of CPUs.
+affinity mask (`taskset` limits it), through parallel.fork_map. Each search
+depends only on the decoder and its sentence, so forked workers each take
+one sentence at a time and the results come back in input order, the same
+values a serial loop gives whatever the number of CPUs.
 
 The eight features, in order (FEATURE_NAMES): language model log10
 probability; forward phrase translation log-prob and lexical weight;
@@ -40,12 +40,11 @@ product of weights and accumulated features to within 1e-9.
 
 import heapq
 import math
-import multiprocessing
-import os
 from dataclasses import dataclass
 
 from . import lm as lm_mod
 from .errors import FormatError, MinismtError, ParameterError, _open_text
+from .parallel import fork_map
 from .phrases import distortion_cost, log10_scores
 
 FEATURE_NAMES = (
@@ -497,45 +496,13 @@ def _materialize_path(hyps, score, derivation):
 
 # ---- decoding a sentence list on every CPU -----------------------------
 
-_SHARED = None  # (decoder, n) of the running translate_all, inherited by forked workers
-
-
-def _available_cpus():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _nbest_shared(sentence):
-    decoder, n = _SHARED
-    return decoder.nbest(sentence, n)
-
 
 def translate_all(decoder, sentences, n):
     """Yield decoder.nbest(s, n) for each sentence, in input order.
 
-    The sentences are decoded in forked worker processes, one per available
-    CPU up to the number of sentences, each taking one sentence at a time;
-    with one worker the loop runs in this process. The decoder reaches the
-    workers by fork inheritance and is never pickled. A MinismtError raised
-    for a sentence is raised here, with its class and message, once the
-    results before it have been yielded, as a serial loop would.
+    The sentences are decoded through parallel.fork_map, one at a time per
+    worker; the decoder reaches the workers by fork inheritance and is never
+    pickled. A MinismtError raised for a sentence is raised here, with its
+    class and message, once the results before it have been yielded.
     """
-    global _SHARED
-    sentences = list(sentences)
-    workers = min(_available_cpus(), len(sentences))
-    if workers <= 1:
-        for sentence in sentences:
-            yield decoder.nbest(sentence, n)
-        return
-    # fork, not spawn: the phrase table and LM reach the workers unpickled.
-    # minismt starts no thread of its own, and each pool's threads are joined
-    # when its with-block ends; the fork start method flushes stdout and
-    # stderr before each fork, so no buffered line is written twice
-    _SHARED = (decoder, n)
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            yield from pool.imap(_nbest_shared, sentences, chunksize=1)
-    finally:
-        _SHARED = None
+    return fork_map(lambda sentence: decoder.nbest(sentence, n), sentences)

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .align import NULL_WORD
+from .align import _NO_ROW, NULL_WORD
 from .errors import FormatError, ParameterError, _open_text
 
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
@@ -39,46 +39,50 @@ class Scores:
 
 
 def extract(pair, alignment, max_len):
-    """All alignment-consistent phrase pairs of one sentence pair."""
+    """All alignment-consistent phrase pairs of one sentence pair.
+
+    For each target start j1 the end j2 advances, and the source span
+    i1..i2 of the links inside j1..j2 grows with it. Once that span is wider
+    than max_len no pair can be emitted for this j1, so the loop stops.
+    """
     if max_len < 1:
         raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
     links = alignment.links
     n, m = len(pair.source), len(pair.target)
-    aligned_src = {i for i, _ in links}
+    linked_src = [[] for _ in range(m)]  # the source indices linked to each target position
+    first_tgt = [m] * n  # the first and last target linked to each source position
+    last_tgt = [-1] * n
+    for i, j in links:
+        linked_src[j].append(i)
+        first_tgt[i] = min(first_tgt[i], j)
+        last_tgt[i] = max(last_tgt[i], j)
     out = []
     for j1 in range(m):
+        i1, i2 = n, -1
         for j2 in range(j1, min(m, j1 + max_len)):
-            inside = [(i, j) for i, j in links if j1 <= j <= j2]
-            if not inside:
+            for i in linked_src[j2]:
+                i1, i2 = min(i1, i), max(i2, i)
+            if i2 < 0:
                 continue
-            i1 = min(i for i, _ in inside)
-            i2 = max(i for i, _ in inside)
-            if any(i1 <= i <= i2 and not (j1 <= j <= j2) for i, j in links):
+            if i2 - i1 >= max_len:
+                break
+            # consistent: no source word inside links to a target outside
+            if any(first_tgt[i] < j1 or last_tgt[i] > j2 for i in range(i1, i2 + 1)):
                 continue
+            # the links inside, in `links` order, so that every pair's link set
+            # is built by the same insertions and iterates in the same order
+            inside = [(i, j - j1) for i, j in links if j1 <= j <= j2]
+            target = pair.target[j1 : j2 + 1]
             # extend over unaligned source boundary words
             lo = i1
-            while lo >= 0 and (lo == i1 or lo not in aligned_src):
+            while lo >= 0 and (lo == i1 or last_tgt[lo] < 0) and i2 - lo < max_len:
                 hi = i2
-                while hi < n and (hi == i2 or hi not in aligned_src):
-                    if hi - lo < max_len:
-                        out.append(_make_pair(pair, (lo, hi), (j1, j2), links))
+                while hi < n and (hi == i2 or last_tgt[hi] < 0) and hi - lo < max_len:
+                    out.append(PhrasePair(pair.source[lo : hi + 1], target, (lo, hi), (j1, j2),
+                                          frozenset((i - lo, j) for i, j in inside)))
                     hi += 1
                 lo -= 1
     return set(out)
-
-
-def _make_pair(pair, source_span, target_span, links):
-    (i1, i2), (j1, j2) = source_span, target_span
-    internal = frozenset(
-        (i - i1, j - j1) for i, j in links if i1 <= i <= i2 and j1 <= j <= j2
-    )
-    return PhrasePair(
-        pair.source[i1 : i2 + 1],
-        pair.target[j1 : j2 + 1],
-        source_span,
-        target_span,
-        internal,
-    )
 
 
 def distortion_cost(prev_end, next_start):
@@ -143,14 +147,17 @@ def score(extracted, lexicon_fwd, lexicon_bwd):
 def _lexical_weight(given_phrase, out_phrase, links, lexicon):
     """Product over out-words of the mean translation probability of their
     linked given-words (unaligned words score against the null word)."""
+    rows = [lexicon.table.get(given, _NO_ROW) for given in given_phrase]
+    linked = [[] for _ in out_phrase]  # the given-words of each out-word, in `links` order
+    for i, j in links:
+        linked[j].append(i)
     weight = 1.0
-    for j, out in enumerate(out_phrase):
-        linked = [i for i, jj in links if jj == j]
-        if linked:
+    for out, given in zip(out_phrase, linked):
+        if given:
             p = 0.0  # summed left to right: sum() of floats rounds differently from 3.12 on
-            for i in linked:
-                p += lexicon.prob(out, given_phrase[i])
-            p /= len(linked)
+            for i in given:
+                p += rows[i].get(out, 0.0)
+            p /= len(given)
         else:
             p = lexicon.prob(out, NULL_WORD)
         weight *= p

@@ -224,11 +224,9 @@ def stage_prepare(train_source, train_target, dev_source, dev_target, test_sourc
               (test_source, test_target, test_src, test_tgt))
     for source, target, src_art, tgt_art in splits:
         corp = corpus.load_parallel(source, target)
-        pairs = tuple(
-            corpus.SentencePair(p.source, artok.tokenize(p.target, scheme, inventory, lexicon))
-            for p in corp.pairs
-        )
-        corp = corpus.ParallelCorpus(pairs)
+        targets = artok.tokenize_all((p.target for p in corp.pairs), scheme, inventory, lexicon)
+        corp = corpus.ParallelCorpus(tuple(
+            corpus.SentencePair(p.source, t) for p, t in zip(corp.pairs, targets)))
         if src_art == train_src:
             corp = corpus.clean(corp, clean_max_len, clean_max_ratio)
             _write_lines(stats, corpus.format_stats_table(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from minismt import align, artok, bleu, corpus, decode, lm, mert, phrases, pipeline
+from minismt import align, artok, bleu, corpus, lm, mert, parallel, phrases, pipeline
 from minismt.decode import Decoder, DecoderConfig, Weights
 
 from conftest import random_alignment, random_phrase_table
@@ -45,7 +45,7 @@ def toy_runs(tmp_path_factory):
         cfg = pipeline.load_config(pipeline.make_toy_config(out))
         with pytest.MonkeyPatch.context() as mp:
             if tag == "second":
-                mp.setattr(decode, "_available_cpus", lambda: 1)
+                mp.setattr(parallel, "_available_cpus", lambda: 1)
             started = time.monotonic()
             work = pipeline.run_pipeline(cfg)
         runs.append({"work": work, "elapsed": time.monotonic() - started})

@@ -1,8 +1,9 @@
+import os
 import random
 
 import pytest
 
-from minismt import align, corpus
+from minismt import align, corpus, parallel
 from minismt.align import NULL_WORD, AlignmentMatrix, TranslationLexicon
 from minismt.errors import ParameterError, TrainingError
 
@@ -49,6 +50,30 @@ def test_em_errors():
         align.em_train(corpus.ParallelCorpus(()), 3)
     with pytest.raises(ParameterError):
         align.em_train(make_corpus(("a", "x")), 0)
+
+
+def test_align_corpus_on_one_and_two_cpus(monkeypatch, toy_train):
+    """The two EM directions in two forked workers give the serial values."""
+    corp = corpus.ParallelCorpus(toy_train.pairs[:200])
+    em_train, parent = align.em_train, os.getpid()
+
+    def em_in_a_worker(c, iterations):
+        assert os.getpid() != parent
+        return em_train(c, iterations)
+
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
+        if workers == 2:
+            monkeypatch.setattr(align, "em_train", em_in_a_worker)
+        runs.append(align.align_corpus(corp, 3, "grow-diag-final"))
+    (m1, fwd1, bwd1), (m2, fwd2, bwd2) = runs
+    assert m1 == m2
+    assert (fwd1, bwd1) == (fwd2, bwd2)
+    # compare=False keeps the histories out of ==
+    assert fwd1.log_likelihood_history == fwd2.log_likelihood_history
+    assert bwd1.log_likelihood_history == bwd2.log_likelihood_history
+    assert len(fwd1.log_likelihood_history) == 3
 
 
 # ---- viterbi --------------------------------------------------------------

@@ -198,6 +198,28 @@ def test_tokenize_normalizes_hamza(ar_inventory, ar_lexicon):
     assert tok1("أزار", Scheme.MYD3, ar_inventory, ar_lexicon) == ("ا+", "زار")
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_tokenize_all_equals_segmenting_each_token(toy_train, bw_inventory, bw_lexicon, scheme):
+    sentences = [p.target for p in toy_train.pairs]
+    got = list(artok.tokenize_all(iter(sentences), scheme, bw_inventory, bw_lexicon))
+    assert got == [artok.tokenize(s, scheme, bw_inventory, bw_lexicon) for s in sentences]
+    assert got == [
+        tuple(seg for token in s
+              for seg in artok.segment_token(token, scheme, bw_inventory, bw_lexicon).flatten())
+        for s in sentences
+    ]
+
+
+def test_tokenize_all_warns_at_each_diacritics_only_token(caplog, ar_inventory, ar_lexicon):
+    fatha = "َ"
+    sentences = [(fatha, "كتاب"), (fatha,), ("كتاب", fatha, fatha)]
+    with caplog.at_level(logging.WARNING):
+        got = list(artok.tokenize_all(sentences, Scheme.MYD3, ar_inventory, ar_lexicon))
+    assert got == [(fatha, "كتاب"), (fatha,), ("كتاب", fatha, fatha)]
+    warnings = [r for r in caplog.records if "no characters left" in r.message]
+    assert len(warnings) == 4
+
+
 def test_marker_discipline(bw_inventory, bw_lexicon, ar_inventory, ar_lexicon):
     cases = [(s, bw_inventory, bw_lexicon) for s in BW_SENTENCES] + [
         (s, ar_inventory, ar_lexicon) for s in AR_SENTENCES

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import minismt
-from minismt import decode, lm, pipeline
+from minismt import lm, parallel, pipeline
 from minismt.cli import build_parser, main
 from minismt.decode import FEATURE_NAMES
 from minismt.errors import MissingArtifactError
@@ -397,10 +397,10 @@ def test_non_utf8_stdin_is_one_format_error_line_in_c_locale():
 
 
 def _run_cli_on_two_workers(argv):
-    """`minismt argv` in a fresh process whose stdout is a pipe, decoding on
-    two workers, after an unflushed line "start"."""
-    script = ("import sys; from minismt import cli, decode; "
-              "decode._available_cpus = lambda: 2; print('start'); "
+    """`minismt argv` in a fresh process whose stdout is a pipe, decoding and
+    aligning on two workers, after an unflushed line "start"."""
+    script = ("import sys; from minismt import cli, parallel; "
+              "parallel._available_cpus = lambda: 2; print('start'); "
               "sys.exit(cli.main(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(),
                           capture_output=True, timeout=120)
@@ -416,7 +416,7 @@ def test_nbest_and_decode_on_two_workers_print_the_serial_output_once(
     files["source"].write_text("a b\nb a\na\nb a b a\nc a b\n\na a b b\n", encoding="utf-8")
     models = ["--table", str(files["table"]), "--lm", str(files["lm"]),
               "--input", str(files["source"])]
-    monkeypatch.setattr(decode, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
     for argv in (["nbest", "-n", "3"] + models, ["decode"] + models):
         assert main(argv) == 0
         serial = capsys.readouterr().out
@@ -430,6 +430,16 @@ def test_nbest_and_decode_on_two_workers_print_the_serial_output_once(
     assert proc.returncode == 1 and proc.stdout == b"start\n", proc
     assert proc.stderr.decode("utf-8").splitlines() == [
         "ERROR usage: nbest size must be >= 1, got 0"]
+
+
+def test_align_on_an_empty_corpus_on_two_workers_is_one_error_line(tmp_path):
+    for side in ("en", "ar"):
+        (tmp_path / ("c." + side)).write_text("", encoding="utf-8")
+    proc = _run_cli_on_two_workers(["align", "--source", str(tmp_path / "c.en"), "--target",
+                                    str(tmp_path / "c.ar"), "-o", str(tmp_path / "al")])
+    err = proc.stderr.decode("utf-8").splitlines()
+    assert proc.returncode == 1 and proc.stdout == b"start\n", proc
+    assert err == ["ERROR data: cannot run EM on an empty corpus"], err
 
 
 def test_subcommands_use_pipeline_defaults():

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from minismt import decode, lm, phrases
+from minismt import lm, parallel, phrases
 from minismt.decode import (
     Decoder,
     DecoderConfig,
@@ -441,15 +441,15 @@ def _outcome(decoder, sentences, n):
         for result in translate_all(decoder, sentences, n):
             got.append(result)
     except Exception as exc:
-        assert decode._SHARED is None
+        assert parallel._SHARED is None
         return got, (type(exc), str(exc))
-    assert decode._SHARED is None
+    assert parallel._SHARED is None
     return got, None
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_translate_all_equals_per_sentence_search(monkeypatch, workers):
-    monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
     rng = random.Random(29)
     config = DecoderConfig(stack_size=20, beam_threshold=None, distortion_limit=2)
     for trial in range(4):
@@ -482,7 +482,7 @@ class _EchoDecoder:
 
 
 def test_translate_all_decodes_in_forked_workers(monkeypatch):
-    monkeypatch.setattr(decode, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: 2)
     sentences = [("s%d" % i,) for i in range(6)]
     got, error = _outcome(_EchoDecoder(), sentences, 1)
     assert error is None
@@ -498,7 +498,7 @@ def test_translate_all_raises_a_workers_error_as_the_serial_loop(monkeypatch, n)
     sentences = [("a",), ("b", "c"), ("bad", "x"), ("d",), ("bad", "y"), ("e",)]
     outcomes = []
     for workers in (1, 2):
-        monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
         got, error = _outcome(_EchoDecoder(), sentences, n)
         outcomes.append(([nbest[0] for nbest in got], error))
     for got, error in outcomes:
@@ -509,6 +509,6 @@ def test_translate_all_raises_a_workers_error_as_the_serial_loop(monkeypatch, n)
     decoder = Decoder(table, model, weights, UNPRUNED)
     errors = []
     for workers in (1, 2):
-        monkeypatch.setattr(decode, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
         errors.append(_outcome(decoder, [("f0",), ("f1", "f0")], 0))
     assert errors[0] == errors[1] == ([], (ParameterError, "nbest size must be >= 1, got 0"))

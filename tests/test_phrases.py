@@ -62,6 +62,28 @@ def test_extract_equals_bruteforce_random():
         ), (trial, sorted(alignment.links), L)
 
 
+def test_extract_equals_bruteforce_with_spans_wider_than_max_len():
+    """Longer pairs and max_len down to 1, so that the links of a target window
+    often span more than max_len source words and the window stops early."""
+    rng = random.Random(15)
+    wide = 0
+    for trial in range(300):
+        n, m = rng.randint(1, 12), rng.randint(1, 12)
+        pair = _pair(n, m)
+        alignment = _mat(random_alignment(rng, n, m), n, m)
+        L = rng.choice([1, 2, 3, 7])
+        got = phrases.extract(pair, alignment, L)
+        want = brute_force_extract(pair, alignment, L)
+        assert got == want, (trial, sorted(alignment.links), L)
+        # each link set iterates as the oracle's, which filters `links` in its
+        # order; the lexical weights sum the links in that order
+        order = {(pp.source_span, pp.target_span): list(pp.links) for pp in want}
+        assert all(list(pp.links) == order[pp.source_span, pp.target_span] for pp in got)
+        wide += any(abs(j - jj) < L <= abs(i - ii)
+                    for i, j in alignment.links for ii, jj in alignment.links)
+    assert wide >= 100
+
+
 def test_extract_every_pair_has_a_link():
     rng = random.Random(14)
     for _ in range(20):
