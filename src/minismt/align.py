@@ -13,6 +13,11 @@ builds its side of it and sends back only its lexicon. Each EM runs
 serially in one process, so every float, and every output byte, is the
 same whatever the number of CPUs; `taskset -c 0` trains them one after
 the other in this process.
+
+Alignment matrices stream: align_corpus aligns a pair when its matrix is
+read, and read_alignments parses a line when its matrix is read, so each
+matrix can be dropped once its consumer (write_alignments, extraction) is
+done with it.
 """
 
 import math
@@ -140,18 +145,18 @@ def viterbi_align(lexicon, pair):
 def align_corpus(corpus, iterations, heuristic):
     """Train both directions, then symmetrize each pair's Viterbi alignments.
 
-    Returns (alignment matrices, forward lexicon, backward lexicon). A
-    fork_map worker is given only whether to transpose the corpus it
-    inherits, so no corpus is pickled.
+    Returns (alignment matrices, forward lexicon, backward lexicon). The
+    matrices are a one-shot iterator that aligns each pair as it is read,
+    in corpus order, so no corpus-sized list of them is held. A fork_map
+    worker is given only whether to transpose the corpus it inherits, so no
+    corpus is pickled.
     """
     fwd, bwd = fork_map(
         lambda reverse: em_train(transpose_corpus(corpus) if reverse else corpus, iterations),
         (False, True))
-    matrices = []
-    for pair in corpus.pairs:
-        f = viterbi_align(fwd, pair)
-        b = viterbi_align(bwd, SentencePair(pair.target, pair.source))
-        matrices.append(symmetrize(f, b, heuristic))
+    matrices = (symmetrize(viterbi_align(fwd, pair),
+                           viterbi_align(bwd, SentencePair(pair.target, pair.source)), heuristic)
+                for pair in corpus.pairs)
     return matrices, fwd, bwd
 
 
@@ -208,14 +213,20 @@ def _grow_diag_final(intersection, union, source_len, target_len):
 
 
 def write_alignments(matrices, path):
-    """Moses-style alignment file: one line per pair of space-separated i-j links."""
+    """Moses-style alignment file: one line per pair of space-separated i-j links.
+
+    `matrices` is any iterable, written as it is read."""
     with open(path, "w", encoding="utf-8") as f:
         for m in matrices:
             f.write(" ".join("%d-%d" % link for link in sorted(m.links)) + "\n")
 
 
 def read_alignments(path, corpus):
-    """Load an alignment file produced by write_alignments for `corpus`."""
+    """The matrices of an alignment file written by write_alignments for `corpus`.
+
+    The line count is checked here; the lines are parsed as the returned
+    iterator is read, so a malformed line raises its FormatError then.
+    """
     with _open_text(path) as f:
         lines = f.read().splitlines()
     if len(lines) != len(corpus.pairs):
@@ -223,20 +234,22 @@ def read_alignments(path, corpus):
             "alignment file %s has %d lines but the corpus has %d pairs"
             % (path, len(lines), len(corpus.pairs))
         )
-    matrices = []
-    for lineno, (pair, line) in enumerate(zip(corpus.pairs, lines), 1):
-        links = set()
-        for chunk in line.split():
-            try:
-                i, j = chunk.split("-")
-                links.add((int(i), int(j)))
-            except ValueError:
-                raise FormatError("%s line %d: bad link %r, expected i-j" % (path, lineno, chunk))
+    return (_parse_alignment(path, lineno, line, pair)
+            for lineno, (pair, line) in enumerate(zip(corpus.pairs, lines), 1))
+
+
+def _parse_alignment(path, lineno, line, pair):
+    links = set()
+    for chunk in line.split():
         try:
-            matrices.append(AlignmentMatrix(frozenset(links), len(pair.source), len(pair.target)))
-        except ParameterError as exc:
-            raise FormatError("%s line %d: %s" % (path, lineno, exc))
-    return matrices
+            i, j = chunk.split("-")
+            links.add((int(i), int(j)))
+        except ValueError:
+            raise FormatError("%s line %d: bad link %r, expected i-j" % (path, lineno, chunk))
+    try:
+        return AlignmentMatrix(frozenset(links), len(pair.source), len(pair.target))
+    except ParameterError as exc:
+        raise FormatError("%s line %d: %s" % (path, lineno, exc))
 
 
 def write_lexicon(lexicon, path):

@@ -10,6 +10,14 @@ out of the search graph. Pruning is histogram (stack size) plus an optional
 relative score window, both measured on score + admissible future-cost
 estimate, which is looked up once per recombined state as a stack is ranked.
 
+Under a distortion limit an expansion can leave a gap that no later jump
+can reach. Every word has a one-word option, so whether a state can still
+finish depends only on its coverage and last position; ranking passes over
+the states that a rule on those gaps shows cannot, so such dead ends never
+crowd the live states out of a stack. Expansion walks only the starts inside the distortion window and,
+from each, the spans by length up to the first covered word, in the order
+of the sorted options.
+
 Each search keeps three memos for its one sentence, since many expansions
 repeat the same lookup: the LM sum of a target phrase after a context
 (with the context it leaves), the </s> term after a context, and the future
@@ -305,55 +313,80 @@ class Decoder:
         stacks[0][(0, root.context, -1)] = root
         serial = 1
         dl = self.config.distortion_limit
+        # the options of each start as (mask, last position, options) per
+        # span, by end; options are sorted by span, so walking the starts in
+        # order runs expansions and their serials in source order
+        spans = [[] for _ in range(n)]
+        for option in options:
+            group = spans[option.start]
+            if not group or group[-1][0] != option.mask:
+                group.append((option.mask, option.end - 1, []))
+            group[-1][2].append(option)
         # memos of this sentence's search, dropped when it returns
-        lm_memo = {}  # (context, target) -> (LM sum without </s>, new context)
+        lm_memo = {}  # context -> {target: (LM sum without </s>, new context)}
         end_memo = {}  # context -> log P(</s> | context)
         future_memo = {}  # coverage -> future cost
+        can_finish = None if dl is None else _liveness(full_mask, dl)
 
         for covered in range(n):
-            for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo):
-                context = hyp.context
-                # options are sorted by span, so expansions and their serials
-                # run in source order
-                for option in options:
-                    if hyp.coverage & option.mask:
+            # the root, alone in stack 0, can always finish monotonically
+            for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo,
+                                    can_finish if covered else None):
+                context, last_end, before = hyp.context, hyp.last_end, hyp.coverage
+                lm_row = lm_memo.get(context)
+                if lm_row is None:
+                    lm_row = lm_memo[context] = {}
+                starts = range(n) if dl is None else range(max(0, last_end + 1 - dl),
+                                                          min(n, last_end + 2 + dl))
+                for start in starts:
+                    if before >> start & 1:
                         continue
-                    distortion = distortion_cost(hyp.last_end, option.start)
-                    if dl is not None and distortion > dl:
-                        continue
-                    target = option.target
-                    memo = lm_memo.get((context, target))
-                    if memo is None:
-                        lm_score = 0.0
-                        new_context = context
-                        for w in target:
-                            lm_score += lm_mod.logprob(model, w, new_context)
-                            new_context = (new_context + (w,))[-keep:] if keep else ()
-                        memo = lm_memo[(context, target)] = (lm_score, new_context)
-                    lm_score, new_context = memo
-                    coverage = hyp.coverage | option.mask
-                    if coverage == full_mask:
-                        end = end_memo.get(new_context)
-                        if end is None:
-                            end = end_memo[new_context] = lm_mod.logprob(
-                                model, lm_mod.END, new_context)
-                        lm_score += end
-                    s = option.static
-                    # Weights.dot of the step's features, term by term in its
-                    # order from 0.0, so the float is the same; scores
-                    # accumulate incrementally so that equal-state comparisons
-                    # carry over to completions exactly (float addition is
-                    # monotone)
-                    inc_score = (0.0 + w0 * lm_score + w1 * s[1] + w2 * s[2] + w3 * s[3]
-                                 + w4 * s[4] + w5 * -float(distortion) + w6 * s[6] + w7 * s[7])
-                    new = _Hyp(coverage, new_context, option.end - 1, hyp.score + inc_score,
-                               inc_score, hyp, option, lm_score, distortion, serial)
-                    serial += 1
-                    self._insert(stacks[covered + option.end - option.start], new)
+                    distortion = distortion_cost(last_end, start)
+                    for mask, end, group in spans[start]:
+                        if before & mask:
+                            break  # the longer spans from this start overlap too
+                        coverage = before | mask
+                        for option in group:
+                            target = option.target
+                            memo = lm_row.get(target)
+                            if memo is None:
+                                lm_score = 0.0
+                                new_context = context
+                                for w in target:
+                                    lm_score += lm_mod.logprob(model, w, new_context)
+                                    new_context = (new_context + (w,))[-keep:] if keep else ()
+                                memo = lm_row[target] = (lm_score, new_context)
+                            lm_score, new_context = memo
+                            if coverage == full_mask:
+                                end_lm = end_memo.get(new_context)
+                                if end_lm is None:
+                                    end_lm = end_memo[new_context] = lm_mod.logprob(
+                                        model, lm_mod.END, new_context)
+                                lm_score += end_lm
+                            s = option.static
+                            # Weights.dot of the step's features, term by term
+                            # in its order from 0.0, so the float is the same;
+                            # scores accumulate incrementally so that
+                            # equal-state comparisons carry over to completions
+                            # exactly (float addition is monotone)
+                            inc_score = (0.0 + w0 * lm_score + w1 * s[1] + w2 * s[2]
+                                         + w3 * s[3] + w4 * s[4] + w5 * -float(distortion)
+                                         + w6 * s[6] + w7 * s[7])
+                            new = _Hyp(coverage, new_context, end, hyp.score + inc_score,
+                                       inc_score, hyp, option, lm_score, distortion, serial)
+                            serial += 1
+                            self._insert(stacks[covered + end + 1 - start], new)
         return stacks[n]
 
-    def _pruned(self, stack, full_mask, future_table, future_memo):
-        """The stack's hypotheses to expand, best score + future cost first."""
+    def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
+        """The stack's hypotheses to expand, best score + future cost first.
+
+        A state that can_finish rejects is passed over, as if it had never
+        been built: it takes no place in the stack and does not set the beam.
+        Liveness depends on the coverage and last_end alone, so a dead state
+        never shares its recombination key with a live one, and only the
+        states ranked high enough to be kept are tested.
+        """
         ranked = []
         for h in stack.values():
             future = future_memo.get(h.coverage)
@@ -362,10 +395,19 @@ class Decoder:
             # serials are unique, so the tuples never compare hypotheses
             ranked.append((-(h.score + future), h.serial, h))
         ranked.sort()
-        if self.config.beam_threshold is not None and ranked:
-            cutoff = -ranked[0][0] - self.config.beam_threshold
-            ranked = [r for r in ranked if -r[0] >= cutoff]
-        return [h for _, _, h in ranked[: self.config.stack_size]]
+        threshold, kept = self.config.beam_threshold, []
+        for neg, _, h in ranked:
+            if can_finish is not None and not can_finish(h.coverage, h.last_end):
+                continue
+            if threshold is not None:
+                if not kept:
+                    cutoff = -neg - threshold
+                elif -neg < cutoff:
+                    break
+            kept.append(h)
+            if len(kept) == self.config.stack_size:
+                break
+        return kept
 
     @staticmethod
     def _insert(stack, new):
@@ -476,6 +518,56 @@ def _future_of(coverage, full_mask, table):
         total += table[(low.bit_length() - 1, (carry & -carry).bit_length() - 1)]
         gaps &= carry
     return total
+
+
+def _liveness(full_mask, dl):
+    """`can_finish(coverage, last_end)`, false for a state that can no longer
+    cover every word of the sentence within distortion limit dl.
+
+    Every word has a one-word option, so this depends on the state alone.
+    Take the uncovered positions together with last_end, and the covered
+    runs between them. A jump over a run longer than dl is out of reach in
+    either direction, and a jump back over a run of dl - 1 or more below
+    last_end is out of reach too, so such a state is dead. A state that
+    passes may still be dead (rarely: the tests bound it), never the
+    reverse.
+    """
+    near, far = _run_steps(dl - 1), _run_steps(dl + 1)
+
+    def can_finish(coverage, last_end):
+        g = (full_mask & ~coverage) | 1 << last_end
+        low = g & -g
+        top = g.bit_length() - 1
+        if g == low or top - low.bit_length() < dl - 1:
+            return True  # no two neighbours lie dl or more apart
+        # the covered positions between the first and the last of g, bar last_end
+        runs = ((1 << top) - (low << 1)) & ~g
+        below = (1 << last_end) - 1
+        if dl <= 1:
+            if g & below:
+                return False  # no jump back is allowed at all
+        elif _has_run(runs & below, near):
+            return False
+        return not _has_run(runs, far)
+
+    return can_finish
+
+
+def _run_steps(k):
+    """The shifts s for which successive `x &= x >> s` keep only the bits of x
+    that start a run of k set bits."""
+    steps, width = [], 1
+    while width < k:
+        step = min(width, k - width)
+        steps.append(step)
+        width += step
+    return tuple(steps)
+
+
+def _has_run(x, steps):
+    for step in steps:
+        x &= x >> step
+    return x != 0
 
 
 def _materialize_path(hyps, score, derivation):

@@ -6,6 +6,11 @@ extended over unaligned boundary words, both sides at most `max_len`
 tokens. Scoring produces the four standard values per pair: forward and
 reverse phrase relative frequencies and forward and reverse lexical
 weights computed from each pair's internal links.
+
+score reads its per-pair sets from any iterable and keeps only their
+counts, so the phrases stage hands it one extract() set at a time and no
+corpus-wide list of PhrasePairs is held; extract_corpus is that list, for
+callers that want every pair's set at once.
 """
 
 import math
@@ -111,36 +116,40 @@ def score(extracted, lexicon_fwd, lexicon_bwd):
     """Build a PhraseTable from per-pair extraction results.
 
     `extracted` is an iterable of PhrasePair multisets (one per corpus
-    pair). phi values are relative frequencies of the joint counts; lexical
-    weights use each pair type's most frequent internal alignment (ties
-    resolved by the lexicographically smallest link set).
+    pair), read once: only the count of each (source, target, internal
+    links) is kept from it. phi values are relative frequencies of the joint
+    counts; lexical weights use each pair type's most frequent internal
+    alignment (ties resolved by the lexicographically smallest link set).
     """
-    joint = Counter()
-    by_alignment = {}
+    counts = Counter()
     for pairs in extracted:
         for pp in pairs:
-            key = (pp.source, pp.target)
-            joint[key] += 1
-            by_alignment.setdefault(key, Counter())[pp.links] += 1
+            counts[pp.source, pp.target, pp.links] += 1
 
     source_totals = Counter()
     target_totals = Counter()
-    for (src, tgt), c in joint.items():
+    joint = {}  # (source, target) -> [joint count, its best alignment's count, that alignment]
+    for (src, tgt, links), c in counts.items():
         source_totals[src] += c
         target_totals[tgt] += c
+        cur = joint.get((src, tgt))
+        if cur is None:
+            joint[src, tgt] = [c, c, links]
+            continue
+        cur[0] += c
+        if c > cur[1] or (c == cur[1] and sorted(links) < sorted(cur[2])):
+            cur[1:] = c, links
+    del counts  # each structure is freed once read, so they do not peak together
 
     entries = {}
-    for (src, tgt), c in joint.items():
-        links = min(
-            by_alignment[(src, tgt)].items(),
-            key=lambda item: (-item[1], sorted(item[0])),
-        )[0]
+    for (src, tgt), (c, _, links) in joint.items():
         entries[(src, tgt)] = Scores(
             phi_fwd=c / source_totals[src],
             lex_fwd=_lexical_weight(src, tgt, links, lexicon_fwd),
             phi_rev=c / target_totals[tgt],
             lex_rev=_lexical_weight(tgt, src, frozenset((j, i) for i, j in links), lexicon_bwd),
         )
+    del joint
     return PhraseTable(entries)
 
 

@@ -247,15 +247,21 @@ def stage_align(train_src, train_tgt, alignments, lex_fwd, lex_bwd, *, iteration
     align.write_alignments(matrices, alignments)
     align.write_lexicon(fwd, lex_fwd)
     align.write_lexicon(bwd, lex_bwd)
-    return len(matrices)
+    return len(corp.pairs)
 
 
 def stage_phrases(train_src, train_tgt, alignments, lex_fwd, lex_bwd, table, *, max_len):
-    """Extract and score the phrase table; returns its number of entries."""
+    """Extract and score the phrase table; returns its number of entries.
+
+    Each pair's phrase pairs are extracted as score reads them and dropped
+    once counted, so only the counts outlive their pair.
+    """
     corp = corpus.load_parallel(train_src, train_tgt)
     matrices = align.read_alignments(alignments, corp)
     lexicons = align.read_lexicon(lex_fwd), align.read_lexicon(lex_bwd)
-    scored = phrases.score(phrases.extract_corpus(corp, matrices, max_len), *lexicons)
+    extracted = (phrases.extract(pair, matrix, max_len)
+                 for pair, matrix in zip(corp.pairs, matrices))
+    scored = phrases.score(extracted, *lexicons)
     phrases.write_table(scored, table)
     return len(scored)
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation,
-line search by dense grid evaluation, and language model probabilities by
+line search by dense grid evaluation, the distortion limit's dead ends by
+searching one-word steps, and language model probabilities by
 recounting the padded token stream (`conditional_sum` sums one context's
 conditional distribution over `event_vocab`). `line_search_reference` is the plain
 line search that the optimized one must equal float for float;
@@ -10,6 +11,7 @@ line search that the optimized one must equal float for float;
 and `mert_reference` decodes on every iteration.
 """
 
+import functools
 import math
 import random
 from collections import Counter
@@ -195,6 +197,22 @@ def future_of_by_bits(coverage, full_mask, table):
         total += table[(i, j)]
         i = j
     return total
+
+
+def can_finish_reference(n, distortion_limit):
+    """`can_finish(coverage, last_end)` by searching one-word steps within the
+    limit: every word has a one-word option, and a phrase's words taken one
+    at a time are steps within any limit, so a state can finish exactly when
+    these steps can."""
+    full = (1 << n) - 1
+
+    @functools.cache
+    def can_finish(coverage, last_end):
+        return coverage == full or any(
+            can_finish(coverage | 1 << i, i) for i in range(n)
+            if not coverage >> i & 1 and distortion_cost(last_end, i) <= distortion_limit)
+
+    return can_finish
 
 
 def _oracle_inc(context, last_end, opt, coverage_after, full, model):

@@ -223,6 +223,23 @@ def test_decoder_optimality_oracle_100_instances():
     _ok("decoder equals exhaustive maximum exactly on 100 instances (free + monotone)")
 
 
+def test_long_sentences_decode_within_the_distortion_limit(toy_runs):
+    """Three-sentence concatenations of the toy test set decode at the
+    pipeline's DecoderConfig(100, None, 6); these five once failed when dead
+    ends, states whose uncovered words no jump within the limit could reach,
+    filled their stacks."""
+    work = toy_runs[0]["work"]
+    table, model, config = pipeline.load_search(
+        work / "phrase-table.txt", work / "lm.arpa", 100, None, 6)
+    decoder = Decoder(table, model, Weights.from_file(work / "weights.txt"), config)
+    test = [tuple(line.split())
+            for line in (work / "corpus.test.en").read_text(encoding="utf-8").splitlines()]
+    for k in (0, 8, 10, 14, 16):
+        sentence = test[3 * k] + test[3 * k + 1] + test[3 * k + 2]
+        assert decoder.decode(sentence).tokens, k
+    _ok("the 5 toy concatenations that hit dead ends decode at distortion limit 6")
+
+
 def test_em_properties_on_toy(toy_runs):
     """Model 1 log-likelihood non-decreasing over 5 iterations; rows normalize."""
     work = toy_runs[0]["work"]

@@ -66,7 +66,8 @@ def test_align_corpus_on_one_and_two_cpus(monkeypatch, toy_train):
         monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
         if workers == 2:
             monkeypatch.setattr(align, "em_train", em_in_a_worker)
-        runs.append(align.align_corpus(corp, 3, "grow-diag-final"))
+        matrices, fwd, bwd = align.align_corpus(corp, 3, "grow-diag-final")
+        runs.append((list(matrices), fwd, bwd))
     (m1, fwd1, bwd1), (m2, fwd2, bwd2) = runs
     assert m1 == m2
     assert (fwd1, bwd1) == (fwd2, bwd2)

@@ -347,6 +347,31 @@ def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text
         assert f[broken] in err[0], err
 
 
+@pytest.mark.parametrize("alignments, message", [
+    ("0-0 1-1\n", "alignment file {} has 1 lines but the corpus has 2 pairs"),
+    ("0-0 1-1\n0-1 1-x\n", "{} line 2: bad link '1-x', expected i-j"),
+    ("0-0 1-1\n0-1 2-0\n", "{} line 2: link (2,0) outside a 2x2 sentence pair"),
+])
+def test_extract_refuses_a_malformed_alignment_file(tmp_path, alignments, message):
+    # the lines are parsed as extraction reads them, so a bad second line
+    # raises after the first pair has been counted: still one ERROR line,
+    # and no table
+    files = _tiny_model_files(tmp_path)
+    files["source"].write_text("a b\nb a\n", encoding="utf-8")
+    files["target"].write_text("x y\ny x\n", encoding="utf-8")
+    files["alignments"].write_text(alignments, encoding="utf-8")
+    table = tmp_path / "pt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "minismt.cli", "extract", "--source", str(files["source"]),
+         "--target", str(files["target"]), "--alignments", str(files["alignments"]),
+         "--lex-fwd", str(files["lexicon"]), "--lex-bwd", str(files["lexicon"]),
+         "-o", str(table)], env=_child_env(), capture_output=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == b"", proc
+    assert proc.stderr.decode("utf-8").splitlines() == [
+        "ERROR format: " + message.format(files["alignments"])]
+    assert not table.exists()
+
+
 @pytest.mark.parametrize("prob", ["nan", "inf", "1.5", "-0.25"])
 def test_lexicon_probability_outside_the_unit_interval(tmp_path, capsys, prob):
     files = _tiny_model_files(tmp_path)

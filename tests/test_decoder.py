@@ -13,13 +13,15 @@ from minismt.decode import (
     UNKNOWN_WORD_PENALTY,
     Weights,
     _future_of,
+    _liveness,
     collect_options,
     translate_all,
 )
 from minismt.errors import FormatError, ParameterError
 
 from conftest import random_phrase_table
-from oracles import enumerate_all_translations, exhaustive_decode, future_of_by_bits
+from oracles import (can_finish_reference, enumerate_all_translations, exhaustive_decode,
+                     future_of_by_bits)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -159,6 +161,34 @@ def test_future_of_equals_bit_by_bit_gap_walk():
         for coverage in range(full + 1):
             want = future_of_by_bits(coverage, full, table)
             assert _future_of(coverage, full, table) == want, (n, coverage)
+
+
+def _neighbour_rule(coverage, last_end, n, dl):
+    """The dead-end rule on the sorted uncovered positions and last_end."""
+    points = sorted([i for i in range(n) if not coverage >> i & 1] + [last_end])
+    return not any(b - a > dl + 1 or (b - a > dl - 1 and last_end >= b)
+                   for a, b in zip(points, points[1:]))
+
+
+def test_liveness_never_drops_a_state_that_can_finish():
+    # every state (coverage, last covered position) of every n <= 9, at every
+    # limit up to one that no run of covered words can exceed
+    dead = caught = 0
+    for n in range(1, 10):
+        full = (1 << n) - 1
+        for dl in range(9):
+            can_finish, reference = _liveness(full, dl), can_finish_reference(n, dl)
+            for coverage in range(1, full + 1):
+                for last_end in (i for i in range(n) if coverage >> i & 1):
+                    live = can_finish(coverage, last_end)
+                    assert live == _neighbour_rule(coverage, last_end, n, dl), (
+                        n, dl, bin(coverage), last_end)
+                    if not reference(coverage, last_end):
+                        dead += 1
+                        caught += not live
+                    else:
+                        assert live, (n, dl, bin(coverage), last_end)
+    assert caught > 0.9 * dead
 
 
 def test_reused_decoders_equal_fresh_ones():

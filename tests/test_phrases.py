@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from minismt import phrases
+from minismt import align, corpus, phrases, pipeline
 from minismt.align import NULL_WORD, AlignmentMatrix, TranslationLexicon
 from minismt.corpus import SentencePair
 from minismt.errors import FormatError, ParameterError
@@ -188,6 +189,38 @@ def test_phi_distributions_normalize(toy_train):
         by_target[tgt] += scores.phi_rev
     for total in list(by_source.values()) + list(by_target.values()):
         assert total == pytest.approx(1.0, abs=1e-6)
+
+
+def _peak_bytes(fn):
+    """fn's tracemalloc peak, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phrases_stage_streams_the_list_forms_table(tmp_path, toy_paths):
+    """stage_phrases writes the bytes of write_table(score(extract_corpus(...)))
+    while holding under half the memory, since no pair's set outlives it."""
+    src, tgt = toy_paths["train_en"], toy_paths["train_ar"]
+    al, fwd, bwd = tmp_path / "al", tmp_path / "fwd", tmp_path / "bwd"
+    pipeline.stage_align(src, tgt, al, fwd, bwd, iterations=2, heuristic="grow-diag-final")
+    streamed, listed = tmp_path / "streamed", tmp_path / "listed"
+
+    def list_form():
+        corp = corpus.load_parallel(src, tgt)
+        matrices = list(align.read_alignments(al, corp))
+        table = phrases.score(phrases.extract_corpus(corp, matrices, 7),
+                              align.read_lexicon(fwd), align.read_lexicon(bwd))
+        phrases.write_table(table, listed)
+
+    stream_peak = _peak_bytes(
+        lambda: pipeline.stage_phrases(src, tgt, al, fwd, bwd, streamed, max_len=7))
+    list_peak = _peak_bytes(list_form)
+    assert streamed.read_bytes() == listed.read_bytes()
+    assert stream_peak < list_peak / 2, (stream_peak, list_peak)
 
 
 # ---- distortion ---------------------------------------------------------------
