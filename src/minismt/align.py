@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, SentencePair
-from .errors import FormatError, ParameterError, TrainingError, _open_text
+from .errors import FormatError, ParameterError, TrainingError, _open_text, read_lines
 from .parallel import fork_map
 
 NULL_WORD = "<null>"
@@ -227,8 +227,7 @@ def read_alignments(path, corpus):
     The line count is checked here; the lines are parsed as the returned
     iterator is read, so a malformed line raises its FormatError then.
     """
-    with _open_text(path) as f:
-        lines = f.read().splitlines()
+    lines = read_lines(path)
     if len(lines) != len(corpus.pairs):
         raise FormatError(
             "alignment file %s has %d lines but the corpus has %d pairs"

@@ -5,7 +5,8 @@ and prepositional proclitics plus pronominal enclitics but never the
 definite article; MYD3 additionally splits the article and strips
 diacritics first. Split points are marked with '+' (trailing on
 proclitics, leading on enclitics), e.g. ``wAlktAb`` becomes ``w+ AlktAb``
-under ATB and ``w+ Al+ ktAb`` under MYD3.
+under ATB and ``w+ Al+ ktAb`` under MYD3. segment_token gives one token's
+marked segments as a tuple; tokenize gives a sentence's.
 
 Segmentation is rule-plus-lexicon matching, not statistical
 disambiguation: clitics are matched on the dediacritized skeleton of each
@@ -156,20 +157,6 @@ def load_lexicon(path):
 
 
 @dataclass(frozen=True)
-class SegmentedToken:
-    proclitics: tuple
-    stem: str
-    enclitics: tuple
-
-    def flatten(self):
-        """Marked segment sequence: proclitics carry a trailing '+', enclitics a leading '+'."""
-        parts = [p + "+" for p in self.proclitics]
-        parts.append(self.stem)
-        parts.extend("+" + e for e in self.enclitics)
-        return parts
-
-
-@dataclass(frozen=True)
 class _Analysis:
     proclitics: tuple  # (surface, skeleton chars consumed) pairs
     stem_start: int
@@ -282,7 +269,9 @@ def _work_form(token, scheme):
 
 
 def segment_token(token, scheme, inventory, lexicon):
-    """SegmentedToken for one surface token (pass-through when nothing splits).
+    """The '+'-marked segments of one surface token: proclitics carry a
+    trailing '+', an enclitic a leading '+', and a token where nothing splits
+    is its one normalized segment.
 
     ATB keeps the token's diacritics in the emitted slices; MYD3 works on
     the dediacritized form throughout.
@@ -290,23 +279,24 @@ def segment_token(token, scheme, inventory, lexicon):
     work = _work_form(token, scheme)
     if not work:
         log.warning("token %r has no characters left after dediacritization", token)
-        return SegmentedToken((), normalize(token), ())
+        return (normalize(token),)
     skeleton, positions = _skeleton_map(work)
     normalized = normalize(work)
     analysis = _select_analysis(_analyses(skeleton, scheme, inventory, lexicon), skeleton, lexicon)
     if analysis is None:
-        return SegmentedToken((), normalized, ())
+        return (normalized,)
 
-    pro, pos = [], 0
+    segments, pos = [], 0
     for surface, consumed in analysis.proclitics:
         if consumed < len(surface):  # contracted article: emit it in full
-            pro.append(normalize(surface))
+            segments.append(normalize(surface) + "+")
         else:
-            pro.append(normalized[positions[pos] : positions[pos + consumed]])
+            segments.append(normalized[positions[pos] : positions[pos + consumed]] + "+")
         pos += consumed
-    stem = normalized[positions[analysis.stem_start] : positions[analysis.stem_end]]
-    enc = (normalized[positions[analysis.stem_end] :],) if analysis.enclitic else ()
-    return SegmentedToken(tuple(pro), stem, enc)
+    segments.append(normalized[positions[analysis.stem_start] : positions[analysis.stem_end]])
+    if analysis.enclitic:
+        segments.append("+" + normalized[positions[analysis.stem_end] :])
+    return tuple(segments)
 
 
 def tokenize_all(sentences, scheme, inventory, lexicon):
@@ -323,7 +313,7 @@ def tokenize_all(sentences, scheme, inventory, lexicon):
         for token in sentence:
             segments = memo.get(token)
             if segments is None:
-                segments = segment_token(token, scheme, inventory, lexicon).flatten()
+                segments = segment_token(token, scheme, inventory, lexicon)
                 if _work_form(token, scheme):
                     memo[token] = segments
             out.extend(segments)

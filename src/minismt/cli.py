@@ -12,27 +12,9 @@ from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, pipeline
 from .decode import Decoder, Weights, translate_all
-from .errors import CorpusAlignmentError, FormatError, MinismtError, _open_text
+from .errors import CorpusAlignmentError, MinismtError
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
-
-
-def _input_lines(path):
-    if path in (None, "-"):
-        # strict UTF-8 whatever the locale: in the C locale Python would
-        # otherwise pass undecodable bytes through as surrogates
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-        try:
-            return [line.rstrip("\n") for line in sys.stdin]
-        except UnicodeDecodeError as exc:
-            raise FormatError("standard input is not UTF-8 text (%s)" % exc) from None
-    with _open_text(path) as f:
-        return f.read().splitlines()
-
-
-def _input_sentences(path):
-    return [tuple(line.split()) for line in _input_lines(path)]
 
 
 def _load_artok(args):
@@ -44,15 +26,15 @@ def _load_artok(args):
 
 def _cmd_tokenize(args):
     scheme, inventory, lexicon = _load_artok(args)
-    sentences = (tuple(line.split()) for line in _input_lines(args.input))
+    sentences = corpus.read_sentences(args.input)
     for tokens in artok.tokenize_all(sentences, scheme, inventory, lexicon):
         print(" ".join(tokens))
     return 0
 
 
 def _cmd_detokenize(args):
-    for line in _input_lines(args.input):
-        print(" ".join(artok.detokenize(tuple(line.split()))))
+    for sentence in corpus.read_sentences(args.input):
+        print(" ".join(artok.detokenize(sentence)))
     return 0
 
 
@@ -65,7 +47,7 @@ def _cmd_stats(args):
 
 
 def _cmd_train_lm(args):
-    model = lm.train(_input_sentences(args.corpus), args.order)
+    model = lm.train(corpus.read_sentences(args.corpus), args.order)
     lm.write_arpa(model, args.output)
     print("wrote %s (order %d)" % (args.output, args.order))
     return 0
@@ -73,7 +55,7 @@ def _cmd_train_lm(args):
 
 def _cmd_query_lm(args):
     model = lm.read_arpa(args.model)
-    sentences = _input_sentences(args.input)
+    sentences = corpus.read_sentences(args.input)
     for s in sentences:
         print("%.6f" % lm.sentence_logprob(model, s))
     if sentences:
@@ -105,14 +87,14 @@ def _decoder_from_args(args):
 
 def _cmd_decode(args):
     decoder = _decoder_from_args(args)
-    for nbest in translate_all(decoder, _input_sentences(args.input), 1):
+    for nbest in translate_all(decoder, corpus.read_sentences(args.input), 1):
         print(" ".join(nbest[0].tokens))
     return 0
 
 
 def _cmd_nbest(args):
     decoder = _decoder_from_args(args)
-    for idx, nbest in enumerate(translate_all(decoder, _input_sentences(args.input), args.n)):
+    for idx, nbest in enumerate(translate_all(decoder, corpus.read_sentences(args.input), args.n)):
         for t in nbest:
             print(
                 "%d ||| %s ||| %s ||| %.6f"
@@ -132,8 +114,8 @@ def _cmd_mert(args):
 
 
 def _cmd_bleu(args):
-    hyps = _input_sentences(args.hypothesis)
-    ref_files = [_input_sentences(p) for p in args.references]
+    hyps = corpus.read_sentences(args.hypothesis)
+    ref_files = [corpus.read_sentences(p) for p in args.references]
     for i, refs in enumerate(ref_files):
         if len(refs) != len(hyps):
             raise CorpusAlignmentError(

@@ -1,13 +1,16 @@
 """Sentence-aligned parallel corpora: loading, cleaning, statistics.
 
-Tokenization here is whitespace splitting only; language-specific
-segmentation lives in `artok`. All containers are immutable after
-construction and safe to share across threads.
+A corpus file holds one sentence per line, and a line ends at "\n" only
+(errors.read_lines), so line k of one side pairs with line k of the other
+whatever other line-breaking characters a sentence holds. Tokenization here
+is whitespace splitting only; language-specific segmentation lives in
+`artok`. All containers are immutable after construction and safe to share
+across threads.
 """
 
 from dataclasses import dataclass
 
-from .errors import CorpusAlignmentError, ParameterError, _open_text
+from .errors import CorpusAlignmentError, ParameterError, read_lines
 
 
 @dataclass(frozen=True)
@@ -36,26 +39,25 @@ class CorpusStats:
     target: SideStats
 
 
+def read_sentences(path):
+    """The whitespace-split token tuple of each line of a UTF-8 file, or of
+    standard input for None or "-"; an empty line gives an empty tuple."""
+    return [tuple(line.split()) for line in read_lines(path)]
+
+
 def load_parallel(source_path, target_path):
     """Pair up two one-sentence-per-line UTF-8 files, preserving line order.
 
-    Tokenization is whitespace splitting; an empty line gives an empty side.
     Raises CorpusAlignmentError (naming both counts) when the files have
     different numbers of lines; I/O problems surface as OSError.
     """
-    with _open_text(source_path) as f:
-        source_lines = f.read().splitlines()
-    with _open_text(target_path) as f:
-        target_lines = f.read().splitlines()
-    if len(source_lines) != len(target_lines):
+    source, target = read_sentences(source_path), read_sentences(target_path)
+    if len(source) != len(target):
         raise CorpusAlignmentError(
             "line count mismatch: %s has %d lines, %s has %d lines"
-            % (source_path, len(source_lines), target_path, len(target_lines))
+            % (source_path, len(source), target_path, len(target))
         )
-    return ParallelCorpus(tuple(
-        SentencePair(tuple(s.split()), tuple(t.split()))
-        for s, t in zip(source_lines, target_lines)
-    ))
+    return ParallelCorpus(tuple(SentencePair(s, t) for s, t in zip(source, target)))
 
 
 CLEAN_MAX_LEN = 80

@@ -14,9 +14,9 @@ Under a distortion limit an expansion can leave a gap that no later jump
 can reach. Every word has a one-word option, so whether a state can still
 finish depends only on its coverage and last position; ranking passes over
 the states that a rule on those gaps shows cannot, so such dead ends never
-crowd the live states out of a stack. Expansion walks only the starts inside the distortion window and,
-from each, the spans by length up to the first covered word, in the order
-of the sorted options.
+crowd the live states out of a stack. Expansion walks only the starts
+inside the distortion window and, from each, the spans by length up to the
+first covered word, in collect_options' (start, end, target) order.
 
 Each search keeps three memos for its one sentence, since many expansions
 repeat the same lookup: the LM sum of a target phrase after a context
@@ -27,8 +27,8 @@ memory stays bounded by one sentence's search. A hypothesis keeps only its
 LM and distortion values; the 8-feature increment is built for the paths
 that are returned. Its weighted score is summed inline, term by term in
 Weights.dot's order from 0.0, which gives the same float as Weights.dot.
-Only decode() builds a derivation; n-best entries carry the tokens,
-features and score that their readers read.
+A returned translation, from decode() as from nbest(), carries only its
+tokens, features and score.
 
 translate_all decodes a list of sentences on every CPU in the process's
 affinity mask (`taskset` limits it), through parallel.fork_map. Each search
@@ -136,9 +136,9 @@ class Weights:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    stack_size: int = 100
-    beam_threshold: float | None = None  # None disables threshold pruning
-    distortion_limit: int | None = None  # None means unlimited reordering
+    stack_size: int
+    beam_threshold: float | None  # None disables threshold pruning
+    distortion_limit: int | None  # None means unlimited reordering
 
     def __post_init__(self):
         if self.stack_size < 1:
@@ -159,17 +159,10 @@ class Option:
 
 
 @dataclass(frozen=True)
-class DerivationStep:
-    option: Option
-    features: tuple  # feature increment contributed by this step
-
-
-@dataclass(frozen=True)
 class Translation:
     tokens: tuple
     features: tuple
     score: float
-    derivation: tuple = ()  # DerivationSteps, built by decode() only
 
 
 class _Hyp:
@@ -211,27 +204,28 @@ class _Hyp:
 
 
 def collect_options(sentence, table):
-    """Applicable phrase options per span, plus copy-through unknowns.
+    """Applicable phrase options per span, plus copy-through unknowns, in
+    (start, end, target) order.
 
     A source word with no single-word table entry gets an unknown option
     that copies it to the output at a fixed extra word penalty, so every
-    sentence is fully coverable.
+    sentence is fully coverable. The table lists each phrase's targets
+    sorted, so walking the spans by start, then end, gives the order.
     """
     n = len(sentence)
-    spans = []
+    options = []
     max_len = max(table.max_source_len, 1)
     for i in range(n):
         for j in range(i + 1, min(n, i + max_len) + 1):
-            for target, scores in table.options(sentence[i:j]):
-                spans.append((i, j, target, log10_scores(scores), 0.0))
-        if not table.options(sentence[i : i + 1]):
-            spans.append((i, i + 1, (sentence[i],), (0.0, 0.0, 0.0, 0.0), UNKNOWN_WORD_PENALTY))
-    spans.sort(key=lambda span: span[:3])
-    return [
-        Option(i, j, target, ((1 << (j - i)) - 1) << i,
-               (0.0, *logs, 0.0, -float(len(target)) - penalty, -1.0))
-        for i, j, target, logs, penalty in spans
-    ]
+            mask = ((1 << (j - i)) - 1) << i
+            entries = table.options(sentence[i:j])
+            if j == i + 1 and not entries:  # an unknown word, copied through
+                static = (0.0,) * 6 + (-1.0 - UNKNOWN_WORD_PENALTY, -1.0)
+                options.append(Option(i, j, (sentence[i],), mask, static))
+            for target, scores in entries:
+                static = (0.0, *log10_scores(scores), 0.0, -float(len(target)), -1.0)
+                options.append(Option(i, j, target, mask, static))
+    return options
 
 
 def _lm_word_bounds(model, weights_lm):
@@ -256,11 +250,11 @@ def _lm_word_bounds(model, weights_lm):
 class Decoder:
     """Reusable search engine over one phrase table / LM / weight vector."""
 
-    def __init__(self, table, model, weights, config=None):
+    def __init__(self, table, model, weights, config):
         self.table = table
         self.model = model
         self.weights = weights
-        self.config = config or DecoderConfig()
+        self.config = config
         if (lm_mod.UNK,) not in model.probs:
             # without <unk> mass (an ARPA file from another toolkit) unseen words score -inf
             raise ParameterError("the language model has no <unk> probability; "
@@ -270,11 +264,10 @@ class Decoder:
 
     # ---- future cost -------------------------------------------------
 
-    def future_cost_table(self, sentence, options=None):
-        """span (i, j exclusive) -> optimistic score for translating it."""
+    def future_cost_table(self, sentence, options):
+        """span (i, j exclusive) -> optimistic score for translating it with
+        the sentence's collect_options."""
         n = len(sentence)
-        if options is None:
-            options = collect_options(sentence, self.table)
         best = {}
         for o in options:
             key = (o.start, o.end)
@@ -314,7 +307,7 @@ class Decoder:
         serial = 1
         dl = self.config.distortion_limit
         # the options of each start as (mask, last position, options) per
-        # span, by end; options are sorted by span, so walking the starts in
+        # span, by end; options come in span order, so walking the starts in
         # order runs expansions and their serials in source order
         spans = [[] for _ in range(n)]
         for option in options:
@@ -429,22 +422,22 @@ class Decoder:
     # ---- public API ----------------------------------------------------
 
     def decode(self, sentence):
-        """Best translation with its feature vector, score, and derivation:
-        the first entry of nbest()."""
-        return self._kbest(sentence, 1, derivation=True)[0]
+        """The best translation, its tokens, features and score: the first
+        entry of nbest()."""
+        return self._kbest(sentence, 1)[0]
 
     def nbest(self, sentence, n):
         """The n best distinct translations, best score first.
 
         Ties are broken toward the lexicographically smaller target string.
         Fewer than n entries come back only when the search graph holds
-        fewer than n distinct target strings. The entries carry no derivation.
+        fewer than n distinct target strings.
         """
         if n < 1:
             raise ParameterError("nbest size must be >= 1, got %r" % (n,))
         return self._kbest(sentence, n)
 
-    def _kbest(self, sentence, n, derivation=False):
+    def _kbest(self, sentence, n):
         sentence = tuple(sentence)
         if not sentence:
             return [Translation((), _ZERO, 0.0)]
@@ -473,7 +466,7 @@ class Decoder:
             if nxt is not None:
                 heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
         ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
-        return [_materialize_path(hyps, score, derivation) for _, (score, hyps) in ranked[:n]]
+        return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
 
 
 class _KBestPaths:
@@ -570,20 +563,16 @@ def _has_run(x, steps):
     return x != 0
 
 
-def _materialize_path(hyps, score, derivation):
-    """The Translation of a path; `score` is the path's score as _kbest found it.
-    Its DerivationSteps are built only if `derivation` is true."""
+def _materialize_path(hyps, score):
+    """The Translation of a path; `score` is the path's score as _kbest found it."""
     tokens = []
     features = list(_ZERO)
-    steps = []
     for node in hyps:
         s = node.option.static
         inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(node.distortion), s[6], s[7])
         tokens.extend(node.option.target)
         features = [f + d for f, d in zip(features, inc)]
-        if derivation:
-            steps.append(DerivationStep(node.option, inc))
-    return Translation(tuple(tokens), tuple(features), score, tuple(steps))
+    return Translation(tuple(tokens), tuple(features), score)
 
 
 # ---- decoding a sentence list on every CPU -----------------------------

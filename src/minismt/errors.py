@@ -1,10 +1,12 @@
 """Exception hierarchy. Every error carries a one-word category for the CLI.
 
 Every reader opens its file through _open_text, so a file that is not
-UTF-8 text is one FormatError naming it.
+UTF-8 text is one FormatError naming it. A reader that takes the whole
+file as lines does so through read_lines, where a line ends at "\n" only.
 """
 
 import contextlib
+import sys
 
 
 class MinismtError(Exception):
@@ -52,11 +54,37 @@ class MissingArtifactError(MinismtError):
 
 
 @contextlib.contextmanager
-def _open_text(path):
+def _open_text(path, newline=None):
     """open(path, encoding="utf-8") for reading; bytes that do not decode,
     met anywhere in the with-block, raise a FormatError naming the file."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline=newline) as f:
         try:
             yield f
         except UnicodeDecodeError as exc:
             raise FormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None
+
+
+def read_lines(path):
+    """The lines of a UTF-8 text file, or of standard input for None or "-".
+
+    A line ends at "\n" only, in a file as on standard input: str.splitlines
+    would also end one at "\r", a form feed, U+2028, U+0085 and others, and
+    so shift line k of one side of a parallel corpus against line k of the
+    other. A final "\n" ends the last line rather than starting an empty one.
+    """
+    if path in (None, "-"):
+        # strict UTF-8 whatever the locale: in the C locale Python would
+        # otherwise pass undecodable bytes through as surrogates
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError("standard input is not UTF-8 text (%s)" % exc) from None
+    else:
+        with _open_text(path, newline="\n") as f:
+            text = f.read()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines

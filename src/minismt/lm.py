@@ -14,7 +14,7 @@ All probabilities are log10.
 import math
 from dataclasses import dataclass
 
-from .errors import FormatError, ParameterError, TrainingError, _open_text
+from .errors import FormatError, ParameterError, TrainingError, read_lines
 
 START = "<s>"
 END = "</s>"
@@ -171,8 +171,7 @@ def write_arpa(model, path):
 
 def read_arpa(path):
     """Parse an ARPA file back into an NGramModel; malformed input raises FormatError."""
-    with _open_text(path) as f:
-        raw = f.read().splitlines()
+    raw = read_lines(path)
 
     def fail(lineno, message):
         raise FormatError("%s line %d: %s" % (path, lineno + 1, message))

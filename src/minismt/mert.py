@@ -258,7 +258,8 @@ def mert(
     initial,
     iterations=DEFAULT_ITERATIONS,
     nbest_size=DEFAULT_NBEST,
-    seed=0,
+    *,
+    seed,
     log_lines=None,
 ):
     """Full MERT loop.

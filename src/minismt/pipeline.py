@@ -73,7 +73,7 @@ class PipelineConfig:
     align_iterations: int = 5
     align_heuristic: str = "grow-diag-final"
     max_phrase_len: int = 7
-    stack_size: int = DecoderConfig.stack_size
+    stack_size: int = 100
     beam_threshold: float | None = None
     distortion_limit: int | None = 6
     mert_iterations: int = mert.DEFAULT_ITERATIONS
@@ -201,11 +201,6 @@ def _write_lines(path, lines):
             f.write(line + "\n")
 
 
-def _read_tokenized(path):
-    with _open_text(path) as f:
-        return [tuple(line.split()) for line in f.read().splitlines()]
-
-
 def _prepare_inputs(cfg):
     """The files outside the work dir that prepare reads."""
     return [cfg.train_source, cfg.train_target, cfg.dev_source, cfg.dev_target,
@@ -229,14 +224,14 @@ def stage_prepare(train_source, train_target, dev_source, dev_target, test_sourc
             corpus.SentencePair(p.source, t) for p, t in zip(corp.pairs, targets)))
         if src_art == train_src:
             corp = corpus.clean(corp, clean_max_len, clean_max_ratio)
-            _write_lines(stats, corpus.format_stats_table(
-                corpus.stats(corp), "en", "ar").splitlines())
+            Path(stats).write_text(corpus.format_stats_table(corpus.stats(corp), "en", "ar"),
+                                   encoding="utf-8")
         _write_lines(src_art, [" ".join(p.source) for p in corp.pairs])
         _write_lines(tgt_art, [" ".join(p.target) for p in corp.pairs])
 
 
 def stage_lm(train_tgt, lm_out, *, order):
-    model = lm.train(_read_tokenized(train_tgt), order)
+    model = lm.train(corpus.read_sentences(train_tgt), order)
     lm.write_arpa(model, lm_out)
 
 
@@ -280,7 +275,7 @@ def stage_mert(dev_src, dev_tgt, table_path, lm_path, weights, log, *, iteration
                                       distortion_limit)
     log_lines = []
     tuned = mert.mert(dev, lambda w: Decoder(table, model, w, dconf), Weights.uniform(),
-                      iterations, nbest, seed, log_lines)
+                      iterations, nbest, seed=seed, log_lines=log_lines)
     tuned.to_file(weights)
     _write_lines(log, log_lines)
 
@@ -288,7 +283,7 @@ def stage_mert(dev_src, dev_tgt, table_path, lm_path, weights, log, *, iteration
 def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok, *,
                  stack_size, beam_threshold, distortion_limit):
     """Decode the test set with the tuned weights and with the uniform start MERT tuned from."""
-    sentences = _read_tokenized(test_src)
+    sentences = corpus.read_sentences(test_src)
     table, model, dconf = load_search(table_path, lm_path, stack_size, beam_threshold,
                                       distortion_limit)
     for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
@@ -300,10 +295,10 @@ def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_d
 
 
 def stage_evaluate(test_tgt, hyp, hyp_uniform, report):
-    refs = [[r] for r in _read_tokenized(test_tgt)]
+    refs = [[r] for r in corpus.read_sentences(test_tgt)]
     lines = []
     for label, path in (("tuned", hyp), ("uniform", hyp_uniform)):
-        stats = bleu.corpus_stats(_read_tokenized(path), refs)
+        stats = bleu.corpus_stats(corpus.read_sentences(path), refs)
         lines.append("%s: %s" % (label, bleu.format_report(stats)))
     _write_lines(report, lines)
 

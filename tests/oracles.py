@@ -94,42 +94,26 @@ def _oracle_options(sentence, table):
 
 
 def exhaustive_decode(sentence, table, model, weights, distortion_limit=None):
-    """Maximum derivation score by enumerating every segmentation x ordering
-    x option choice. Recombination-free; apply-order score accumulation
-    mirrors the decoder's arithmetic so equality is exact."""
+    """Maximum derivation score, with its tokens and features, by enumerating
+    every segmentation x ordering x option choice. Recombination-free;
+    apply-order score and feature accumulation mirrors the decoder's
+    arithmetic so equality is exact."""
     sentence = tuple(sentence)
     n = len(sentence)
     if n == 0:
-        return 0.0, ()
+        return 0.0, (), (0.0,) * N_FEATURES
     options = _oracle_options(sentence, table)
     full = (1 << n) - 1
-    best = [None, None]  # score, tokens
+    best = [None, None, None]  # score, tokens, features
 
-    def step_inc(context, last_end, opt, coverage_after):
-        i, j, target, logs, unknown = opt
-        inc = [0.0] * 8
-        inc[1:5] = logs
-        lm_score = 0.0
-        ctx = context
-        for w in target:
-            lm_score += lm.logprob(model, w, ctx)
-            ctx = (ctx + (w,))[-(model.order - 1) :] if model.order > 1 else ()
-        if coverage_after == full:
-            lm_score += lm.logprob(model, lm.END, ctx)
-        inc[0] = lm_score
-        inc[5] = -float(distortion_cost(last_end, i))
-        inc[6] = -float(len(target)) - (UNKNOWN_WORD_PENALTY if unknown else 0.0)
-        inc[7] = -1.0
-        return tuple(inc), ctx
-
-    def rec(coverage, last_end, context, score, tokens):
+    def rec(coverage, last_end, context, score, tokens, features):
         if coverage == full:
             if (
                 best[0] is None
                 or score > best[0]
                 or (score == best[0] and tokens < best[1])
             ):
-                best[0], best[1] = score, tokens
+                best[:] = score, tokens, features
             return
         for opt in options:
             i, j = opt[0], opt[1]
@@ -138,18 +122,19 @@ def exhaustive_decode(sentence, table, model, weights, distortion_limit=None):
                 continue
             if distortion_limit is not None and distortion_cost(last_end, i) > distortion_limit:
                 continue
-            inc, ctx = step_inc(context, last_end, opt, coverage | mask)
+            inc, ctx = _oracle_inc(context, last_end, opt, coverage | mask, full, model)
             rec(
                 coverage | mask,
                 j - 1,
                 ctx,
                 score + weights.dot(inc),
                 tokens + opt[2],
+                tuple(f + d for f, d in zip(features, inc)),
             )
 
     start_ctx = (lm.START,) if model.order > 1 else ()
-    rec(0, -1, start_ctx, 0.0, ())
-    return best[0], best[1]
+    rec(0, -1, start_ctx, 0.0, (), (0.0,) * N_FEATURES)
+    return tuple(best)
 
 
 def enumerate_all_translations(sentence, table, model, weights, distortion_limit=None):

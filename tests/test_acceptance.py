@@ -213,12 +213,12 @@ def test_decoder_optimality_oracle_100_instances():
     for trial in range(100):
         sentence, table, model, weights = _random_decoder_instance(rng)
         got = Decoder(table, model, weights, UNPRUNED).decode(sentence)
-        want, _ = exhaustive_decode(sentence, table, model, weights)
+        want, _, _ = exhaustive_decode(sentence, table, model, weights)
         assert got.score == want, trial
 
         monotone_cfg = DecoderConfig(10**6, None, 0)
         got0 = Decoder(table, model, weights, monotone_cfg).decode(sentence)
-        want0, _ = exhaustive_decode(sentence, table, model, weights, distortion_limit=0)
+        want0, _, _ = exhaustive_decode(sentence, table, model, weights, distortion_limit=0)
         assert got0.score == want0, trial
     _ok("decoder equals exhaustive maximum exactly on 100 instances (free + monotone)")
 

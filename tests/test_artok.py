@@ -205,7 +205,7 @@ def test_tokenize_all_equals_segmenting_each_token(toy_train, bw_inventory, bw_l
     assert got == [artok.tokenize(s, scheme, bw_inventory, bw_lexicon) for s in sentences]
     assert got == [
         tuple(seg for token in s
-              for seg in artok.segment_token(token, scheme, bw_inventory, bw_lexicon).flatten())
+              for seg in artok.segment_token(token, scheme, bw_inventory, bw_lexicon))
         for s in sentences
     ]
 
@@ -275,11 +275,6 @@ def test_round_trip_preserves_token_count(toy_train, bw_inventory, bw_lexicon):
         for scheme in Scheme:
             tokenized = artok.tokenize(pair.target, scheme, bw_inventory, bw_lexicon)
             assert len(artok.detokenize(tokenized)) == len(pair.target)
-
-
-def test_segmented_token_flatten():
-    st = artok.SegmentedToken(("w", "Al"), "ktAb", ("h",))
-    assert st.flatten() == ["w+", "Al+", "ktAb", "+h"]
 
 
 def _compose_surface(rng, inventory, stems):

@@ -57,6 +57,25 @@ def test_tokenize_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "w+ AlktAb\n"
 
 
+def test_a_line_ends_at_newline_only(tmp_path, capsys):
+    # a form feed, U+2028, U+0085 and a carriage return inside the lines
+    text = "wAlktAb\fAljdyd\nktAbhA\u2028.\r\x85wktAb\n"
+    source, target = tmp_path / "c.en", tmp_path / "c.ar"
+    source.write_text(text, encoding="utf-8")
+    target.write_text("x\ny\n", encoding="utf-8")
+    assert main(["stats", str(source), str(target)]) == 0
+    out = capsys.readouterr().out.split("\n")
+    assert "source_lines=2" in out and "target_lines=2" in out
+    command = [sys.executable, "-m", "minismt.cli", "tokenize", "--scheme", "myd3"]
+    from_file = subprocess.run(command + ["--input", str(source)], env=_child_env(),
+                               capture_output=True, timeout=60)
+    from_stdin = subprocess.run(command, input=text.encode("utf-8"), env=_child_env(),
+                                capture_output=True, timeout=60)
+    assert from_file.returncode == from_stdin.returncode == 0, (from_file, from_stdin)
+    want = b"w+ Al+ ktAb Al+ jdyd\nktAb +hA . w+ ktAb\n"
+    assert from_file.stdout == from_stdin.stdout == want
+
+
 def test_tokenize_unknown_scheme_is_a_usage_error(monkeypatch, capsys):
     import io
 

@@ -20,6 +20,16 @@ def test_load_pairs_lines(tmp_path):
     assert corp.pairs[1].source == ("c",)
 
 
+def test_a_line_ends_at_newline_only(tmp_path):
+    # str.splitlines would also end a line at the form feed, U+2028 and
+    # U+0085, which would pair each side's later lines wrongly
+    src = _write(tmp_path, "c.en", "one\ftwo\nthree\nfour\x85five\n")
+    tgt = _write(tmp_path, "c.ar", "A\nB\u2028C\nD\n")
+    corp = corpus.load_parallel(src, tgt)
+    assert [(p.source, p.target) for p in corp.pairs] == [
+        (("one", "two"), ("A",)), (("three",), ("B", "C")), (("four", "five"), ("D",))]
+
+
 def test_load_mismatch_names_both_counts(tmp_path):
     src = _write(tmp_path, "c.en", "a\nb\nc\n")
     tgt = _write(tmp_path, "c.ar", "x\ny\n")

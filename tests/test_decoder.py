@@ -20,8 +20,8 @@ from minismt.decode import (
 from minismt.errors import FormatError, ParameterError
 
 from conftest import random_phrase_table
-from oracles import (can_finish_reference, enumerate_all_translations, exhaustive_decode,
-                     future_of_by_bits)
+from oracles import (_oracle_options, can_finish_reference, enumerate_all_translations,
+                     exhaustive_decode, future_of_by_bits)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -65,7 +65,7 @@ def test_decoder_refuses_a_model_without_unk(tmp_path):
     path.write_text("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\t</s>\n-99\t<s>\n-0.2\tx\n"
                     "\n\\end\\\n", encoding="utf-8")
     with pytest.raises(ParameterError):
-        Decoder(table, lm.read_arpa(path), Weights.uniform())
+        Decoder(table, lm.read_arpa(path), Weights.uniform(), UNPRUNED)
 
 
 def test_weights_validation():
@@ -83,9 +83,9 @@ def test_weights_l1_normalization_and_scaling():
 
 def test_decoder_config_validation():
     with pytest.raises(ParameterError):
-        DecoderConfig(stack_size=0)
+        DecoderConfig(stack_size=0, beam_threshold=None, distortion_limit=None)
     with pytest.raises(ParameterError):
-        DecoderConfig(beam_threshold=-1.0)
+        DecoderConfig(stack_size=100, beam_threshold=-1.0, distortion_limit=None)
 
 
 # ---- single-path sanity --------------------------------------------------------
@@ -125,6 +125,19 @@ def test_unknown_word_copied_with_penalty():
     assert t.features[6] == -2.0 - UNKNOWN_WORD_PENALTY
 
 
+def test_collect_options_come_in_start_end_target_order():
+    # words outside the table, repeated words and spans of up to 3 words
+    rng = random.Random(41)
+    for trial in range(50):
+        table = random_phrase_table(rng, SRC_VOCAB[:3], TGT_VOCAB, n_entries=10, max_len=3)
+        words = SRC_VOCAB + ["unk1", "unk2"]
+        sentence = tuple(rng.choice(words) for _ in range(rng.randint(0, 7)))
+        got = [(o.start, o.end, o.target) for o in collect_options(sentence, table)]
+        assert got == sorted(got), trial
+        assert got == sorted((i, j, target) for i, j, target, _, _
+                             in _oracle_options(sentence, table)), trial
+
+
 # ---- oracle equalities -----------------------------------------------------------
 
 
@@ -133,9 +146,11 @@ def test_unpruned_decode_equals_exhaustive():
     for trial in range(30):
         sentence, table, model, weights = _random_instance(rng)
         got = Decoder(table, model, weights, UNPRUNED).decode(sentence)
-        want_score, want_tokens = exhaustive_decode(sentence, table, model, weights)
+        want_score, want_tokens, want_features = exhaustive_decode(sentence, table, model,
+                                                                   weights)
         assert got.score == want_score, trial
         assert got.tokens == want_tokens, trial
+        assert got.features == want_features, trial
 
 
 @pytest.mark.parametrize("dl", [0, 1, 2, 3])
@@ -145,10 +160,11 @@ def test_distortion_limit_decode_equals_exhaustive(dl):
     for trial in range(20):
         sentence, table, model, weights = _random_instance(rng)
         got = Decoder(table, model, weights, config).decode(sentence)
-        want_score, want_tokens = exhaustive_decode(sentence, table, model, weights,
-                                                    distortion_limit=dl)
+        want_score, want_tokens, want_features = exhaustive_decode(
+            sentence, table, model, weights, distortion_limit=dl)
         assert got.score == want_score, trial
         assert got.tokens == want_tokens, trial
+        assert got.features == want_features, trial
 
 
 def test_future_of_equals_bit_by_bit_gap_walk():
@@ -224,46 +240,6 @@ def test_score_audit_and_trace():
     sentence, table, model, weights = _random_instance(rng)
     t = Decoder(table, model, weights, UNPRUNED).decode(sentence)
     assert abs(weights.dot(t.features) - t.score) <= 1e-9
-    total = [0.0] * 8
-    covered = []
-    for step in t.derivation:
-        total = [a + b for a, b in zip(total, step.features)]
-        covered.append((step.option.start, step.option.end))
-    assert tuple(total) == t.features
-    assert sorted(covered) == [
-        (i, j) for i, j in sorted(covered)
-    ] and sum(j - i for i, j in covered) == len(sentence)
-
-
-def test_derivation_features_recomputable():
-    # recompute each step's increment from its option and the running state
-    rng = random.Random(17)
-    sentence, table, model, weights = _random_instance(rng)
-    t = Decoder(table, model, weights, UNPRUNED).decode(sentence)
-    context = (lm.START,) if model.order > 1 else ()
-    last_end = -1
-    covered = 0
-    for step in t.derivation:
-        o = step.option
-        lm_score = 0.0
-        ctx = context
-        for wtok in o.target:
-            lm_score += lm.logprob(model, wtok, ctx)
-            ctx = (ctx + (wtok,))[-(model.order - 1):] if model.order > 1 else ()
-        covered += o.end - o.start
-        if covered == len(sentence):
-            lm_score += lm.logprob(model, lm.END, ctx)
-        # an option the table does not hold is an unknown word's copy
-        scores = dict(table.options(sentence[o.start : o.end])).get(o.target)
-        expected = (
-            lm_score,
-            *((0.0,) * 4 if scores is None else phrases.log10_scores(scores)),
-            -float(phrases.distortion_cost(last_end, o.start)),
-            -float(len(o.target)) - (UNKNOWN_WORD_PENALTY if scores is None else 0.0),
-            -1.0,
-        )
-        assert step.features == expected
-        context, last_end = ctx, o.end - 1
 
 
 # ---- future costs -----------------------------------------------------------------
@@ -273,7 +249,7 @@ def test_future_table_dp_property():
     rng = random.Random(23)
     sentence, table, model, weights = _random_instance(rng, max_len=5)
     d = Decoder(table, model, weights, UNPRUNED)
-    fut = d.future_cost_table(sentence)
+    fut = d.future_cost_table(sentence, collect_options(sentence, table))
     n = len(sentence)
     for i in range(n):
         for j in range(i + 1, n + 1):
@@ -298,8 +274,8 @@ def test_future_table_is_optimistic():
                                 negated.values[0] * (min(probs[lm.END]) + slack))):
             d = Decoder(table, model, w, UNPRUNED)
             assert d._bounds == bounds
-            fut = d.future_cost_table(sentence)
-            best, _ = exhaustive_decode(sentence, table, model, w)
+            fut = d.future_cost_table(sentence, collect_options(sentence, table))
+            best, _, _ = exhaustive_decode(sentence, table, model, w)
             # the table leaves out the </s> term, which adds at most `end`
             assert fut[(0, len(sentence))] + end >= best - 1e-9
 
@@ -309,9 +285,9 @@ def test_single_word_future_is_best_option():
     model = lm.train([("x",)], 1)
     w = Weights.uniform()
     d = Decoder(table, model, w, UNPRUNED)
-    fut = d.future_cost_table(("f0",))
-    option = collect_options(("f0",), table)[0]
-    assert fut[(0, 1)] == d._option_bound(option)
+    options = collect_options(("f0",), table)
+    fut = d.future_cost_table(("f0",), options)
+    assert fut[(0, 1)] == d._option_bound(options[0])
 
 
 def test_future_prefers_two_word_phrase_when_better():
@@ -489,9 +465,7 @@ def test_translate_all_equals_per_sentence_search(monkeypatch, workers):
         # would show as a reordering
         sentences = sorted((tuple(rng.choice(SRC_VOCAB) for _ in range(rng.randint(0, 6)))
                             for _ in range(7)), key=len, reverse=True)
-        # a 1-best list holds decode()'s translation without its derivation
-        want = [[Translation(t.tokens, t.features, t.score)]
-                for t in (decoder.decode(s) for s in sentences)]
+        want = [[decoder.decode(s)] for s in sentences]
         assert _outcome(decoder, sentences, 1) == (want, None), trial
         want = [decoder.nbest(s, 4) for s in sentences]
         assert _outcome(decoder, sentences, 4) == (want, None), trial
