@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, SentencePair
-from .errors import FormatError, ParameterError, TrainingError, _open_text, read_lines
+from .errors import FormatError, ParameterError, TrainingError, read_lines, write_lines
 from .parallel import fork_map
 
 NULL_WORD = "<null>"
@@ -68,7 +68,7 @@ def transpose_corpus(corpus):
 
 
 def em_train(corpus, iterations):
-    """IBM Model 1 EM over a cleaned parallel corpus.
+    """IBM Model 1 EM over a cleaned parallel corpus: no side of a pair is empty.
 
     Initialization is uniform over co-occurring pairs (and the null word);
     each iteration accumulates posterior-weighted counts and renormalizes.
@@ -78,9 +78,13 @@ def em_train(corpus, iterations):
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1, got %r" % (iterations,))
-    pairs = [p for p in corpus.pairs]
+    pairs = corpus.pairs
     if not pairs:
         raise TrainingError("cannot run EM on an empty corpus")
+    for lineno, pair in enumerate(pairs, 1):
+        if not pair.source or not pair.target:
+            raise TrainingError("line %d has an empty side; EM requires nonempty sentences"
+                                % lineno)
 
     table = {}
     for pair in pairs:
@@ -216,9 +220,7 @@ def write_alignments(matrices, path):
     """Moses-style alignment file: one line per pair of space-separated i-j links.
 
     `matrices` is any iterable, written as it is read."""
-    with open(path, "w", encoding="utf-8") as f:
-        for m in matrices:
-            f.write(" ".join("%d-%d" % link for link in sorted(m.links)) + "\n")
+    write_lines(path, (" ".join("%d-%d" % link for link in sorted(m.links)) for m in matrices))
 
 
 def read_alignments(path, corpus):
@@ -253,27 +255,23 @@ def _parse_alignment(path, lineno, line, pair):
 
 def write_lexicon(lexicon, path):
     """Dump `given<TAB>out<TAB>prob` lines, sorted lexicographically."""
-    with open(path, "w", encoding="utf-8") as f:
-        for given in sorted(lexicon.table):
-            for out in sorted(lexicon.table[given]):
-                f.write("%s\t%s\t%.10g\n" % (given, out, lexicon.table[given][out]))
+    table = lexicon.table
+    write_lines(path, ("%s\t%s\t%.10g" % (given, out, table[given][out])
+                       for given in sorted(table) for out in sorted(table[given])))
 
 
 def read_lexicon(path):
     table = {}
-    with _open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            try:
-                given, out, prob = raw.rstrip("\n").split("\t")
-                prob = float(prob)
-            except ValueError:
-                raise FormatError(
-                    "%s line %d: expected given<TAB>out<TAB>probability" % (path, lineno))
-            if not 0.0 <= prob <= 1.0:  # nan fails this too
-                raise FormatError("%s line %d: probability %r is not in [0,1]"
-                                  % (path, lineno, prob))
-            row = table.setdefault(given, {})
-            if out in row:
-                raise FormatError("%s line %d: duplicate pair %r %r" % (path, lineno, given, out))
-            row[out] = prob
+    for lineno, line in enumerate(read_lines(path), 1):
+        try:
+            given, out, prob = line.split("\t")
+            prob = float(prob)
+        except ValueError:
+            raise FormatError("%s line %d: expected given<TAB>out<TAB>probability" % (path, lineno))
+        if not 0.0 <= prob <= 1.0:  # nan fails this too
+            raise FormatError("%s line %d: probability %r is not in [0,1]" % (path, lineno, prob))
+        row = table.setdefault(given, {})
+        if out in row:
+            raise FormatError("%s line %d: duplicate pair %r %r" % (path, lineno, given, out))
+        row[out] = prob
     return TranslationLexicon(table)

@@ -25,7 +25,7 @@ import enum
 import logging
 from dataclasses import dataclass
 
-from .errors import FormatError, ParameterError, _open_text
+from .errors import FormatError, ParameterError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -116,21 +116,20 @@ class CliticInventory:
         """Read `surface<TAB>class` lines; '#' starts a comment."""
         proclitics = {name: [] for name in PROCLITIC_CLASSES}
         enclitics = []
-        with _open_text(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise FormatError("%s line %d: expected surface<TAB>class" % (path, lineno))
-                surface, name = parts[0], parts[1].strip().upper()
-                if name in proclitics:
-                    proclitics[name].append(surface)
-                elif name == ENCLITIC_CLASS:
-                    enclitics.append(surface)
-                else:
-                    raise FormatError("%s line %d: unknown clitic class %r" % (path, lineno, name))
+        for lineno, raw in enumerate(read_lines(path), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise FormatError("%s line %d: expected surface<TAB>class" % (path, lineno))
+            surface, name = parts[0], parts[1].strip().upper()
+            if name in proclitics:
+                proclitics[name].append(surface)
+            elif name == ENCLITIC_CLASS:
+                enclitics.append(surface)
+            else:
+                raise FormatError("%s line %d: unknown clitic class %r" % (path, lineno, name))
         return cls({k: tuple(v) for k, v in proclitics.items()}, tuple(enclitics))
 
 
@@ -147,13 +146,8 @@ def _check_surface(surface, cls, seen):
 
 def load_lexicon(path):
     """Stem list, one entry per line (dediacritized forms)."""
-    stems = set()
-    with _open_text(path) as f:
-        for raw in f:
-            entry = raw.strip()
-            if entry and not entry.startswith("#"):
-                stems.add(entry)
-    return frozenset(stems)
+    entries = (line.strip() for line in read_lines(path))
+    return frozenset(e for e in entries if e and not e.startswith("#"))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, pipeline
 from .decode import Decoder, Weights, translate_all
-from .errors import CorpusAlignmentError, MinismtError
+from .errors import CorpusAlignmentError, MinismtError, read_lines
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
 
@@ -42,7 +42,8 @@ def _cmd_stats(args):
     corp = corpus.load_parallel(args.source, args.target)
     # each side's label is its file name's suffix: en for train.en
     labels = Path(args.source).suffix[1:] or "src", Path(args.target).suffix[1:] or "tgt"
-    sys.stdout.write(corpus.format_stats_table(corpus.stats(corp), *labels))
+    for line in corpus.format_stats_table(corpus.stats(corp), *labels):
+        print(line)
     return 0
 
 
@@ -146,9 +147,8 @@ def _cmd_pipeline(args):
         manifest = pipeline.run_stage(args.stage, cfg)
         print("stage %s done (%s)" % (args.stage, manifest))
     else:
-        work = pipeline.run_pipeline(cfg)
-        report = work / "bleu.txt"
-        sys.stdout.write(report.read_text(encoding="utf-8"))
+        for line in read_lines(pipeline.run_pipeline(cfg) / "bleu.txt"):
+            print(line)
     return 0
 
 

@@ -105,7 +105,7 @@ def _side_stats(sentences):
 
 
 def format_stats_table(cs, source_lang="source", target_lang="target"):
-    """Two-column words/lines table plus machine-readable key=value lines."""
+    """The lines of a two-column words/lines table plus machine-readable key=value lines."""
     rows = [
         ("", "words", "lines"),
         (source_lang, str(cs.source.tokens), str(cs.source.lines)),
@@ -119,5 +119,5 @@ def format_stats_table(cs, source_lang="source", target_lang="target"):
         lines.append("%s_vocabulary=%d" % (side, ss.vocabulary))
         lines.append("%s_max_len=%d" % (side, ss.max_len))
         lines.append("%s_mean_len=%.4f" % (side, ss.mean_len))
-    return "\n".join(lines) + "\n"
+    return lines
 

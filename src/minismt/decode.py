@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 from . import lm as lm_mod
-from .errors import FormatError, MinismtError, ParameterError, _open_text
+from .errors import FormatError, MinismtError, ParameterError, read_lines, write_lines
 from .parallel import fork_map
 from .phrases import distortion_cost, log10_scores
 
@@ -103,31 +103,28 @@ class Weights:
         return self if norm == 0.0 else self.scaled(1.0 / norm)
 
     def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for name, value in zip(FEATURE_NAMES, self.values):
-                f.write("%s %.12g\n" % (name, value))
+        write_lines(path, ("%s %.12g" % item for item in zip(FEATURE_NAMES, self.values)))
 
     @classmethod
     def from_file(cls, path):
         seen = {}
-        with _open_text(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    name, value = line.split()
-                    value = float(value)
-                except ValueError:
-                    raise FormatError("%s line %d: expected 'name value', found %r"
-                                      % (path, lineno, line))
-                if name not in FEATURE_NAMES:
-                    raise FormatError("%s line %d: unknown weight %r" % (path, lineno, name))
-                if name in seen:
-                    raise FormatError("%s line %d: duplicate weight %r" % (path, lineno, name))
-                if not math.isfinite(value):
-                    raise FormatError("%s line %d: weight %r is not finite" % (path, lineno, name))
-                seen[name] = value
+        for lineno, raw in enumerate(read_lines(path), 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                name, value = line.split()
+                value = float(value)
+            except ValueError:
+                raise FormatError("%s line %d: expected 'name value', found %r"
+                                  % (path, lineno, line))
+            if name not in FEATURE_NAMES:
+                raise FormatError("%s line %d: unknown weight %r" % (path, lineno, name))
+            if name in seen:
+                raise FormatError("%s line %d: duplicate weight %r" % (path, lineno, name))
+            if not math.isfinite(value):
+                raise FormatError("%s line %d: weight %r is not finite" % (path, lineno, name))
+            seen[name] = value
         missing = [n for n in FEATURE_NAMES if n not in seen]
         if missing:
             raise FormatError("%s: missing weight %s" % (path, ", ".join(missing)))

@@ -1,11 +1,11 @@
-"""Exception hierarchy. Every error carries a one-word category for the CLI.
+"""Exception hierarchy, and the one line format of every text file.
 
-Every reader opens its file through _open_text, so a file that is not
-UTF-8 text is one FormatError naming it. A reader that takes the whole
-file as lines does so through read_lines, where a line ends at "\n" only.
+Every error carries a one-word category for the CLI. Every text file is
+read by read_lines, where "-" names standard input, and written by
+write_lines: UTF-8, each line ended by "\n", and a line ends at "\n" only.
+A file that is not UTF-8 text is one FormatError naming it.
 """
 
-import contextlib
 import sys
 
 
@@ -53,38 +53,42 @@ class MissingArtifactError(MinismtError):
     category = "stage"
 
 
-@contextlib.contextmanager
-def _open_text(path, newline=None):
-    """open(path, encoding="utf-8") for reading; bytes that do not decode,
-    met anywhere in the with-block, raise a FormatError naming the file."""
-    with open(path, encoding="utf-8", newline=newline) as f:
-        try:
-            yield f
-        except UnicodeDecodeError as exc:
-            raise FormatError("%s: not UTF-8 text (%s)" % (path, exc)) from None
-
-
 def read_lines(path):
     """The lines of a UTF-8 text file, or of standard input for None or "-".
 
     A line ends at "\n" only, in a file as on standard input: str.splitlines
-    would also end one at "\r", a form feed, U+2028, U+0085 and others, and
-    so shift line k of one side of a parallel corpus against line k of the
-    other. A final "\n" ends the last line rather than starting an empty one.
+    or universal newlines would also end one at "\r", a form feed, U+2028,
+    U+0085 and others, and so shift line k of one side of a parallel corpus
+    against line k of the other. A final "\n" ends the last line rather than
+    starting an empty one.
     """
-    if path in (None, "-"):
-        # strict UTF-8 whatever the locale: in the C locale Python would
-        # otherwise pass undecodable bytes through as surrogates
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-        try:
+    stdin = path is None or str(path) == "-"
+    try:
+        if stdin:
+            # strict UTF-8 whatever the locale: in the C locale Python would
+            # otherwise pass undecodable bytes through as surrogates
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
             text = sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError("standard input is not UTF-8 text (%s)" % exc) from None
-    else:
-        with _open_text(path, newline="\n") as f:
-            text = f.read()
+        else:
+            with open(path, encoding="utf-8", newline="\n") as f:
+                text = f.read()
+    except UnicodeDecodeError as exc:
+        where = "standard input is" if stdin else "%s:" % path
+        raise FormatError("%s not UTF-8 text (%s)" % (where, exc)) from None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def write_lines(path, lines):
+    """Write each string of `lines` to a UTF-8 file as one line ending in "\n".
+
+    `lines` is any iterable, written as it is read, so a generator of lines
+    is never held whole.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for line in lines:
+            f.write(line)
+            f.write("\n")

@@ -14,7 +14,7 @@ All probabilities are log10.
 import math
 from dataclasses import dataclass
 
-from .errors import FormatError, ParameterError, TrainingError, read_lines
+from .errors import FormatError, ParameterError, TrainingError, read_lines, write_lines
 
 START = "<s>"
 END = "</s>"
@@ -52,9 +52,9 @@ def train(sentences, order):
     sentences = [tuple(s) for s in sentences]
     if not sentences:
         raise TrainingError("cannot train a language model on an empty corpus")
-    for i, s in enumerate(sentences):
+    for lineno, s in enumerate(sentences, 1):
         if len(s) == 0:
-            raise TrainingError("sentence %d is empty; training requires nonempty sentences" % i)
+            raise TrainingError("line %d is empty; training requires nonempty sentences" % lineno)
 
     counts = _count_windows(sentences, order)
     probs, backoffs = _estimate_witten_bell(counts, order)
@@ -165,8 +165,7 @@ def write_arpa(model, path):
             lines.append(entry)
     lines.append("")
     lines.append("\\end\\")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_arpa(path):

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .align import _NO_ROW, NULL_WORD
-from .errors import FormatError, ParameterError, _open_text
+from .errors import FormatError, ParameterError, read_lines, write_lines
 
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
 
@@ -188,44 +188,40 @@ def write_table(table, path, prune=TABLE_PRUNE_LIMIT):
     Sorted by source then target, keeping the best `prune` targets per
     source by phi_fwd (score first, lexicographic target on ties).
     """
-    with open(path, "w", encoding="utf-8") as f:
+    def lines():
         for src in sorted(table.by_source):
-            options = sorted(
-                table.by_source[src], key=lambda item: (-item[1].phi_fwd, item[0])
-            )[:prune]
-            for tgt, s in sorted(options):
-                f.write(
-                    "%s ||| %s ||| %.10g %.10g %.10g %.10g\n"
-                    % (" ".join(src), " ".join(tgt), s.phi_fwd, s.lex_fwd, s.phi_rev, s.lex_rev)
-                )
+            options = sorted(table.by_source[src], key=lambda item: (-item[1].phi_fwd, item[0]))
+            for tgt, s in sorted(options[:prune]):
+                yield "%s ||| %s ||| %.10g %.10g %.10g %.10g" % (
+                    " ".join(src), " ".join(tgt), *s.as_tuple())
+
+    write_lines(path, lines())
 
 
 def read_table(path):
     entries = {}
-    with _open_text(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(" ||| ")
-            if len(fields) != 3:
-                raise FormatError("%s line %d: expected 3 ||| fields" % (path, lineno))
-            values = fields[2].split()
-            if len(values) != 4:
-                raise FormatError("%s line %d: expected 4 scores" % (path, lineno))
-            try:
-                scores = Scores(*(float(v) for v in values))
-            except ValueError:
-                raise FormatError("%s line %d: bad score value" % (path, lineno))
-            if not all(0.0 < v <= 1.0 for v in scores.as_tuple()):
-                raise FormatError("%s line %d: scores must be in (0,1]" % (path, lineno))
-            source, target = tuple(fields[0].split()), tuple(fields[1].split())
-            if not source or not target:
-                raise FormatError("%s line %d: empty source or target phrase" % (path, lineno))
-            if (source, target) in entries:
-                raise FormatError("%s line %d: duplicate phrase pair %r"
-                                  % (path, lineno, " ".join(source) + " ||| " + " ".join(target)))
-            entries[(source, target)] = scores
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        fields = line.split(" ||| ")
+        if len(fields) != 3:
+            raise FormatError("%s line %d: expected 3 ||| fields" % (path, lineno))
+        values = fields[2].split()
+        if len(values) != 4:
+            raise FormatError("%s line %d: expected 4 scores" % (path, lineno))
+        try:
+            scores = Scores(*(float(v) for v in values))
+        except ValueError:
+            raise FormatError("%s line %d: bad score value" % (path, lineno))
+        if not all(0.0 < v <= 1.0 for v in scores.as_tuple()):
+            raise FormatError("%s line %d: scores must be in (0,1]" % (path, lineno))
+        source, target = tuple(fields[0].split()), tuple(fields[1].split())
+        if not source or not target:
+            raise FormatError("%s line %d: empty source or target phrase" % (path, lineno))
+        if (source, target) in entries:
+            raise FormatError("%s line %d: duplicate phrase pair %r"
+                              % (path, lineno, " ".join(source) + " ||| " + " ".join(target)))
+        entries[(source, target)] = scores
     return PhraseTable(entries)
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, mert, phrases
 from .decode import Decoder, DecoderConfig, Weights, translate_all
-from .errors import ConfigError, MissingArtifactError, _open_text
+from .errors import ConfigError, MissingArtifactError, read_lines, write_lines
 
 
 def parse_number(text):
@@ -123,8 +123,7 @@ def load_config(path):
     """Parse an INI config file into a PipelineConfig (defaults applied)."""
     parser = configparser.ConfigParser()
     try:
-        with _open_text(path) as f:
-            parser.read_file(f)
+        parser.read_file(read_lines(path), source=str(path))
         raw = {(section, key): value.strip()
                for section in parser.sections() for key, value in parser[section].items()}
     except OSError:
@@ -195,12 +194,6 @@ def _require_valid(cfg):
 # ---- stages ------------------------------------------------------------
 
 
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as f:
-        for line in lines:
-            f.write(line + "\n")
-
-
 def _prepare_inputs(cfg):
     """The files outside the work dir that prepare reads."""
     return [cfg.train_source, cfg.train_target, cfg.dev_source, cfg.dev_target,
@@ -224,10 +217,9 @@ def stage_prepare(train_source, train_target, dev_source, dev_target, test_sourc
             corpus.SentencePair(p.source, t) for p, t in zip(corp.pairs, targets)))
         if src_art == train_src:
             corp = corpus.clean(corp, clean_max_len, clean_max_ratio)
-            Path(stats).write_text(corpus.format_stats_table(corpus.stats(corp), "en", "ar"),
-                                   encoding="utf-8")
-        _write_lines(src_art, [" ".join(p.source) for p in corp.pairs])
-        _write_lines(tgt_art, [" ".join(p.target) for p in corp.pairs])
+            write_lines(stats, corpus.format_stats_table(corpus.stats(corp), "en", "ar"))
+        write_lines(src_art, (" ".join(p.source) for p in corp.pairs))
+        write_lines(tgt_art, (" ".join(p.target) for p in corp.pairs))
 
 
 def stage_lm(train_tgt, lm_out, *, order):
@@ -277,7 +269,7 @@ def stage_mert(dev_src, dev_tgt, table_path, lm_path, weights, log, *, iteration
     tuned = mert.mert(dev, lambda w: Decoder(table, model, w, dconf), Weights.uniform(),
                       iterations, nbest, seed=seed, log_lines=log_lines)
     tuned.to_file(weights)
-    _write_lines(log, log_lines)
+    write_lines(log, log_lines)
 
 
 def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok, *,
@@ -289,9 +281,9 @@ def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_d
     for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
         decoder = Decoder(table, model, w, dconf)
         hyps = [nbest[0].tokens for nbest in translate_all(decoder, sentences, 1)]
-        _write_lines(out_path, [" ".join(h) for h in hyps])
+        write_lines(out_path, (" ".join(h) for h in hyps))
         if out_path == hyp:
-            _write_lines(hyp_detok, [" ".join(artok.detokenize(h)) for h in hyps])
+            write_lines(hyp_detok, (" ".join(artok.detokenize(h)) for h in hyps))
 
 
 def stage_evaluate(test_tgt, hyp, hyp_uniform, report):
@@ -300,7 +292,7 @@ def stage_evaluate(test_tgt, hyp, hyp_uniform, report):
     for label, path in (("tuned", hyp), ("uniform", hyp_uniform)):
         stats = bleu.corpus_stats(corpus.read_sentences(path), refs)
         lines.append("%s: %s" % (label, bleu.format_report(stats)))
-    _write_lines(report, lines)
+    write_lines(report, lines)
 
 
 # ---- the stage graph ---------------------------------------------------
@@ -461,7 +453,6 @@ def make_toy_config(out_dir):
         "",
         "[run]",
         "work_dir = %s" % (out / "work"),
-        "",
     ]
-    config_path.write_text("\n".join(lines), encoding="utf-8")
+    write_lines(config_path, lines)
     return config_path

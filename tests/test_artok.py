@@ -144,6 +144,13 @@ def test_inventory_rejects_unknown_class(tmp_path):
         artok.CliticInventory.load(bad)
 
 
+def test_a_lexicon_line_ends_at_newline_only(tmp_path):
+    # as in a corpus, a lone "\r" is part of its line, not a line break
+    path = tmp_path / "stems.txt"
+    path.write_bytes(b"ktAb\rqlm\n")
+    assert artok.load_lexicon(path) == frozenset({"ktAb\rqlm"})
+
+
 # ---- tokenize -----------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import minismt
-from minismt import lm, parallel, pipeline
+from minismt import align, artok, lm, parallel, phrases, pipeline
 from minismt.cli import build_parser, main
-from minismt.decode import FEATURE_NAMES
+from minismt.decode import FEATURE_NAMES, Weights
 from minismt.errors import MissingArtifactError
 
 
@@ -50,8 +52,6 @@ def test_tokenize_detokenize_filters(tmp_path, capsys):
 
 
 def test_tokenize_reads_stdin(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("wAlktAb\n"))
     assert main(["tokenize", "--scheme", "atb"]) == 0
     assert capsys.readouterr().out == "w+ AlktAb\n"
@@ -77,8 +77,6 @@ def test_a_line_ends_at_newline_only(tmp_path, capsys):
 
 
 def test_tokenize_unknown_scheme_is_a_usage_error(monkeypatch, capsys):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("wAlktAb\n"))
     assert main(["tokenize", "--scheme", "foo"]) == 1
     captured = capsys.readouterr()
@@ -404,6 +402,24 @@ def test_lexicon_probability_outside_the_unit_interval(tmp_path, capsys, prob):
     assert not table.exists()
 
 
+@pytest.mark.parametrize("flag", ["--weights", "--lexicon"])
+def test_an_input_file_named_dash_is_standard_input(tmp_path, monkeypatch, capsys, flag):
+    files = _tiny_model_files(tmp_path)
+    files["lexicon"] = pipeline.bundled_data("stems.bw.txt")
+    files["target"].write_text("wAlktAb Aljdyd\n", encoding="utf-8")
+    argv = {"--weights": ["decode", "--table", str(files["table"]), "--lm", str(files["lm"]),
+                          "--weights", str(files["weights"]), "--input", str(files["source"])],
+            "--lexicon": ["tokenize", "--scheme", "myd3", "--lexicon", str(files["lexicon"]),
+                          "--input", str(files["target"])]}[flag]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    stdin = files[flag[2:]].read_text(encoding="utf-8")
+    argv[argv.index(flag) + 1] = "-"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_decode_refuses_a_nan_beam_threshold(tmp_path, capsys):
     files = _tiny_model_files(tmp_path)
     assert main(["decode", "--table", str(files["table"]), "--lm", str(files["lm"]),
@@ -484,6 +500,45 @@ def test_align_on_an_empty_corpus_on_two_workers_is_one_error_line(tmp_path):
     err = proc.stderr.decode("utf-8").splitlines()
     assert proc.returncode == 1 and proc.stdout == b"start\n", proc
     assert err == ["ERROR data: cannot run EM on an empty corpus"], err
+
+
+@pytest.mark.parametrize("command, source, target, line", [
+    ("align", "a b\nc\nd e\n", "x y\n\nz w\n", 2),  # c is seen only opposite an empty line
+    ("align", "a b\nd e\n\n", "x y\nz w\nq\n", 3),
+    ("train-lm", None, "x y\nz\n\nw\n", 3),
+], ids=["align-empty-target", "align-empty-source", "train-lm"])
+def test_an_empty_training_line_is_one_data_error_naming_it(tmp_path, command, source, target,
+                                                            line):
+    files = {"c.en": source, "c.ar": target}
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {"align": ["align", "--source", str(tmp_path / "c.en"), "--target",
+                      str(tmp_path / "c.ar"), "-o", str(out)],
+            "train-lm": ["train-lm", str(tmp_path / "c.ar"), "-o", str(out)]}[command]
+    proc = subprocess.run([sys.executable, "-m", "minismt.cli", *argv], env=_child_env(),
+                          capture_output=True, timeout=60)
+    err = proc.stderr.decode("utf-8").splitlines()
+    assert proc.returncode == 1 and proc.stdout == b"", proc
+    assert len(err) == 1 and re.match(r"ERROR data: .*\bline %d\b" % line, err[0]), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for name, text in files.items() if text is not None)
+
+
+def test_crlf_copies_load_as_their_originals(small_run, tmp_path):
+    # a line ends at "\n" only, so a CRLF line keeps its "\r", which each of
+    # these formats strips as whitespace around its last field
+    work = Path(pipeline.load_config(small_run).work_dir)
+    loaders = {work / "weights.txt": Weights.from_file,
+               work / "phrase-table.txt": lambda p: phrases.read_table(p).by_source,
+               work / "lexicon.fwd": lambda p: align.read_lexicon(p).table,
+               pipeline.bundled_data("clitics.bw.tsv"): artok.CliticInventory.load,
+               small_run: pipeline.load_config}
+    for path, load in loaders.items():
+        crlf = tmp_path / path.name
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load(crlf) == load(path), path.name
 
 
 def test_subcommands_use_pipeline_defaults():

@@ -126,7 +126,7 @@ def test_stats_additive(toy_train):
 
 def test_stats_table_format():
     cs = corpus.stats(corpus.ParallelCorpus((corpus.SentencePair(("a",), ("x", "y")),)))
-    text = corpus.format_stats_table(cs, "en", "ar")
+    text = "\n".join(corpus.format_stats_table(cs, "en", "ar"))
     assert "words" in text and "lines" in text
     assert "source_tokens=1" in text
     assert "target_tokens=2" in text
