@@ -15,6 +15,9 @@ from .decode import Decoder, Weights, translate_all
 from .errors import CorpusAlignmentError, MinismtError, read_lines
 
 _DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
+# every character at which str.splitlines ends a line, escaped as repr() writes
+# it, so that a message quoting a path or a field stays on its one ERROR line
+_ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _load_artok(args):
@@ -277,11 +280,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except MinismtError as exc:
-        print("ERROR %s: %s" % (exc.category, exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("ERROR io: %s" % exc, file=sys.stderr)
+    except (MinismtError, OSError) as exc:
+        category = exc.category if isinstance(exc, MinismtError) else "io"
+        print("ERROR %s: %s" % (category, str(exc).translate(_ONE_LINE)), file=sys.stderr)
         return 1
 
 

@@ -21,10 +21,15 @@ first covered word, in collect_options' (start, end, target) order.
 Each search keeps three memos for its one sentence, since many expansions
 repeat the same lookup: the LM sum of a target phrase after a context
 (with the context it leaves), the </s> term after a context, and the future
-cost of a coverage. A hit returns the float its first computation gave, so
-a score does not depend on which lookups hit; nothing outlives the call, so
-memory stays bounded by one sentence's search. A hypothesis keeps only its
-LM and distortion values; the 8-feature increment is built for the paths
+cost of a coverage (from span costs keyed by span mask). A hit returns the
+float its first computation gave, so a score does not depend on which
+lookups hit; nothing outlives the call, so memory stays bounded by one
+sentence's search. The cyclic garbage collector is paused over a search and
+its read-out: a hypothesis points only to an earlier stack and to losers of
+its own key, so the graph is acyclic and reference counting frees it;
+threads decoding at once share that one switch, which costs only speed. A
+hypothesis keeps only its LM and distortion values, and an arcs list from
+its first recombination; the 8-feature increment is built for the paths
 that are returned. Its weighted score is summed inline, term by term in
 Weights.dot's order from 0.0, which gives the same float as Weights.dot.
 A returned translation, from decode() as from nbest(), carries only its
@@ -46,6 +51,7 @@ comparisons carry over to completions exactly; it agrees with the dot
 product of weights and accumulated features to within 1e-9.
 """
 
+import gc
 import heapq
 import math
 from dataclasses import dataclass
@@ -188,7 +194,7 @@ class _Hyp:
         self.option = option
         self.lm_score = lm_score  # the step's LM feature, </s> included
         self.distortion = distortion
-        self.arcs = []
+        self.arcs = None  # the losers recombined into this state, once there are any
         self.serial = serial
 
     def partial_tokens(self):
@@ -262,23 +268,23 @@ class Decoder:
     # ---- future cost -------------------------------------------------
 
     def future_cost_table(self, sentence, options):
-        """span (i, j exclusive) -> optimistic score for translating it with
-        the sentence's collect_options."""
+        """span (i, j exclusive), keyed by its mask (1 << j) - (1 << i) as in
+        Option.mask -> optimistic score for translating it with the options."""
         n = len(sentence)
         best = {}
         for o in options:
-            key = (o.start, o.end)
-            best[key] = max(best.get(key, -math.inf), self._option_bound(o))
+            best[o.mask] = max(best.get(o.mask, -math.inf), self._option_bound(o))
         table = {}
         for length in range(1, n + 1):
             for i in range(n - length + 1):
-                j = i + length
-                value = best.get((i, j), -math.inf)
-                for k in range(i + 1, j):
-                    split = table[(i, k)] + table[(k, j)]
+                low = 1 << i
+                span = (low << length) - low
+                value = best.get(span, -math.inf)
+                for k in range(i + 1, i + length):
+                    split = table[(1 << k) - low] + table[span + low - (1 << k)]
                     if split > value:
                         value = split
-                table[(i, j)] = value
+                table[span] = value
         return table
 
     def _option_bound(self, option):
@@ -336,6 +342,7 @@ class Decoder:
                         if before & mask:
                             break  # the longer spans from this start overlap too
                         coverage = before | mask
+                        stack = stacks[covered + end + 1 - start]
                         for option in group:
                             target = option.target
                             memo = lm_row.get(target)
@@ -365,7 +372,9 @@ class Decoder:
                             new = _Hyp(coverage, new_context, end, hyp.score + inc_score,
                                        inc_score, hyp, option, lm_score, distortion, serial)
                             serial += 1
-                            self._insert(stacks[covered + end + 1 - start], new)
+                            cur = stack.setdefault((coverage, new_context, end), new)
+                            if cur is not new:
+                                self._insert(stack, cur, new)
         return stacks[n]
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
@@ -400,21 +409,17 @@ class Decoder:
         return kept
 
     @staticmethod
-    def _insert(stack, new):
-        key = (new.coverage, new.context, new.last_end)
-        cur = stack.get(key)
-        if cur is None:
-            stack[key] = new
-            return
-        better = new.score > cur.score or (
-            new.score == cur.score and new.partial_tokens() < cur.partial_tokens()
-        )
-        if better:
-            new.arcs = cur.arcs + [cur]
-            cur.arcs = []
-            stack[key] = new
-        else:
-            cur.arcs.append(new)
+    def _insert(stack, cur, new):
+        """Recombine new into cur, the state of its key: the better of the
+        two holds the key and cur's arcs, to which the other is appended."""
+        arcs = cur.arcs or []  # a state's arcs list is built at its first loser
+        if new.score > cur.score or (
+                new.score == cur.score and new.partial_tokens() < cur.partial_tokens()):
+            stack[cur.coverage, cur.context, cur.last_end] = new
+            cur.arcs = None  # a loser holding its own arcs list would make a cycle
+            cur, new = new, cur
+        arcs.append(new)
+        cur.arcs = arcs
 
     # ---- public API ----------------------------------------------------
 
@@ -438,32 +443,39 @@ class Decoder:
         sentence = tuple(sentence)
         if not sentence:
             return [Translation((), _ZERO, 0.0)]
-        finals = self._search(sentence)
-        if not finals:
-            raise MinismtError("search produced no complete hypothesis")
-        paths = _KBestPaths()
-        # a final state's best path scores its own search score (see kth)
-        heap = [(-rep.score, rep.serial, rep, 0) for rep in finals.values()]
-        heapq.heapify(heap)
-        # paths pop in non-increasing score order, so the first path of each
-        # target string is its best; once n strings are in, a pop scoring
-        # below the last new string's score cannot change the top n
-        found = {}
-        last = None
-        while heap:
-            neg, _, rep, rank = heapq.heappop(heap)
-            if len(found) >= n and -neg < last - 1e-9:
-                break
-            score, hyps = paths.kth(rep, rank)
-            tokens = tuple(w for node in hyps for w in node.option.target)
-            if tokens not in found:
-                found[tokens] = (score, hyps)
-                last = score
-            nxt = paths.kth(rep, rank + 1)
-            if nxt is not None:
-                heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
-        ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
-        return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
+        # an acyclic graph: reference counting frees it, the collector finds nothing
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            finals = self._search(sentence)
+            if not finals:
+                raise MinismtError("search produced no complete hypothesis")
+            paths = _KBestPaths()
+            # a final state's best path scores its own search score (see kth)
+            heap = [(-rep.score, rep.serial, rep, 0) for rep in finals.values()]
+            heapq.heapify(heap)
+            # paths pop in non-increasing score order, so the first path of each
+            # target string is its best; once n strings are in, a pop scoring
+            # below the last new string's score cannot change the top n
+            found = {}
+            last = None
+            while heap:
+                neg, _, rep, rank = heapq.heappop(heap)
+                if len(found) >= n and -neg < last - 1e-9:
+                    break
+                score, hyps = paths.kth(rep, rank)
+                tokens = tuple(w for node in hyps for w in node.option.target)
+                if tokens not in found:
+                    found[tokens] = (score, hyps)
+                    last = score
+                nxt = paths.kth(rep, rank + 1)
+                if nxt is not None:
+                    heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
+            ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
+            return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class _KBestPaths:
@@ -480,7 +492,7 @@ class _KBestPaths:
             # every entry's rank-0 path goes through its predecessor's best
             # path, and predecessors are representatives, so the rank-0
             # value is just the entry's own search score
-            heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep] + rep.arcs]
+            heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep, *(rep.arcs or ())]]
             heapq.heapify(heap)
             state = self._state[id(rep)] = ([], heap)
         found, heap = state
@@ -505,7 +517,7 @@ def _future_of(coverage, full_mask, table):
     while gaps:
         low = gaps & -gaps  # the first position of the leftmost run
         carry = gaps + low  # the run cleared, and the bit just past its end set
-        total += table[(low.bit_length() - 1, (carry & -carry).bit_length() - 1)]
+        total += table[(carry & -carry) - low]  # the run's span mask
         gaps &= carry
     return total
 

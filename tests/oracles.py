@@ -166,9 +166,14 @@ def enumerate_all_translations(sentence, table, model, weights, distortion_limit
     return sorted(results.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def span_mask(i, j):
+    """The future-cost table's key of span (i, j exclusive): its bitmask."""
+    return (1 << j) - (1 << i)
+
+
 def future_of_by_bits(coverage, full_mask, table):
     """Future cost of a coverage by testing one bit at a time: the sum of
-    table[(i, j)] over the maximal uncovered runs, left to right."""
+    table[span_mask(i, j)] over the maximal uncovered runs, left to right."""
     total = 0.0
     i = 0
     n = full_mask.bit_length()
@@ -179,7 +184,7 @@ def future_of_by_bits(coverage, full_mask, table):
         j = i
         while j < n and not (coverage >> j & 1):
             j += 1
-        total += table[(i, j)]
+        total += table[span_mask(i, j)]
         i = j
     return total
 

@@ -18,7 +18,7 @@ import pytest
 from minismt import align, artok, bleu, corpus, lm, mert, parallel, phrases, pipeline
 from minismt.decode import Decoder, DecoderConfig, Weights
 
-from conftest import random_alignment, random_phrase_table
+from conftest import random_alignment, random_phrase_table, unreachable_after
 from oracles import (brute_force_extract, conditional_sum, event_vocab, exhaustive_decode,
                      grid_best_bleu)
 from test_artok import AR_SENTENCES, BW_SENTENCES, scheme_normal_form
@@ -223,21 +223,42 @@ def test_decoder_optimality_oracle_100_instances():
     _ok("decoder equals exhaustive maximum exactly on 100 instances (free + monotone)")
 
 
-def test_long_sentences_decode_within_the_distortion_limit(toy_runs):
-    """Three-sentence concatenations of the toy test set decode at the
-    pipeline's DecoderConfig(100, None, 6); these five once failed when dead
-    ends, states whose uncovered words no jump within the limit could reach,
-    filled their stacks."""
+@pytest.fixture(scope="module")
+def toy_concatenations(toy_runs):
+    """The toy run's decoder at the pipeline's DecoderConfig(100, None, 6), and
+    its test set's sentences joined three at a time."""
     work = toy_runs[0]["work"]
     table, model, config = pipeline.load_search(
         work / "phrase-table.txt", work / "lm.arpa", 100, None, 6)
     decoder = Decoder(table, model, Weights.from_file(work / "weights.txt"), config)
     test = [tuple(line.split())
             for line in (work / "corpus.test.en").read_text(encoding="utf-8").splitlines()]
+    return decoder, [a + b + c for a, b, c in zip(test[::3], test[1::3], test[2::3])]
+
+
+def test_long_sentences_decode_within_the_distortion_limit(toy_concatenations):
+    """Three-sentence concatenations of the toy test set decode at the
+    pipeline's DecoderConfig(100, None, 6); these five once failed when dead
+    ends, states whose uncovered words no jump within the limit could reach,
+    filled their stacks."""
+    decoder, sentences = toy_concatenations
     for k in (0, 8, 10, 14, 16):
-        sentence = test[3 * k] + test[3 * k + 1] + test[3 * k + 2]
-        assert decoder.decode(sentence).tokens, k
+        assert decoder.decode(sentences[k]).tokens, k
     _ok("the 5 toy concatenations that hit dead ends decode at distortion limit 6")
+
+
+def test_toy_searches_leave_no_cycles_for_the_collector(toy_concatenations):
+    """Decoding pauses the cyclic collector; that frees nothing only while
+    reference counting frees the search graph of long toy sentences too."""
+    decoder, sentences = toy_concatenations
+
+    def run():
+        for sentence in sentences[:4]:
+            decoder.decode(sentence)
+            decoder.nbest(sentence, 100)
+
+    assert unreachable_after(run) == 0
+    _ok("4 toy concatenations decode and list 100-best with no garbage cycle")
 
 
 def test_em_properties_on_toy(toy_runs):

@@ -364,6 +364,23 @@ def test_malformed_input_is_one_format_error_line(tmp_path, capsys, broken, text
         assert f[broken] in err[0], err
 
 
+@pytest.mark.parametrize("command, category", [("validate", "config"), ("tokenize", "io")])
+def test_an_error_line_escapes_every_line_break(tmp_path, capsys, command, category):
+    # a missing config file is a config error and a directory read as input an
+    # io error; both messages quote a path holding every character at which
+    # str.splitlines ends a line, and each is escaped as repr() writes it
+    breaks = "".join(c for c in map(chr, range(0x110000)) if len(("a%sb" % c).splitlines()) > 1)
+    assert breaks == "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+    path = tmp_path / ("run%s.ini" % breaks)
+    argv = ["validate", str(path)] if command == "validate" else ["tokenize", "--input", str(path)]
+    if command == "tokenize":
+        path.mkdir()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith("ERROR %s: " % category) and ascii(breaks)[1:-1] in err, err
+
+
 @pytest.mark.parametrize("alignments, message", [
     ("0-0 1-1\n", "alignment file {} has 1 lines but the corpus has 2 pairs"),
     ("0-0 1-1\n0-1 1-x\n", "{} line 2: bad link '1-x', expected i-j"),

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -17,11 +18,11 @@ from minismt.decode import (
     collect_options,
     translate_all,
 )
-from minismt.errors import FormatError, ParameterError
+from minismt.errors import FormatError, MinismtError, ParameterError
 
-from conftest import random_phrase_table
+from conftest import random_phrase_table, unreachable_after
 from oracles import (_oracle_options, can_finish_reference, enumerate_all_translations,
-                     exhaustive_decode, future_of_by_bits)
+                     exhaustive_decode, future_of_by_bits, span_mask)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -172,7 +173,8 @@ def test_future_of_equals_bit_by_bit_gap_walk():
     # gaps that run to the last position are all among them
     rng = random.Random(17)
     for n in range(1, 10):
-        table = {(i, j): rng.uniform(-9.0, 0.0) for i in range(n) for j in range(i + 1, n + 1)}
+        table = {span_mask(i, j): rng.uniform(-9.0, 0.0)
+                 for i in range(n) for j in range(i + 1, n + 1)}
         full = (1 << n) - 1
         for coverage in range(full + 1):
             want = future_of_by_bits(coverage, full, table)
@@ -254,7 +256,8 @@ def test_future_table_dp_property():
     for i in range(n):
         for j in range(i + 1, n + 1):
             for k in range(i + 1, j):
-                assert fut[(i, j)] >= fut[(i, k)] + fut[(k, j)] - 1e-12
+                assert fut[span_mask(i, j)] >= (
+                    fut[span_mask(i, k)] + fut[span_mask(k, j)] - 1e-12)
 
 
 def test_future_table_is_optimistic():
@@ -277,7 +280,7 @@ def test_future_table_is_optimistic():
             fut = d.future_cost_table(sentence, collect_options(sentence, table))
             best, _, _ = exhaustive_decode(sentence, table, model, w)
             # the table leaves out the </s> term, which adds at most `end`
-            assert fut[(0, len(sentence))] + end >= best - 1e-9
+            assert fut[span_mask(0, len(sentence))] + end >= best - 1e-9
 
 
 def test_single_word_future_is_best_option():
@@ -287,7 +290,7 @@ def test_single_word_future_is_best_option():
     d = Decoder(table, model, w, UNPRUNED)
     options = collect_options(("f0",), table)
     fut = d.future_cost_table(("f0",), options)
-    assert fut[(0, 1)] == d._option_bound(options[0])
+    assert fut[span_mask(0, 1)] == d._option_bound(options[0])
 
 
 def test_future_prefers_two_word_phrase_when_better():
@@ -304,8 +307,8 @@ def test_future_prefers_two_word_phrase_when_better():
     options = collect_options(("f0", "f1"), table)
     fut = d.future_cost_table(("f0", "f1"), options)
     two_word = next(o for o in options if o.end - o.start == 2)
-    assert fut[(0, 2)] == d._option_bound(two_word)
-    assert fut[(0, 2)] > fut[(0, 1)] + fut[(1, 2)]
+    assert fut[span_mask(0, 2)] == d._option_bound(two_word)
+    assert fut[span_mask(0, 2)] > fut[span_mask(0, 1)] + fut[span_mask(1, 2)]
 
 
 # ---- nbest ---------------------------------------------------------------------
@@ -435,6 +438,61 @@ def test_decoding_deterministic():
     na = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 10)
     nb = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 10)
     assert na == nb
+
+
+# ---- the cyclic garbage collector -------------------------------------------------
+
+
+def test_searches_leave_no_cycles_for_the_collector():
+    # a search runs with the cyclic collector paused, which frees nothing
+    # only while reference counting frees the whole search graph
+    rng = random.Random(37)
+    cases = []
+    for _ in range(30):
+        sentence, table, model, weights = _random_instance(rng)
+        for config in (UNPRUNED, DecoderConfig(2, None, 1), DecoderConfig(3, 0.5, None)):
+            cases.append((Decoder(table, model, weights, config), sentence))
+
+    def run():
+        for decoder, sentence in cases:
+            decoder.decode(sentence)
+            decoder.nbest(sentence, 100)
+
+    assert unreachable_after(run) == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_decoding_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    sentence, table, model, weights = _random_instance(random.Random(41))
+    decoder = Decoder(table, model, weights, UNPRUNED)
+    search, during = Decoder._search, []
+
+    def recording(self, s):
+        during.append(gc.isenabled())
+        return search(self, s)
+
+    monkeypatch.setattr(Decoder, "_search", recording)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        decoder.decode(sentence)
+        assert gc.isenabled() is enabled
+        decoder.nbest(sentence, 5)
+        assert gc.isenabled() is enabled
+        assert during == [False, False]
+        error = MinismtError("the search failed")
+
+        def failing(self, s):
+            raise error
+
+        monkeypatch.setattr(Decoder, "_search", failing)
+        for call in (decoder.decode, lambda s: decoder.nbest(s, 5)):
+            with pytest.raises(MinismtError) as raised:
+                call(sentence)
+            assert raised.value is error
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---- translate_all: a sentence list on every CPU ------------------------------

@@ -180,8 +180,8 @@ def test_every_malformed_file_ends_in_success_or_one_error_line(
                 code = main(argv.split())
             except Exception as exc:  # noqa: BLE001 - every escape is a finding
                 code = "%s: %s" % (type(exc).__name__, exc)
-            # lines end at "\n" only: a message may quote a path holding "\r"
-            out, err = (text.split("\n")[:-1] for text in capsys.readouterr())
+            # split wherever any reader may end a line, "\r" included
+            out, err = (text.splitlines() for text in capsys.readouterr())
             if not _ends_well(command, code, out, err, [d / w for w in writes]):
                 failures.append("%s: exit %s, stderr %r" % (case, code, err))
     assert not failures, "\n".join(failures)
