@@ -4,11 +4,14 @@ Hypotheses are organized into stacks by the number of covered source
 words. Expansion applies every phrase-table option over an uncovered span
 within the distortion limit, adding only the LM and distortion terms to the
 static increment that collect_options stored on the option; hypotheses
-identical in (coverage, language model context, last source position) are
-recombined, with the losers kept as arcs so n-best lists can be read back
-out of the search graph. Pruning is histogram (stack size) plus an optional
-relative score window, both measured on score + admissible future-cost
-estimate, which is looked up once per recombined state as a stack is ranked.
+identical in (coverage, LM state, last source position) are recombined,
+with the losers kept as arcs so n-best lists can be read back out of the
+search graph. The LM state is lm.state_machine's: the longest suffix of the
+output that the model can still read, so the hypotheses of one key score
+every continuation alike. Pruning is histogram (stack size) plus an
+optional relative score window, both measured on score + admissible
+future-cost estimate, which is looked up once per recombined state as a
+stack is ranked.
 
 Under a distortion limit an expansion can leave a gap that no later jump
 can reach. Every word has a one-word option, so whether a state can still
@@ -18,22 +21,24 @@ crowd the live states out of a stack. Expansion walks only the starts
 inside the distortion window and, from each, the spans by length up to the
 first covered word, in collect_options' (start, end, target) order.
 
-Each search keeps three memos for its one sentence, since many expansions
-repeat the same lookup: the LM sum of a target phrase after a context
-(with the context it leaves), the </s> term after a context, and the future
-cost of a coverage (from span costs keyed by span mask). A hit returns the
-float its first computation gave, so a score does not depend on which
-lookups hit; nothing outlives the call, so memory stays bounded by one
-sentence's search. The cyclic garbage collector is paused over a search and
-its read-out: a hypothesis points only to an earlier stack and to losers of
-its own key, so the graph is acyclic and reference counting frees it;
-threads decoding at once share that one switch, which costs only speed. A
-hypothesis keeps only its LM and distortion values, and an arcs list from
-its first recombination; the 8-feature increment is built for the paths
-that are returned. Its weighted score is summed inline, term by term in
-Weights.dot's order from 0.0, which gives the same float as Weights.dot.
-A returned translation, from decode() as from nbest(), carries only its
-tokens, features and score.
+Each search numbers the LM states it reaches, and a hypothesis holds its
+state's number. It keeps four memos for its one sentence, since many
+expansions repeat the same lookup: the LM sum of a target phrase after a
+state (with the state it leaves), the LM step of one word after a state,
+the </s> term after a state, and the future cost of a coverage (from span
+costs keyed by span mask). A hit returns the float its first computation
+gave, so a score does not depend on which lookups hit; nothing outlives the
+call, so memory stays bounded by one sentence's search. The cyclic garbage
+collector is paused over a search and its read-out: a hypothesis points
+only to an earlier stack and to losers of its own key, so the graph is
+acyclic and reference counting frees it; threads decoding at once share
+that one switch, which costs only speed. A hypothesis keeps only its LM and
+distortion values, and an arcs list from its first recombination; the
+8-feature increment is built for the paths that are returned. Its weighted
+score is summed inline, term by term in Weights.dot's order from 0.0, from
+products of the option's static terms taken once per search, which gives
+the same float as Weights.dot. A returned translation, from decode() as
+from nbest(), carries only its tokens, features and score.
 
 translate_all decodes a list of sentences on every CPU in the process's
 affinity mask (`taskset` limits it), through parallel.fork_map. Each search
@@ -171,7 +176,7 @@ class Translation:
 class _Hyp:
     __slots__ = (
         "coverage",
-        "context",
+        "lm_state",
         "last_end",
         "score",
         "inc_score",
@@ -183,10 +188,10 @@ class _Hyp:
         "serial",
     )
 
-    def __init__(self, coverage, context, last_end, score, inc_score, prev, option,
+    def __init__(self, coverage, lm_state, last_end, score, inc_score, prev, option,
                  lm_score, distortion, serial):
         self.coverage = coverage
-        self.context = context
+        self.lm_state = lm_state  # the number of its LM state in this search
         self.last_end = last_end
         self.score = score
         self.inc_score = inc_score
@@ -262,6 +267,8 @@ class Decoder:
             # without <unk> mass (an ARPA file from another toolkit) unseen words score -inf
             raise ParameterError("the language model has no <unk> probability; "
                                  "decode with a smoothed model")
+        lm_state, self._lm_step = lm_mod.state_machine(model)
+        self._lm_start = lm_state((lm_mod.START,))
         self._bounds = _lm_word_bounds(model, weights.values[0])
         self._unk_bound = self._bounds.get(lm_mod.UNK, 0.0)
 
@@ -301,26 +308,35 @@ class Decoder:
         future_table = self.future_cost_table(sentence, options)
         full_mask = (1 << n) - 1
         model = self.model
-        keep = model.order - 1
+        step = self._lm_step
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
-        root = _Hyp(0, (lm_mod.START,) if keep else (), -1, 0.0, 0.0, None, None, 0.0, 0, 0)
+        # this sentence's LM states, numbered in the order they are reached;
+        # a hypothesis and the memos hold a state's number
+        lm_states = [self._lm_start]
+        lm_ids = {lm_states[0]: 0}
+        root = _Hyp(0, 0, -1, 0.0, 0.0, None, None, 0.0, 0, 0)
         stacks = [dict() for _ in range(n + 1)]
-        stacks[0][(0, root.context, -1)] = root
+        stacks[0][(0, 0, -1)] = root
         serial = 1
         dl = self.config.distortion_limit
         # the options of each start as (mask, last position, options) per
         # span, by end; options come in span order, so walking the starts in
-        # order runs expansions and their serials in source order
+        # order runs expansions and their serials in source order. Each
+        # option comes with its weighted static terms, the products that
+        # the step's score adds
         spans = [[] for _ in range(n)]
         for option in options:
             group = spans[option.start]
             if not group or group[-1][0] != option.mask:
                 group.append((option.mask, option.end - 1, []))
-            group[-1][2].append(option)
+            s = option.static
+            group[-1][2].append((option, w1 * s[1], w2 * s[2], w3 * s[3], w4 * s[4],
+                                 w6 * s[6], w7 * s[7]))
         # memos of this sentence's search, dropped when it returns
-        lm_memo = {}  # context -> {target: (LM sum without </s>, new context)}
-        end_memo = {}  # context -> log P(</s> | context)
+        lm_memo = {}  # LM state -> {target: (LM sum without </s>, next LM state)}
+        word_memo = {}  # (LM state, word) -> (log P(word | state), next LM state)
+        end_memo = {}  # LM state -> log P(</s> | state)
         future_memo = {}  # coverage -> future cost
         can_finish = None if dl is None else _liveness(full_mask, dl)
 
@@ -328,51 +344,58 @@ class Decoder:
             # the root, alone in stack 0, can always finish monotonically
             for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo,
                                     can_finish if covered else None):
-                context, last_end, before = hyp.context, hyp.last_end, hyp.coverage
-                lm_row = lm_memo.get(context)
+                lm_state, last_end, before = hyp.lm_state, hyp.last_end, hyp.coverage
+                lm_row = lm_memo.get(lm_state)
                 if lm_row is None:
-                    lm_row = lm_memo[context] = {}
+                    lm_row = lm_memo[lm_state] = {}
                 starts = range(n) if dl is None else range(max(0, last_end + 1 - dl),
                                                           min(n, last_end + 2 + dl))
                 for start in starts:
                     if before >> start & 1:
                         continue
                     distortion = distortion_cost(last_end, start)
+                    distortion_term = w5 * -float(distortion)
                     for mask, end, group in spans[start]:
                         if before & mask:
                             break  # the longer spans from this start overlap too
                         coverage = before | mask
                         stack = stacks[covered + end + 1 - start]
-                        for option in group:
+                        for option, t1, t2, t3, t4, t6, t7 in group:
                             target = option.target
                             memo = lm_row.get(target)
                             if memo is None:
                                 lm_score = 0.0
-                                new_context = context
+                                next_lm = lm_state
                                 for w in target:
-                                    lm_score += lm_mod.logprob(model, w, new_context)
-                                    new_context = (new_context + (w,))[-keep:] if keep else ()
-                                memo = lm_row[target] = (lm_score, new_context)
-                            lm_score, new_context = memo
+                                    hit = word_memo.get((next_lm, w))
+                                    if hit is None:
+                                        p, after = step(lm_states[next_lm], w)
+                                        after_id = lm_ids.get(after)
+                                        if after_id is None:
+                                            after_id = lm_ids[after] = len(lm_states)
+                                            lm_states.append(after)
+                                        hit = word_memo[next_lm, w] = (p, after_id)
+                                    lm_score += hit[0]
+                                    next_lm = hit[1]
+                                memo = lm_row[target] = (lm_score, next_lm)
+                            lm_score, next_lm = memo
                             if coverage == full_mask:
-                                end_lm = end_memo.get(new_context)
+                                end_lm = end_memo.get(next_lm)
                                 if end_lm is None:
-                                    end_lm = end_memo[new_context] = lm_mod.logprob(
-                                        model, lm_mod.END, new_context)
+                                    end_lm = end_memo[next_lm] = lm_mod.logprob(
+                                        model, lm_mod.END, lm_states[next_lm])
                                 lm_score += end_lm
-                            s = option.static
                             # Weights.dot of the step's features, term by term
                             # in its order from 0.0, so the float is the same;
                             # scores accumulate incrementally so that
-                            # equal-state comparisons carry over to completions
+                            # equal-key comparisons carry over to completions
                             # exactly (float addition is monotone)
-                            inc_score = (0.0 + w0 * lm_score + w1 * s[1] + w2 * s[2]
-                                         + w3 * s[3] + w4 * s[4] + w5 * -float(distortion)
-                                         + w6 * s[6] + w7 * s[7])
-                            new = _Hyp(coverage, new_context, end, hyp.score + inc_score,
+                            inc_score = (0.0 + w0 * lm_score + t1 + t2 + t3 + t4
+                                         + distortion_term + t6 + t7)
+                            new = _Hyp(coverage, next_lm, end, hyp.score + inc_score,
                                        inc_score, hyp, option, lm_score, distortion, serial)
                             serial += 1
-                            cur = stack.setdefault((coverage, new_context, end), new)
+                            cur = stack.setdefault((coverage, next_lm, end), new)
                             if cur is not new:
                                 self._insert(stack, cur, new)
         return stacks[n]
@@ -415,7 +438,7 @@ class Decoder:
         arcs = cur.arcs or []  # a state's arcs list is built at its first loser
         if new.score > cur.score or (
                 new.score == cur.score and new.partial_tokens() < cur.partial_tokens()):
-            stack[cur.coverage, cur.context, cur.last_end] = new
+            stack[cur.coverage, cur.lm_state, cur.last_end] = new
             cur.arcs = None  # a loser holding its own arcs list would make a cycle
             cur, new = new, cur
         arcs.append(new)

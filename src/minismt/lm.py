@@ -113,6 +113,46 @@ def logprob(model, word, context=()):
         ctx = ctx[1:]
 
 
+def state_machine(model):
+    """The model as a machine over its context states: (state, step), where
+    state(context) is the context's state and step(state, word) is
+    (log10 P(word | state), the state after word).
+
+    A context state is the empty context, a context with a backoff line, or
+    a proper prefix of a stored n-gram, and so is every prefix of a state; a
+    context's state is its longest suffix of at most order-1 words that is a
+    state. logprob walks a context from its longest such suffix down, adding
+    each suffix's backoff until suffix + (word,) is stored. A suffix longer
+    than the state is no state, so it has no backoff line (it adds 0.0) and
+    suffix + (word,) is not stored: the walk reaches the state with the
+    score 0.0 it started from, and logprob(model, w, state(c)) equals
+    logprob(model, w, c) bit for bit. Contexts with the same state therefore
+    score every continuation alike. The next state is the longest state
+    suffix of state + (word,); when t + (word,) is a state, so is its prefix
+    t, a suffix of the context no longer than order-2 words and so of its
+    state, which gives state(c + (w,)) == state(state(c) + (w,)).
+    """
+    keep = model.order - 1
+    states = {()}  # every prefix of a member is a member
+    for contexts in ((gram[:-1] for gram in model.probs), model.backoffs):
+        for context in contexts:
+            context = context[:keep]
+            while context not in states:
+                states.add(context)
+                context = context[:-1]
+
+    def state(context):
+        context = tuple(context)[-keep:] if keep else ()
+        while context not in states:
+            context = context[1:]
+        return context
+
+    def step(context, word):
+        return logprob(model, word, context), state(context + (word,))
+
+    return state, step
+
+
 def sentence_logprob(model, sentence):
     """log10 probability of a sentence: the sum of per-event logprob calls.
 

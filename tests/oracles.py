@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the real code paths.
 
 These deliberately avoid the algorithms they verify: extraction is checked
-by enumerating every rectangle, decoding by enumerating every derivation,
+by enumerating every rectangle, decoding by enumerating every derivation
+(and its search errors by an unpruned forced decode of the reference),
 line search by dense grid evaluation, the distortion limit's dead ends by
 searching one-word steps, and language model probabilities by
 recounting the padded token stream (`conditional_sum` sums one context's
@@ -164,6 +165,60 @@ def enumerate_all_translations(sentence, table, model, weights, distortion_limit
     start_ctx = (lm.START,) if model.order > 1 else ()
     rec(0, -1, start_ctx, 0.0, ())
     return sorted(results.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def forced_decode(sentence, reference, table, model, weights, distortion_limit=None):
+    """The best score of a derivation whose target is exactly `reference`, or
+    None when no derivation produces it.
+
+    An unpruned dynamic program over (coverage, reference prefix length,
+    last_end): the prefix fixes the LM context, so these states have equal
+    futures. A step adds weights.dot of its features to the running score,
+    as the decoder and exhaustive_decode do; float addition is monotone, so
+    the best score per state gives the best derivation score exactly."""
+    sentence, reference = tuple(sentence), tuple(reference)
+    n, m = len(sentence), len(reference)
+    if n == 0:
+        return 0.0 if m == 0 else None
+    full = (1 << n) - 1
+    fits = [[] for _ in range(m)]  # prefix length -> the options that continue it
+    for opt in _oracle_options(sentence, table):
+        size = len(opt[2])
+        for k in range(m - size + 1):
+            if reference[k : k + size] == opt[2]:
+                fits[k].append(opt)
+    layers = [{} for _ in range(m + 1)]  # prefix length -> {(coverage, last_end): score}
+    layers[0][0, -1] = 0.0
+    for k in range(m):
+        context = ((lm.START,) + reference[:k])[-(model.order - 1) :] if model.order > 1 else ()
+        for (coverage, last_end), score in layers[k].items():
+            for opt in fits[k]:
+                i, j = opt[0], opt[1]
+                mask = ((1 << (j - i)) - 1) << i
+                if coverage & mask:
+                    continue
+                if distortion_limit is not None and distortion_cost(last_end, i) > distortion_limit:
+                    continue
+                inc, _ = _oracle_inc(context, last_end, opt, coverage | mask, full, model)
+                value = score + weights.dot(inc)
+                layer, key = layers[k + len(opt[2])], (coverage | mask, j - 1)
+                if key not in layer or value > layer[key]:
+                    layer[key] = value
+    finals = [score for (coverage, _), score in layers[m].items() if coverage == full]
+    return max(finals) if finals else None
+
+
+def search_outcome(best, reference, forced):
+    """How a 1-best `best` (a Translation) stands to its reference, whose
+    forced_decode score is `forced`: "exact" when it is the reference,
+    "unreachable" when no derivation produces the reference, "search" when
+    the reference scores higher (the search missed a better string), and
+    "model" when the model prefers another string."""
+    if best.tokens == tuple(reference):
+        return "exact"
+    if forced is None:
+        return "unreachable"
+    return "search" if forced > best.score else "model"
 
 
 def span_mask(i, j):

@@ -11,6 +11,7 @@ import math
 import random
 import re
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from minismt.decode import Decoder, DecoderConfig, Weights
 
 from conftest import random_alignment, random_phrase_table, unreachable_after
 from oracles import (brute_force_extract, conditional_sum, event_vocab, exhaustive_decode,
-                     grid_best_bleu)
+                     forced_decode, grid_best_bleu, search_outcome)
 from test_artok import AR_SENTENCES, BW_SENTENCES, scheme_normal_form
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
@@ -259,6 +260,25 @@ def test_toy_searches_leave_no_cycles_for_the_collector(toy_concatenations):
 
     assert unreachable_after(run) == 0
     _ok("4 toy concatenations decode and list 100-best with no garbage cycle")
+
+
+def test_toy_test_set_has_no_search_errors(toy_runs):
+    """At the toy run's tuned weights and the pipeline's DecoderConfig(100,
+    None, 6), no test reference, force-decoded without pruning, scores
+    higher than the 1-best of a sentence it differs from."""
+    work = toy_runs[0]["work"]
+    table, model, config = pipeline.load_search(
+        work / "phrase-table.txt", work / "lm.arpa", 100, None, 6)
+    weights = Weights.from_file(work / "weights.txt")
+    decoder = Decoder(table, model, weights, config)
+    outcomes = Counter()
+    for source, reference in zip(corpus.read_sentences(work / "corpus.test.en"),
+                                 corpus.read_sentences(work / "corpus.test.ar")):
+        forced = forced_decode(source, reference, table, model, weights, 6)
+        outcomes[search_outcome(decoder.decode(source), reference, forced)] += 1
+    assert outcomes["search"] == 0, outcomes
+    assert sum(outcomes.values()) == 120
+    _ok("toy test set: %s, no search error" % dict(sorted(outcomes.items())))
 
 
 def test_em_properties_on_toy(toy_runs):

@@ -22,7 +22,7 @@ from minismt.errors import FormatError, MinismtError, ParameterError
 
 from conftest import random_phrase_table, unreachable_after
 from oracles import (_oracle_options, can_finish_reference, enumerate_all_translations,
-                     exhaustive_decode, future_of_by_bits, span_mask)
+                     exhaustive_decode, forced_decode, future_of_by_bits, span_mask)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -394,6 +394,21 @@ def test_nbest_returns_n_when_the_best_string_has_many_derivations():
     want = enumerate_all_translations(sentence, table, model, weights, distortion_limit=0)
     got = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 2)
     assert [(t.tokens, t.score) for t in got] == want[:2]
+
+
+@pytest.mark.parametrize("dl", [None, 1])
+def test_forced_decode_scores_each_string_at_its_best_derivation(dl):
+    """The search-error oracle: forced_decode of every string that the full
+    enumeration reaches gives that string's best score exactly, and a
+    string no derivation makes is unreachable."""
+    rng = random.Random(61)
+    for trial in range(30):
+        sentence, table, model, weights = _random_instance(rng, max_len=4)
+        want = enumerate_all_translations(sentence, table, model, weights, distortion_limit=dl)
+        for tokens, score in want:
+            assert forced_decode(sentence, tokens, table, model, weights, dl) == score, trial
+        unmade = want[0][0] + ("not-a-target",)
+        assert forced_decode(sentence, unmade, table, model, weights, dl) is None, trial
 
 
 # ---- pruning and determinism ------------------------------------------------------

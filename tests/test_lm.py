@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from pathlib import Path
@@ -115,6 +116,58 @@ def test_train_errors():
 def test_context_truncation():
     m = lm.train([("a", "b", "c")], 2)
     assert lm.logprob(m, "c", ("x", "y", "b")) == lm.logprob(m, "c", ("b",))
+
+
+def _assert_states_are_exact(m, contexts):
+    """For each context c and word w (the vocabulary, </s> and one unseen
+    word), state(c) scores w as c does, bit for bit, and the state after w
+    depends on c only through state(c)."""
+    state, step = lm.state_machine(m)
+    words = sorted(m.vocab | {lm.END, "zzz-unseen"})
+    for c in contexts:
+        s = state(c)
+        assert s == c[len(c) - len(s) :] and len(s) <= m.order - 1, (c, s)
+        for w in words:
+            assert lm.logprob(m, w, s) == lm.logprob(m, w, c), (c, w)
+            assert state(c + (w,)) == state(s + (w,)), (c, w)
+            assert step(s, w) == (lm.logprob(m, w, c), state(c + (w,))), (c, w)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_lm_states_score_as_their_contexts(order):
+    rng = random.Random(order)
+    vocab = list("abcde")
+    sentences = [
+        tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8))) for _ in range(60)
+    ]
+    m = lm.train(sentences, order)
+    # every observed history, with one word more than the model reads
+    contexts = {()}
+    for s in sentences:
+        padded = (lm.START,) + s + (lm.END,)
+        contexts.update(padded[max(0, i - order) : i] for i in range(1, len(padded)))
+    _assert_states_are_exact(m, sorted(contexts))
+
+
+def test_lm_states_of_an_arpa_with_missing_and_zero_backoffs(tmp_path):
+    # the trigram "a b a" is stored, yet its context "a b" has no backoff
+    # line; "b" has backoff 0.0, and "b a" is a context by its backoff alone
+    path = tmp_path / "hand.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=5\nngram 2=3\nngram 3=2\n\n"
+        "\\1-grams:\n-0.7\t</s>\n-99\t<s>\t-0.3\n-1.0\t<unk>\n-0.5\ta\t-0.2\n-0.6\tb\t0.0\n\n"
+        "\\2-grams:\n-0.2\t<s> a\t-0.1\n-0.3\ta b\n-0.4\tb a\t-0.25\n\n"
+        "\\3-grams:\n-0.15\t<s> a b\n-0.1\ta b a\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    m = lm.read_arpa(path)
+    assert ("a", "b") not in m.backoffs and m.backoffs[("b",)] == 0.0
+    state, _ = lm.state_machine(m)
+    assert state(("a", "b")) == ("a", "b")
+    assert state(("x", "a")) == ("a",)
+    alphabet = [lm.START, "a", "b", "zzz-unseen"]
+    contexts = [c for k in range(4) for c in itertools.product(alphabet, repeat=k)]
+    _assert_states_are_exact(m, contexts)
 
 
 def test_sentence_logprob_decomposes():
