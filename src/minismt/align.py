@@ -38,8 +38,12 @@ class TranslationLexicon:
     table: dict
     log_likelihood_history: tuple = field(default=(), compare=False)
 
+    def row(self, given):
+        """{out: P(out | given)}, empty for a word the lexicon has never seen."""
+        return self.table.get(given, _NO_ROW)
+
     def prob(self, out, given):
-        return self.table.get(given, _NO_ROW).get(out, 0.0)
+        return self.row(given).get(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,9 +134,8 @@ def viterbi_align(lexicon, pair):
     The null word wins ties (it sits at index -1), and among real source
     words the smaller index wins; null-aligned targets get no link.
     """
-    table = lexicon.table
-    null_row = table.get(NULL_WORD, _NO_ROW)
-    rows = [table.get(f, _NO_ROW) for f in pair.source]
+    null_row = lexicon.row(NULL_WORD)
+    rows = [lexicon.row(f) for f in pair.source]
     links = set()
     for j, e in enumerate(pair.target):
         best_i = None

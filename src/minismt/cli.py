@@ -51,8 +51,7 @@ def _cmd_stats(args):
 
 
 def _cmd_train_lm(args):
-    model = lm.train(corpus.read_sentences(args.corpus), args.order)
-    lm.write_arpa(model, args.output)
+    pipeline.stage_lm(args.corpus, args.output, order=args.order)
     print("wrote %s (order %d)" % (args.output, args.order))
     return 0
 

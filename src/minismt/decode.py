@@ -13,32 +13,35 @@ optional relative score window, both measured on score + admissible
 future-cost estimate, which is looked up once per recombined state as a
 stack is ranked.
 
-Under a distortion limit an expansion can leave a gap that no later jump
-can reach. Every word has a one-word option, so whether a state can still
-finish depends only on its coverage and last position; ranking passes over
-the states that a rule on those gaps shows cannot, so such dead ends never
-crowd the live states out of a stack. Expansion walks only the starts
-inside the distortion window and, from each, the spans by length up to the
-first covered word, in collect_options' (start, end, target) order.
+Unlimited reordering is a distortion window as wide as the sentence, since
+no jump inside n words is longer than n. An expansion can leave a gap that
+no later jump within the limit can reach. Every word has a one-word option,
+so whether a state can still finish depends only on its coverage and last
+position; ranking passes over the states that a rule on the covered runs
+between those positions shows cannot, so such dead ends never crowd the
+live states out of a stack. Expansion walks only the starts inside the
+distortion window and, from each, the spans by length up to the first
+covered word, in collect_options' (start, end, target) order.
 
 Each search numbers the LM states it reaches, and a hypothesis holds its
-state's number. It keeps four memos for its one sentence, since many
-expansions repeat the same lookup: the LM sum of a target phrase after a
-state (with the state it leaves), the LM step of one word after a state,
-the </s> term after a state, and the future cost of a coverage (from span
-costs keyed by span mask). A hit returns the float its first computation
-gave, so a score does not depend on which lookups hit; nothing outlives the
-call, so memory stays bounded by one sentence's search. The cyclic garbage
-collector is paused over a search and its read-out: a hypothesis points
-only to an earlier stack and to losers of its own key, so the graph is
-acyclic and reference counting frees it; threads decoding at once share
-that one switch, which costs only speed. A hypothesis keeps only its LM and
-distortion values, and an arcs list from its first recombination; the
-8-feature increment is built for the paths that are returned. Its weighted
-score is summed inline, term by term in Weights.dot's order from 0.0, from
-products of the option's static terms taken once per search, which gives
-the same float as Weights.dot. A returned translation, from decode() as
-from nbest(), carries only its tokens, features and score.
+state's number. It keeps three memos for its one sentence, since many
+expansions repeat the same lookup: the LM sum of the words a step reads
+after a state (its target, and </s> when it completes the sentence) with
+the state it leaves, the LM step of one word after a state, and the future
+cost of a coverage (from span costs keyed by span mask). The LM is reached
+only through lm.state_machine's step. A hit returns the float its first
+computation gave, so a score does not depend on which lookups hit; nothing
+outlives the call, so memory stays bounded by one sentence's search. The
+cyclic garbage collector is paused over a search and its read-out: a
+hypothesis points only to an earlier stack and to losers of its own key, so
+the graph is acyclic and reference counting frees it; threads decoding at
+once share that one switch, which costs only speed. A hypothesis keeps
+only its LM and distortion values, and an arcs list from its first
+recombination; the 8-feature increment is built for the paths that are
+returned. Its weighted score is summed inline, term by term in Weights.dot's
+order from 0.0, from products of the option's static terms taken once per
+search, which gives the same float as Weights.dot. A returned translation,
+from decode() as from nbest(), carries only its tokens, features and score.
 
 translate_all decodes a list of sentences on every CPU in the process's
 affinity mask (`taskset` limits it), through parallel.fork_map. Each search
@@ -260,7 +263,6 @@ class Decoder:
 
     def __init__(self, table, model, weights, config):
         self.table = table
-        self.model = model
         self.weights = weights
         self.config = config
         if (lm_mod.UNK,) not in model.probs:
@@ -307,7 +309,6 @@ class Decoder:
         options = collect_options(sentence, self.table)
         future_table = self.future_cost_table(sentence, options)
         full_mask = (1 << n) - 1
-        model = self.model
         step = self._lm_step
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
@@ -316,10 +317,10 @@ class Decoder:
         lm_states = [self._lm_start]
         lm_ids = {lm_states[0]: 0}
         root = _Hyp(0, 0, -1, 0.0, 0.0, None, None, 0.0, 0, 0)
-        stacks = [dict() for _ in range(n + 1)]
-        stacks[0][(0, 0, -1)] = root
+        stacks = [dict() for _ in range(n + 1)]  # by words covered; the root is held apart
         serial = 1
-        dl = self.config.distortion_limit
+        # no jump inside the sentence is longer than n, so n is no limit
+        dl = n if self.config.distortion_limit is None else self.config.distortion_limit
         # the options of each start as (mask, last position, options) per
         # span, by end; options come in span order, so walking the starts in
         # order runs expansions and their serials in source order. Each
@@ -334,23 +335,23 @@ class Decoder:
             group[-1][2].append((option, w1 * s[1], w2 * s[2], w3 * s[3], w4 * s[4],
                                  w6 * s[6], w7 * s[7]))
         # memos of this sentence's search, dropped when it returns
-        lm_memo = {}  # LM state -> {target: (LM sum without </s>, next LM state)}
+        # LM state -> {words read: (their LM sum, next LM state)}, where a
+        # step that completes the sentence reads its target and </s>
+        lm_memo = {}
         word_memo = {}  # (LM state, word) -> (log P(word | state), next LM state)
-        end_memo = {}  # LM state -> log P(</s> | state)
         future_memo = {}  # coverage -> future cost
-        can_finish = None if dl is None else _liveness(full_mask, dl)
+        can_finish = _liveness(full_mask, dl)
 
         for covered in range(n):
-            # the root, alone in stack 0, can always finish monotonically
+            # the root, alone in stack 0, is expanded without ranking: it can
+            # always finish monotonically
             for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo,
-                                    can_finish if covered else None):
+                                    can_finish) if covered else [root]:
                 lm_state, last_end, before = hyp.lm_state, hyp.last_end, hyp.coverage
                 lm_row = lm_memo.get(lm_state)
                 if lm_row is None:
                     lm_row = lm_memo[lm_state] = {}
-                starts = range(n) if dl is None else range(max(0, last_end + 1 - dl),
-                                                          min(n, last_end + 2 + dl))
-                for start in starts:
+                for start in range(max(0, last_end + 1 - dl), min(n, last_end + 2 + dl)):
                     if before >> start & 1:
                         continue
                     distortion = distortion_cost(last_end, start)
@@ -361,12 +362,14 @@ class Decoder:
                         coverage = before | mask
                         stack = stacks[covered + end + 1 - start]
                         for option, t1, t2, t3, t4, t6, t7 in group:
-                            target = option.target
-                            memo = lm_row.get(target)
+                            words = option.target
+                            if coverage == full_mask:
+                                words += (lm_mod.END,)
+                            memo = lm_row.get(words)
                             if memo is None:
                                 lm_score = 0.0
                                 next_lm = lm_state
-                                for w in target:
+                                for w in words:
                                     hit = word_memo.get((next_lm, w))
                                     if hit is None:
                                         p, after = step(lm_states[next_lm], w)
@@ -377,14 +380,8 @@ class Decoder:
                                         hit = word_memo[next_lm, w] = (p, after_id)
                                     lm_score += hit[0]
                                     next_lm = hit[1]
-                                memo = lm_row[target] = (lm_score, next_lm)
+                                memo = lm_row[words] = (lm_score, next_lm)
                             lm_score, next_lm = memo
-                            if coverage == full_mask:
-                                end_lm = end_memo.get(next_lm)
-                                if end_lm is None:
-                                    end_lm = end_memo[next_lm] = lm_mod.logprob(
-                                        model, lm_mod.END, lm_states[next_lm])
-                                lm_score += end_lm
                             # Weights.dot of the step's features, term by term
                             # in its order from 0.0, so the float is the same;
                             # scores accumulate incrementally so that
@@ -419,7 +416,7 @@ class Decoder:
         ranked.sort()
         threshold, kept = self.config.beam_threshold, []
         for neg, _, h in ranked:
-            if can_finish is not None and not can_finish(h.coverage, h.last_end):
+            if not can_finish(h.coverage, h.last_end):
                 continue
             if threshold is not None:
                 if not kept:
@@ -553,46 +550,28 @@ def _liveness(full_mask, dl):
     Take the uncovered positions together with last_end, and the covered
     runs between them. A jump over a run longer than dl is out of reach in
     either direction, and a jump back over a run of dl - 1 or more below
-    last_end is out of reach too, so such a state is dead. A state that
-    passes may still be dead (rarely: the tests bound it), never the
-    reverse.
+    last_end is out of reach too, so such a state is dead; under dl <= 1 that
+    holds for a jump back over no run at all. A state that passes may still
+    be dead (rarely: the tests bound it), never the reverse.
     """
-    near, far = _run_steps(dl - 1), _run_steps(dl + 1)
-
     def can_finish(coverage, last_end):
         g = (full_mask & ~coverage) | 1 << last_end
         low = g & -g
-        top = g.bit_length() - 1
-        if g == low or top - low.bit_length() < dl - 1:
-            return True  # no two neighbours lie dl or more apart
-        # the covered positions between the first and the last of g, bar last_end
-        runs = ((1 << top) - (low << 1)) & ~g
-        below = (1 << last_end) - 1
-        if dl <= 1:
-            if g & below:
-                return False  # no jump back is allowed at all
-        elif _has_run(runs & below, near):
-            return False
-        return not _has_run(runs, far)
+        if dl <= 1 and low.bit_length() <= last_end:
+            return False  # a position below last_end is open, and no jump back is allowed
+        # the covered positions between the first and the last of g
+        runs = ((1 << (g.bit_length() - 1)) - (low << 1)) & ~g
+        while runs:
+            first = runs & -runs  # the first position of the leftmost run
+            carry = runs + first  # the run cleared, and the bit just past its end set
+            after = carry & -carry  # the position of g that ends the run
+            length = after.bit_length() - first.bit_length()
+            if length > dl or (length >= dl - 1 and after.bit_length() <= last_end + 1):
+                return False
+            runs &= carry
+        return True
 
     return can_finish
-
-
-def _run_steps(k):
-    """The shifts s for which successive `x &= x >> s` keep only the bits of x
-    that start a run of k set bits."""
-    steps, width = [], 1
-    while width < k:
-        step = min(width, k - width)
-        steps.append(step)
-        width += step
-    return tuple(steps)
-
-
-def _has_run(x, steps):
-    for step in steps:
-        x &= x >> step
-    return x != 0
 
 
 def _materialize_path(hyps, score):

@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .align import _NO_ROW, NULL_WORD
+from .align import NULL_WORD
 from .errors import FormatError, ParameterError, read_lines, write_lines
 
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
@@ -156,7 +156,7 @@ def score(extracted, lexicon_fwd, lexicon_bwd):
 def _lexical_weight(given_phrase, out_phrase, links, lexicon):
     """Product over out-words of the mean translation probability of their
     linked given-words (unaligned words score against the null word)."""
-    rows = [lexicon.table.get(given, _NO_ROW) for given in given_phrase]
+    rows = [lexicon.row(given) for given in given_phrase]
     linked = [[] for _ in out_phrase]  # the given-words of each out-word, in `links` order
     for i, j in links:
         linked[j].append(i)

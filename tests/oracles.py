@@ -210,15 +210,16 @@ def forced_decode(sentence, reference, table, model, weights, distortion_limit=N
 
 def search_outcome(best, reference, forced):
     """How a 1-best `best` (a Translation) stands to its reference, whose
-    forced_decode score is `forced`: "exact" when it is the reference,
-    "unreachable" when no derivation produces the reference, "search" when
-    the reference scores higher (the search missed a better string), and
-    "model" when the model prefers another string."""
+    forced_decode score is `forced`: "search" when the reference scores
+    higher (the search missed a better string, or a better derivation of the
+    reference itself), "exact" when it is the reference, "unreachable" when
+    no derivation produces the reference, and "model" when the model prefers
+    another string."""
+    if forced is not None and forced > best.score:
+        return "search"
     if best.tokens == tuple(reference):
         return "exact"
-    if forced is None:
-        return "unreachable"
-    return "search" if forced > best.score else "model"
+    return "unreachable" if forced is None else "model"
 
 
 def span_mask(i, j):

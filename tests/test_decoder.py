@@ -209,6 +209,41 @@ def test_liveness_never_drops_a_state_that_can_finish():
     assert caught > 0.9 * dead
 
 
+def test_liveness_follows_the_neighbour_rule_up_to_30_words():
+    # random states past the exhaustive n <= 9, up to 30 words, with
+    # coverages from sparse to dense so that both outcomes are common
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for n in range(1, 31):
+        full = (1 << n) - 1
+        for dl in range(9):
+            can_finish = _liveness(full, dl)
+            for _ in range(30):
+                density = rng.random()
+                last_end = rng.randrange(n)
+                coverage = 1 << last_end
+                for i in range(n):
+                    coverage |= (rng.random() < density) << i
+                live = can_finish(coverage, last_end)
+                assert live == _neighbour_rule(coverage, last_end, n, dl), (
+                    n, dl, bin(coverage), last_end)
+                outcomes[live] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_unlimited_reordering_equals_a_limit_of_the_sentence_length():
+    rng = random.Random(37)
+    for _ in range(12):
+        table = random_phrase_table(rng, SRC_VOCAB, TGT_VOCAB, n_entries=10, max_len=3)
+        model = _random_model(rng, order=rng.choice([1, 2, 3]))
+        weights = _random_weights(rng)
+        sentence = tuple(rng.choice(SRC_VOCAB) for _ in range(rng.randint(1, 7)))
+        stack_size = rng.choice([1, 3, 10**6])
+        lists = [Decoder(table, model, weights, DecoderConfig(stack_size, None, dl)).nbest(
+            sentence, 20) for dl in (None, len(sentence))]
+        assert lists[0] == lists[1], (sentence, stack_size)
+
+
 def test_reused_decoders_equal_fresh_ones():
     # pruning reads the future cost and the sentences share coverages, so a
     # memo that outlived its sentence, or ignored the weights, shows here
