@@ -156,8 +156,9 @@ def align_corpus(corpus, iterations, heuristic):
     matrices are a one-shot iterator that aligns each pair as it is read,
     in corpus order, so no corpus-sized list of them is held. A fork_map
     worker is given only whether to transpose the corpus it inherits, so no
-    corpus is pickled.
+    corpus is pickled. An unknown heuristic is refused before any training.
     """
+    _check_heuristic(heuristic)
     fwd, bwd = fork_map(
         lambda reverse: em_train(transpose_corpus(corpus) if reverse else corpus, iterations),
         (False, True))
@@ -172,10 +173,14 @@ HEURISTICS = ("intersection", "union", "grow-diag-final")
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def symmetrize(forward, backward, heuristic="grow-diag-final"):
-    """Combine a forward and a (transposed) backward alignment of one pair."""
+def _check_heuristic(heuristic):
     if heuristic not in HEURISTICS:
         raise ParameterError("unknown symmetrization heuristic %r" % (heuristic,))
+
+
+def symmetrize(forward, backward, heuristic):
+    """Combine a forward and a (transposed) backward alignment of one pair."""
+    _check_heuristic(heuristic)
     flipped = backward.transpose()
     if (forward.source_len, forward.target_len) != (flipped.source_len, flipped.target_len):
         raise ParameterError(

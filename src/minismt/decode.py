@@ -1,17 +1,18 @@
 """Stack-based beam-search decoding under a log-linear model.
 
-Hypotheses are organized into stacks by the number of covered source
-words. Expansion applies every phrase-table option over an uncovered span
-within the distortion limit, adding only the LM and distortion terms to the
-static increment that collect_options stored on the option; hypotheses
-identical in (coverage, LM state, last source position) are recombined,
-with the losers kept as arcs so n-best lists can be read back out of the
-search graph. The LM state is lm.state_machine's: the longest suffix of the
-output that the model can still read, so the hypotheses of one key score
-every continuation alike. Pruning is histogram (stack size) plus an
-optional relative score window, both measured on score + admissible
-future-cost estimate, which is looked up once per recombined state as a
-stack is ranked.
+Hypotheses are organized into stacks by the number of covered source words.
+Expansion applies every phrase-table option over an uncovered span within
+the distortion limit, adding only the LM and distortion terms to the static
+increment that collect_options stored on the option; hypotheses identical in
+(coverage, LM state, last source position) are recombined, with the losers
+kept as arcs. Nothing follows a complete hypothesis, so all of them
+recombine into one goal state (the root, on the empty sentence), from which
+decode() and nbest() read every list with one lazy k-best merge. The LM
+state is lm.state_machine's: the longest suffix of the output that the model
+can still read, so the hypotheses of one key score every continuation alike.
+Pruning is histogram (stack size) plus an optional relative score window,
+both measured on score + admissible future-cost estimate, which is looked up
+once per recombined state as a stack is ranked.
 
 Unlimited reordering is a distortion window as wide as the sentence, since
 no jump inside n words is longer than n. An expansion can leave a gap that
@@ -61,6 +62,7 @@ product of weights and accumulated features to within 1e-9.
 
 import gc
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -317,7 +319,7 @@ class Decoder:
         lm_states = [self._lm_start]
         lm_ids = {lm_states[0]: 0}
         root = _Hyp(0, 0, -1, 0.0, 0.0, None, None, 0.0, 0, 0)
-        stacks = [dict() for _ in range(n + 1)]  # by words covered; the root is held apart
+        stacks = [{0: root}] + [{} for _ in range(n)]  # by words covered; keys: see _insert
         serial = 1
         # no jump inside the sentence is longer than n, so n is no limit
         dl = n if self.config.distortion_limit is None else self.config.distortion_limit
@@ -360,10 +362,11 @@ class Decoder:
                         if before & mask:
                             break  # the longer spans from this start overlap too
                         coverage = before | mask
+                        final = coverage == full_mask
                         stack = stacks[covered + end + 1 - start]
                         for option, t1, t2, t3, t4, t6, t7 in group:
                             words = option.target
-                            if coverage == full_mask:
+                            if final:
                                 words += (lm_mod.END,)
                             memo = lm_row.get(words)
                             if memo is None:
@@ -392,10 +395,11 @@ class Decoder:
                             new = _Hyp(coverage, next_lm, end, hyp.score + inc_score,
                                        inc_score, hyp, option, lm_score, distortion, serial)
                             serial += 1
-                            cur = stack.setdefault((coverage, next_lm, end), new)
+                            key = full_mask if final else (coverage, next_lm, end)
+                            cur = stack.setdefault(key, new)
                             if cur is not new:
-                                self._insert(stack, cur, new)
-        return stacks[n]
+                                self._insert(stack, key, cur, new)
+        return stacks[n].get(full_mask)
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
         """The stack's hypotheses to expand, best score + future cost first.
@@ -429,13 +433,14 @@ class Decoder:
         return kept
 
     @staticmethod
-    def _insert(stack, cur, new):
-        """Recombine new into cur, the state of its key: the better of the
-        two holds the key and cur's arcs, to which the other is appended."""
+    def _insert(stack, key, cur, new):
+        """Recombine new into cur, the state of key: (coverage, LM state,
+        last_end), or full_mask, the goal, for every complete hypothesis. The
+        better of the two holds the key and cur's arcs; the other joins them."""
         arcs = cur.arcs or []  # a state's arcs list is built at its first loser
         if new.score > cur.score or (
                 new.score == cur.score and new.partial_tokens() < cur.partial_tokens()):
-            stack[cur.coverage, cur.lm_state, cur.last_end] = new
+            stack[key] = new
             cur.arcs = None  # a loser holding its own arcs list would make a cycle
             cur, new = new, cur
         arcs.append(new)
@@ -460,37 +465,28 @@ class Decoder:
         return self._kbest(sentence, n)
 
     def _kbest(self, sentence, n):
-        sentence = tuple(sentence)
-        if not sentence:
-            return [Translation((), _ZERO, 0.0)]
         # an acyclic graph: reference counting frees it, the collector finds nothing
         enabled = gc.isenabled()
         gc.disable()
         try:
-            finals = self._search(sentence)
-            if not finals:
+            goal = self._search(tuple(sentence))
+            if goal is None:
                 raise MinismtError("search produced no complete hypothesis")
             paths = _KBestPaths()
-            # a final state's best path scores its own search score (see kth)
-            heap = [(-rep.score, rep.serial, rep, 0) for rep in finals.values()]
-            heapq.heapify(heap)
-            # paths pop in non-increasing score order, so the first path of each
-            # target string is its best; once n strings are in, a pop scoring
-            # below the last new string's score cannot change the top n
+            # paths come in non-increasing score order, so the first path of
+            # each target string is its best; once n strings are in, a path
+            # scoring below the last new string's score cannot change the top n
             found = {}
             last = None
-            while heap:
-                neg, _, rep, rank = heapq.heappop(heap)
-                if len(found) >= n and -neg < last - 1e-9:
+            for k in itertools.count():
+                path = paths.kth(goal, k)
+                if path is None or len(found) >= n and path[0] < last - 1e-9:
                     break
-                score, hyps = paths.kth(rep, rank)
+                score, hyps = path
                 tokens = tuple(w for node in hyps for w in node.option.target)
                 if tokens not in found:
-                    found[tokens] = (score, hyps)
+                    found[tokens] = path
                     last = score
-                nxt = paths.kth(rep, rank + 1)
-                if nxt is not None:
-                    heapq.heappush(heap, (-nxt[0], rep.serial, rep, rank + 1))
             ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
             return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
         finally:

@@ -217,7 +217,7 @@ _AXIS_DIRECTIONS = tuple(tuple(float(i == j) for j in range(N_FEATURES))
                          for i in range(N_FEATURES))
 
 
-def optimize_on_pool(pool, weights, rng, log_lines=None):
+def optimize_on_pool(pool, weights, rng, log_lines):
     """Repeated line searches until no direction gains more than the threshold."""
     current = weights.l1_normalized()
     base = _base_scores(pool, current.values)  # the same for every direction of a round
@@ -239,16 +239,15 @@ def optimize_on_pool(pool, weights, rng, log_lines=None):
         candidate_bleu = _selected_bleu(pool, [scores for scores, _, _ in candidate_base])
         if candidate_bleu <= current_bleu:  # interval-midpoint tie fell flat
             return current, current_bleu
-        if log_lines is not None:
-            log_lines.append(
-                "step %.6f along (%s): pool BLEU %.6f -> %.6f"
-                % (
-                    best.best_step,
-                    " ".join("%.4f" % d for d in best.direction),
-                    current_bleu,
-                    candidate_bleu,
-                )
+        log_lines.append(
+            "step %.6f along (%s): pool BLEU %.6f -> %.6f"
+            % (
+                best.best_step,
+                " ".join("%.4f" % d for d in best.direction),
+                current_bleu,
+                candidate_bleu,
             )
+        )
         current, current_bleu, base = candidate, candidate_bleu, candidate_base
 
 
@@ -260,7 +259,7 @@ def mert(
     nbest_size=DEFAULT_NBEST,
     *,
     seed,
-    log_lines=None,
+    log_lines,
 ):
     """Full MERT loop.
 
@@ -297,16 +296,14 @@ def mert(
                         build_pool_entry(translation.tokens, translation.features, references)
                     )
                     new_entries += 1
-        if log_lines is not None:
-            log_lines.append(
-                "iteration %d: %d new pool entries, pool size %d"
-                % (it, new_entries, sum(len(p) for p in pool))
-            )
+        log_lines.append(
+            "iteration %d: %d new pool entries, pool size %d"
+            % (it, new_entries, sum(len(p) for p in pool))
+        )
         if new_entries == 0:
             break
         current, current_bleu = optimize_on_pool(pool, current, rng, log_lines)
-        if log_lines is not None:
-            log_lines.append("iteration %d: pool BLEU %.6f" % (it, current_bleu))
+        log_lines.append("iteration %d: pool BLEU %.6f" % (it, current_bleu))
 
     # without an optimizer call (an empty dev set) current is initial
     if current_bleu is not None and current_bleu < pool_bleu(pool, initial):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from minismt import align, corpus, parallel
+from minismt import align, corpus, parallel, pipeline
 from minismt.align import NULL_WORD, AlignmentMatrix, TranslationLexicon
 from minismt.errors import ParameterError, TrainingError
 
@@ -77,6 +77,26 @@ def test_align_corpus_on_one_and_two_cpus(monkeypatch, toy_train):
     assert len(fwd1.log_likelihood_history) == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_align_refuses_an_unknown_heuristic_before_training(monkeypatch, tmp_path, workers):
+    src, tgt = tmp_path / "train.en", tmp_path / "train.ar"
+    src.write_text("a b\nc\n", encoding="utf-8")
+    tgt.write_text("x y\nz\n", encoding="utf-8")
+    ran = tmp_path / "em-ran"  # a file, so a forked worker's call shows too
+
+    def em_train(c, iterations):
+        ran.touch()
+        raise AssertionError("em_train ran")
+
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
+    monkeypatch.setattr(align, "em_train", em_train)
+    outputs = [tmp_path / name for name in ("train.align", "lex.fwd", "lex.bwd")]
+    with pytest.raises(ParameterError, match="unknown symmetrization heuristic 'nope'"):
+        pipeline.stage_align(src, tgt, *outputs, iterations=2, heuristic="nope")
+    assert not ran.exists()
+    assert not any(path.exists() for path in outputs)
+
+
 # ---- viterbi --------------------------------------------------------------
 
 
@@ -137,7 +157,7 @@ def test_symmetrize_disjoint():
 
 def test_symmetrize_dimension_mismatch():
     with pytest.raises(ParameterError):
-        align.symmetrize(_mat({(0, 0)}, 2, 2), _mat({(0, 0)}, 3, 2).transpose())
+        align.symmetrize(_mat({(0, 0)}, 2, 2), _mat({(0, 0)}, 3, 2).transpose(), "union")
 
 
 def test_grow_diag_final_hand_trace():

@@ -113,8 +113,10 @@ def test_one_word_single_entry_features():
 def test_empty_sentence():
     table = phrases.PhraseTable({})
     model = lm.train([("x",)], 2)
-    t = Decoder(table, model, Weights.uniform(), UNPRUNED).decode(())
+    d = Decoder(table, model, Weights.uniform(), UNPRUNED)
+    t = d.decode(())
     assert t.tokens == () and t.score == 0.0
+    assert d.nbest((), 5) == [Translation((), (0.0,) * 8, 0.0)]
 
 
 def test_unknown_word_copied_with_penalty():
@@ -456,6 +458,26 @@ def test_pruned_search_still_reasonable():
     pruned = Decoder(table, model, weights, tight).decode(sentence)
     full = Decoder(table, model, weights, UNPRUNED).decode(sentence)
     assert pruned.score <= full.score + 1e-12
+
+
+@pytest.mark.parametrize("dl", [0, 1, None])
+@pytest.mark.parametrize("stack_size", [1, 2, 3])
+def test_pruned_nbest_lists(stack_size, dl):
+    # a pruned search still reads its lists from one goal state
+    rng = random.Random(61)
+    for trial in range(10):
+        sentence, table, model, weights = _random_instance(rng)
+        d = Decoder(table, model, weights, DecoderConfig(stack_size, None, dl))
+        full = d.nbest(sentence, 20)
+        tokens = [t.tokens for t in full]
+        assert len(set(tokens)) == len(tokens), trial
+        for a, b in zip(full, full[1:]):
+            assert a.score >= b.score, trial
+        for t in full:
+            assert abs(weights.dot(t.features) - t.score) <= 1e-9, trial
+        for k in range(1, 6):
+            assert d.nbest(sentence, k) == full[:k], (trial, k)
+        assert full[0] == d.decode(sentence), trial
 
 
 def test_wide_beam_threshold_prunes_nothing():

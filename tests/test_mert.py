@@ -209,7 +209,7 @@ def test_fixed_point_pool():
     good = _entry(REF, (1.0,) + (0.0,) * 7)
     bad = _entry(("x",) * 6, (-1.0,) + (0.0,) * 7)
     w0 = Weights.uniform()
-    tuned, value = mert.optimize_on_pool([[good, bad]], w0, random.Random(0))
+    tuned, value = mert.optimize_on_pool([[good, bad]], w0, random.Random(0), [])
     assert value == 1.0
     assert tuned == w0.l1_normalized()
 
@@ -238,7 +238,7 @@ def test_optimizer_never_worsens_pool_bleu():
         pool = _random_pool(rng, 3, 5)
         w0 = Weights(tuple(rng.uniform(0.05, 1.0) for _ in range(8)))
         before = mert.pool_bleu(pool, w0)
-        tuned, after = mert.optimize_on_pool(pool, w0, random.Random(5))
+        tuned, after = mert.optimize_on_pool(pool, w0, random.Random(5), [])
         assert after >= before - 1e-12
         assert after == pytest.approx(mert.pool_bleu(pool, tuned), abs=1e-12)
 
@@ -324,8 +324,10 @@ def test_mert_deterministic():
     def factory(w):
         return Decoder(table, model, w, config)
 
-    a = mert.mert(dev, factory, Weights.uniform(), iterations=2, nbest_size=10, seed=9)
-    b = mert.mert(dev, factory, Weights.uniform(), iterations=2, nbest_size=10, seed=9)
+    a = mert.mert(dev, factory, Weights.uniform(), iterations=2, nbest_size=10, seed=9,
+                  log_lines=[])
+    b = mert.mert(dev, factory, Weights.uniform(), iterations=2, nbest_size=10, seed=9,
+                  log_lines=[])
     assert a == b  # bit-identical for a fixed seed
 
 
@@ -337,8 +339,10 @@ def test_mert_scale_invariant_start():
     def factory(w):
         return Decoder(table, model, w, config)
 
-    a = mert.mert(dev, factory, Weights.uniform(), iterations=1, nbest_size=10, seed=4)
-    b = mert.mert(dev, factory, Weights.uniform().scaled(10.0), iterations=1, nbest_size=10, seed=4)
+    a = mert.mert(dev, factory, Weights.uniform(), iterations=1, nbest_size=10, seed=4,
+                  log_lines=[])
+    b = mert.mert(dev, factory, Weights.uniform().scaled(10.0), iterations=1, nbest_size=10,
+                  seed=4, log_lines=[])
     assert a == b  # initial L1 normalization absorbs positive scaling
 
 
@@ -346,7 +350,7 @@ def test_mert_parameter_validation():
     table, model = _toy_models()
     dev = _dev_corpus()
     with pytest.raises(ParameterError):
-        mert.mert(dev, lambda w: None, Weights.uniform(), iterations=0, seed=0)
+        mert.mert(dev, lambda w: None, Weights.uniform(), iterations=0, seed=0, log_lines=[])
 
 
 def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
@@ -359,7 +363,7 @@ def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
     signed_axes = [Weights(tuple(s * float(i == j) for j in range(8)))
                    for i in range(8) for s in (-1.0, 1.0)]
 
-    def worsening_optimizer(pool, weights, rng, log_lines=None):
+    def worsening_optimizer(pool, weights, rng, log_lines):
         start = real_pool_bleu(pool, initial)
         for w in [initial.scaled(-1.0)] + signed_axes:
             value = real_pool_bleu(pool, w)
@@ -385,7 +389,7 @@ def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
     # with no dev sentence no optimizer call runs, and the start comes back
     scored.clear()
     empty = corpus.ParallelCorpus(())
-    assert mert.mert(empty, lambda w: None, initial.scaled(2.0), seed=0) == initial
+    assert mert.mert(empty, lambda w: None, initial.scaled(2.0), seed=0, log_lines=[]) == initial
     assert scored == []
 
 
