@@ -60,11 +60,7 @@ def load_parallel(source_path, target_path):
     return ParallelCorpus(tuple(SentencePair(s, t) for s, t in zip(source, target)))
 
 
-CLEAN_MAX_LEN = 80
-CLEAN_MAX_RATIO = 9.0
-
-
-def clean(corpus, max_len=CLEAN_MAX_LEN, max_ratio=CLEAN_MAX_RATIO):
+def clean(corpus, max_len, max_ratio):
     """Drop pairs with an empty side, an over-long side, or an extreme length ratio.
 
     Surviving pairs keep their order. Idempotent.

@@ -473,14 +473,16 @@ class Decoder:
             if goal is None:
                 raise MinismtError("search produced no complete hypothesis")
             paths = _KBestPaths()
-            # paths come in non-increasing score order, so the first path of
-            # each target string is its best; once n strings are in, a path
-            # scoring below the last new string's score cannot change the top n
+            # kth yields exact, non-increasing scores (a priority is a path
+            # score plus inc_score, as a search score is, and float addition
+            # is monotone), so each target string's first path is its best;
+            # once n strings are in, a path scoring below the last new string's
+            # score cannot change the top n, while an equal one can win a tie
             found = {}
             last = None
             for k in itertools.count():
                 path = paths.kth(goal, k)
-                if path is None or len(found) >= n and path[0] < last - 1e-9:
+                if path is None or len(found) >= n and path[0] < last:
                     break
                 score, hyps = path
                 tokens = tuple(w for node in hyps for w in node.option.target)

@@ -13,20 +13,21 @@ leaves the decoding argmax unchanged.
 
 The line search does only the work that differs between directions, and
 computes every float as a plain per-direction evaluation would:
-- each optimizer round computes base·f for every pool entry once and
-  shares it with its 16 line searches, since the base does not change
-  within a round;
+- each optimizer round computes base·f for every pool entry once
+  (base_scores) and passes the table to its 16 line searches, since the
+  base does not change within a round;
 - a slope adds only the terms of nonzero direction components, in feature
   order onto 0.0 (an axis slope is 0.0 + f[i]). Features are finite, so a
   skipped term is ±0.0, and adding ±0.0 to a sum that starts at +0.0 never
   changes it: the float is that of Weights.dot, which adds all eight;
 - the sweep keeps its running BLEU statistics in one list of ints, exact
-  under any order of additions, and scores each interval by passing a
+  under any order of additions, and scores an interval by passing a
   BleuStats built from it to bleu.corpus_bleu, so the scores are the same
-  floats;
-- an accepted step's base·f is computed once: it gives the candidate's pool
-  BLEU (pool_bleu's selection over the same floats) and is the next
-  round's base.
+  floats. It scores only the intervals it can choose, those of positive
+  width and the last one, and keeps only the best interval's bounds;
+- pool BLEU selects each sentence's entry by the base·f of a base_scores
+  table, so an accepted step's table gives the candidate's pool BLEU and
+  is the next round's base.
 
 An n-best pass decodes the dev sentences with decode.translate_all, on
 every available CPU; the lists come back in sentence order and are the
@@ -51,8 +52,6 @@ from . import bleu
 from .decode import N_FEATURES, Weights, translate_all
 from .errors import ParameterError
 
-DEFAULT_NBEST = 100
-DEFAULT_ITERATIONS = 10
 GAIN_THRESHOLD = 1e-4
 
 
@@ -68,7 +67,6 @@ class LineSearchResult:
     direction: tuple
     best_step: float
     best_bleu: float
-    intervals: tuple  # (start, end, bleu) triples covering the real line
 
 
 def build_pool_entry(tokens, features, references):
@@ -89,7 +87,7 @@ def _dots(columns, vector, n):
     return total
 
 
-def _base_scores(pool, base_v):
+def base_scores(pool, base_v):
     """Per sentence: base·f by entry index, the entry indices in ascending
     base·f order (later entries first among equals), and the feature
     columns in that order."""
@@ -136,22 +134,20 @@ def _corpus_bleu(counts):
     )
 
 
-def line_search(pool, base, direction, *, _base=None):
-    """Exact best step along `direction` from `base` for corpus BLEU on the pool.
+def line_search(pool, base, direction):
+    """Exact best step along `direction` for corpus BLEU on the pool.
 
-    `pool` is a list (one item per sentence) of lists of PoolEntry. `_base`,
-    if given, is `_base_scores(pool, base)`, shared by the directions of an
-    optimizer round.
+    `pool` is a list (one item per sentence) of lists of PoolEntry, and
+    `base` is `base_scores(pool, weights.values)` for the weights to step
+    from.
     """
     if all(abs(d) == 0.0 for d in direction):
         raise ParameterError("line search direction must be nonzero")
-    if _base is None:
-        _base = _base_scores(pool, base.values if isinstance(base, Weights) else tuple(base))
 
     envelopes = []
     events = []  # (gamma, sentence index, segment position)
     running = [0] * (2 * bleu.MAX_ORDER + 2)  # the _counts of the selections
-    for s, (entries, (intercepts, order, columns)) in enumerate(zip(pool, _base)):
+    for s, (entries, (intercepts, order, columns)) in enumerate(zip(pool, base)):
         segments = _envelope(_dots(columns, direction, len(order)), order, intercepts)
         envelopes.append(segments)
         for k, c in enumerate(_counts(entries[segments[0][1]].stats)):
@@ -160,28 +156,25 @@ def line_search(pool, base, direction, *, _base=None):
             events.append((segments[pos][0], s, pos))
     events.sort()
 
-    # zero-width intervals arise when breakpoints of different sentences
-    # coincide; they are recorded but never chosen (boundary argmax is
-    # ambiguous there)
-    intervals = []
-    best_bleu, best_index = -1.0, 0
+    # the best interval so far, leftmost on ties; zero-width intervals arise
+    # when breakpoints of different sentences coincide and are never chosen
+    # (boundary argmax is ambiguous there), so they are not scored
+    best_bleu, start, end = -1.0, -math.inf, math.inf
     cursor = -math.inf
     for gamma, s, pos in events:
-        value = _corpus_bleu(running)
-        intervals.append((cursor, gamma, value))
-        if value > best_bleu and cursor < gamma:
-            best_bleu, best_index = value, len(intervals) - 1
+        if cursor < gamma:
+            value = _corpus_bleu(running)
+            if value > best_bleu:
+                best_bleu, start, end = value, cursor, gamma
         old = pool[s][envelopes[s][pos - 1][1]].stats
         new = pool[s][envelopes[s][pos][1]].stats
         for k, (a, b) in enumerate(zip(_counts(new), _counts(old))):
             running[k] += a - b
         cursor = gamma
     value = _corpus_bleu(running)
-    intervals.append((cursor, math.inf, value))
     if value > best_bleu:
-        best_bleu, best_index = value, len(intervals) - 1
+        best_bleu, start, end = value, cursor, math.inf
 
-    start, end, _ = intervals[best_index]
     if math.isinf(start) and math.isinf(end):
         step = 0.0
     elif math.isinf(start):
@@ -190,16 +183,16 @@ def line_search(pool, base, direction, *, _base=None):
         step = start + 1.0
     else:
         step = (start + end) / 2.0
-    return LineSearchResult(tuple(direction), step, best_bleu, tuple(intervals))
+    return LineSearchResult(tuple(direction), step, best_bleu)
 
 
-def _selected_bleu(pool, scores):
-    """Corpus BLEU of each sentence's highest-scoring entry, `scores[s][i]`
-    being the score of pool[s][i]; ties go to the smaller target string."""
+def _selected_bleu(pool, base):
+    """Corpus BLEU of each sentence's highest-scoring entry under the
+    weights of the table `base`; ties go to the smaller target string."""
     total = bleu.BleuStats.zero()
-    for entries, row in zip(pool, scores):
-        top = max(row)
-        best = min((e for e, x in zip(entries, row) if x == top), key=lambda e: e.tokens)
+    for entries, (scores, _, _) in zip(pool, base):
+        top = max(scores)
+        best = min((e for e, x in zip(entries, scores) if x == top), key=lambda e: e.tokens)
         total = total + best.stats
     return bleu.corpus_bleu(total)
 
@@ -210,7 +203,7 @@ def pool_bleu(pool, weights):
     Score ties go to the lexicographically smaller target string, matching
     the decoder's tie-break.
     """
-    return _selected_bleu(pool, [[weights.dot(e.features) for e in entries] for entries in pool])
+    return _selected_bleu(pool, base_scores(pool, weights.values))
 
 
 _AXIS_DIRECTIONS = tuple(tuple(float(i == j) for j in range(N_FEATURES))
@@ -220,14 +213,14 @@ _AXIS_DIRECTIONS = tuple(tuple(float(i == j) for j in range(N_FEATURES))
 def optimize_on_pool(pool, weights, rng, log_lines):
     """Repeated line searches until no direction gains more than the threshold."""
     current = weights.l1_normalized()
-    base = _base_scores(pool, current.values)  # the same for every direction of a round
-    current_bleu = _selected_bleu(pool, [scores for scores, _, _ in base])
+    base = base_scores(pool, current.values)  # the same for every direction of a round
+    current_bleu = _selected_bleu(pool, base)
     while True:
         directions = list(_AXIS_DIRECTIONS) + [
             tuple(rng.uniform(-1.0, 1.0) for _ in range(N_FEATURES)) for _ in range(N_FEATURES)
         ]
         # the first of equally good directions wins
-        best = max((line_search(pool, current, d, _base=base) for d in directions),
+        best = max((line_search(pool, base, d) for d in directions),
                    key=lambda r: r.best_bleu)
         if best.best_bleu - current_bleu <= GAIN_THRESHOLD:
             return current, current_bleu
@@ -235,8 +228,8 @@ def optimize_on_pool(pool, weights, rng, log_lines):
             w + best.best_step * d for w, d in zip(current.values, best.direction)
         )
         candidate = Weights(stepped).l1_normalized()
-        candidate_base = _base_scores(pool, candidate.values)
-        candidate_bleu = _selected_bleu(pool, [scores for scores, _, _ in candidate_base])
+        candidate_base = base_scores(pool, candidate.values)
+        candidate_bleu = _selected_bleu(pool, candidate_base)
         if candidate_bleu <= current_bleu:  # interval-midpoint tie fell flat
             return current, current_bleu
         log_lines.append(
@@ -251,16 +244,7 @@ def optimize_on_pool(pool, weights, rng, log_lines):
         current, current_bleu, base = candidate, candidate_bleu, candidate_base
 
 
-def mert(
-    dev_corpus,
-    decoder_factory,
-    initial,
-    iterations=DEFAULT_ITERATIONS,
-    nbest_size=DEFAULT_NBEST,
-    *,
-    seed,
-    log_lines,
-):
+def mert(dev_corpus, decoder_factory, initial, iterations, nbest_size, *, seed, log_lines):
     """Full MERT loop.
 
     `dev_corpus` supplies (source, reference) pairs; `decoder_factory(w)`

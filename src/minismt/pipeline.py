@@ -67,8 +67,8 @@ class PipelineConfig:
     scheme: str = "atb"
     inventory: str = ""  # empty -> bundled Buckwalter inventory
     lexicon: str = ""  # empty -> bundled stem lexicon
-    clean_max_len: int = corpus.CLEAN_MAX_LEN
-    clean_max_ratio: float = corpus.CLEAN_MAX_RATIO
+    clean_max_len: int = 80
+    clean_max_ratio: float = 9.0
     lm_order: int = 5
     align_iterations: int = 5
     align_heuristic: str = "grow-diag-final"
@@ -76,8 +76,8 @@ class PipelineConfig:
     stack_size: int = 100
     beam_threshold: float | None = None
     distortion_limit: int | None = 6
-    mert_iterations: int = mert.DEFAULT_ITERATIONS
-    mert_nbest: int = mert.DEFAULT_NBEST
+    mert_iterations: int = 10
+    mert_nbest: int = 100
     seed: int = 17
     work_dir: str = ""
 
@@ -156,8 +156,9 @@ def validate(cfg):
     for name, path in (("tokenize.inventory", cfg.inventory), ("tokenize.lexicon", cfg.lexicon)):
         if path and not Path(path).is_file():
             problems.append("%s: no such file %s" % (name, path))
-    if cfg.scheme not in ("atb", "myd3"):
-        problems.append("tokenize.scheme must be atb or myd3, got %r" % cfg.scheme)
+    schemes = [scheme.value for scheme in artok.Scheme]
+    if cfg.scheme not in schemes:
+        problems.append("tokenize.scheme must be %s, got %r" % (" or ".join(schemes), cfg.scheme))
     if cfg.clean_max_len < 1:
         problems.append("clean.max_len must be >= 1")
     if not cfg.clean_max_ratio >= 1.0:  # nan fails

@@ -364,7 +364,8 @@ def _negate(stats):
 
 def line_search_reference(pool, base, direction):
     """mert.line_search computed directly: both dot products of every entry
-    over all eight terms for each direction, and a new BleuStats per event."""
+    over all eight terms for each direction, a new BleuStats per event, and
+    a score for every interval, zero-width ones included."""
     base_v = base.values if isinstance(base, Weights) else tuple(base)
 
     envelopes = []
@@ -407,7 +408,7 @@ def line_search_reference(pool, base, direction):
         step = start + 1.0
     else:
         step = (start + end) / 2.0
-    return LineSearchResult(tuple(direction), step, best_bleu, tuple(intervals))
+    return LineSearchResult(tuple(direction), step, best_bleu)
 
 
 # ---- BLEU and the MERT loop, without reuse --------------------------------------

@@ -314,7 +314,7 @@ def test_mert_line_search_oracle_20_pools():
                 entries.append(mert.build_pool_entry(tokens, features, [ref]))
             pool.append(entries)
         direction = tuple(rng.uniform(-1, 1) for _ in range(8))
-        result = mert.line_search(pool, base, direction)
+        result = mert.line_search(pool, mert.base_scores(pool, base.values), direction)
         grid = grid_best_bleu(pool, base, direction)
         assert result.best_bleu >= grid - 1e-12, trial
         stepped = Weights(

@@ -1,19 +1,21 @@
 import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import minismt
-from minismt import align, artok, lm, parallel, phrases, pipeline
+from minismt import align, artok, corpus, lm, mert, parallel, phrases, pipeline
 from minismt.cli import build_parser, main
-from minismt.decode import FEATURE_NAMES, Weights
-from minismt.errors import MissingArtifactError
+from minismt.decode import FEATURE_NAMES, DecoderConfig, Weights
+from minismt.errors import MissingArtifactError, ParameterError
 
 
 @pytest.fixture()
@@ -234,6 +236,54 @@ def test_validate_reports_all_violations(tmp_path, capsys):
 def test_validate_ok(small_toy, capsys):
     assert main(["validate", str(small_toy)]) == 0
     assert "valid" in capsys.readouterr().out
+
+
+_ONE_PAIR = corpus.ParallelCorpus((corpus.SentencePair(("a",), ("x",)),))
+_ONE_LINK = align.AlignmentMatrix(frozenset({(0, 0)}), 1, 1)
+
+
+def _mert_on_no_sentences(iterations, nbest_size):
+    mert.mert(corpus.ParallelCorpus(()), lambda w: None, Weights.uniform(), iterations,
+              nbest_size, seed=0, log_lines=[])
+
+
+# each setting that validate checks and a component checks again: the
+# component's call, the values validate rejects and their accepted neighbours
+_CHECKED_TWICE = [
+    ("stack_size", lambda v: DecoderConfig(v, None, None), [0], [1]),
+    ("beam_threshold", lambda v: DecoderConfig(1, v, None),
+     [math.nextafter(0.0, -1.0), math.nan], [0.0, None]),
+    ("distortion_limit", lambda v: DecoderConfig(1, None, v), [-1], [0, None]),
+    ("lm_order", lambda v: lm.train([("x",)], v), [0, lm.MAX_ORDER + 1], [1, lm.MAX_ORDER]),
+    ("clean_max_len", lambda v: corpus.clean(_ONE_PAIR, v, 9.0), [0], [1]),
+    ("clean_max_ratio", lambda v: corpus.clean(_ONE_PAIR, 80, v),
+     [math.nextafter(1.0, 0.0), math.nan], [1.0]),
+    ("align_iterations", lambda v: align.em_train(_ONE_PAIR, v), [0], [1]),
+    ("align_heuristic", lambda v: align.symmetrize(_ONE_LINK, _ONE_LINK, v),
+     ["grow-diag-final-and"], list(align.HEURISTICS)),
+    ("max_phrase_len", lambda v: phrases.extract(_ONE_PAIR.pairs[0], _ONE_LINK, v), [0], [1]),
+    ("mert_iterations", lambda v: _mert_on_no_sentences(v, 1), [0], [1]),
+    ("mert_nbest", lambda v: _mert_on_no_sentences(1, v), [0], [1]),
+    ("scheme", artok.Scheme.parse, ["myd2"], [scheme.value for scheme in artok.Scheme]),
+]
+
+
+@pytest.mark.parametrize("field, component, rejected, accepted", _CHECKED_TWICE,
+                         ids=[row[0] for row in _CHECKED_TWICE])
+def test_validate_draws_the_components_boundaries(field, component, rejected, accepted):
+    defaults = pipeline.PipelineConfig()
+
+    def new_problems(value):
+        changed = replace(defaults, **{field: value})
+        return set(pipeline.validate(changed)) - set(pipeline.validate(defaults))
+
+    for value in rejected:
+        assert new_problems(value), value
+        with pytest.raises(ParameterError):
+            component(value)
+    for value in accepted:
+        assert not new_problems(value), value
+        component(value)
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

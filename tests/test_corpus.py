@@ -83,11 +83,11 @@ def test_clean_idempotent(toy_train):
 
 def test_clean_parameter_errors(toy_train):
     with pytest.raises(ParameterError):
-        corpus.clean(toy_train, max_len=0)
+        corpus.clean(toy_train, max_len=0, max_ratio=9.0)
     with pytest.raises(ParameterError):
-        corpus.clean(toy_train, max_ratio=0.5)
+        corpus.clean(toy_train, max_len=80, max_ratio=0.5)
     with pytest.raises(ParameterError, match="max_ratio must be >= 1.0, got nan"):
-        corpus.clean(toy_train, max_ratio=float("nan"))
+        corpus.clean(toy_train, max_len=80, max_ratio=float("nan"))
     unbounded = corpus.clean(toy_train, max_len=1000, max_ratio=float("inf"))
     assert unbounded.pairs == tuple(p for p in toy_train.pairs if p.source and p.target)
 

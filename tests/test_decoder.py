@@ -410,6 +410,23 @@ def test_nbest_equals_full_enumeration_ranking():
         want = enumerate_all_translations(sentence, table, model, weights)
         got = Decoder(table, model, weights, UNPRUNED).nbest(sentence, len(want) + 5)
         assert [(t.tokens, t.score) for t in got] == want, trial
+    # weights of 0 and ±1 tie many scores exactly; every prefix of the
+    # ranking must hold, so the read-out may stop only below the last score
+    for trial in range(60):
+        n = rng.randint(1, 4)
+        sentence = tuple("f%d" % i for i in range(n))
+        table = random_phrase_table(rng, list(sentence), ["x", "y", "z"], n_entries=4, max_len=2)
+        sents = [
+            tuple(rng.choice(["x", "y", "z"]) for _ in range(rng.randint(1, 5)))
+            for _ in range(15)
+        ]
+        model = lm.train(sents, rng.choice([1, 2]))
+        weights = Weights(tuple(rng.choice((0.0, 0.0, 1.0, -1.0)) for _ in range(8)))
+        want = enumerate_all_translations(sentence, table, model, weights)
+        decoder = Decoder(table, model, weights, UNPRUNED)
+        for k in range(1, len(want) + 2):
+            got = decoder.nbest(sentence, k)
+            assert [(t.tokens, t.score) for t in got] == want[:k], (trial, k)
 
 
 def test_nbest_returns_n_when_the_best_string_has_many_derivations():

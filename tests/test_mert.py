@@ -44,37 +44,46 @@ def _random_pool(rng, n_sentences, n_hyps):
 # ---- line search -------------------------------------------------------------
 
 
+def _segments(pool, weights, direction):
+    """Each sentence's upper envelope along `direction` from `weights`."""
+    return [mert._envelope(mert._dots(columns, direction, len(order)), order, intercepts)
+            for intercepts, order, columns in mert.base_scores(pool, weights.values)]
+
+
 def test_two_hypotheses_cross_once():
     good = _entry(REF, (1.0,) + (0.0,) * 7)
     bad = _entry(("the", "dog", "sat", "on", "a", "mat"), (0.0, 0.5) + (0.0,) * 6)
-    result = mert.line_search([[good, bad]], Weights.uniform(), (1.0, -1.0) + (0.0,) * 6)
-    # crossing at (0.0625 - 0.125)/(1 - (-0.5)): one breakpoint, two intervals
-    assert len(result.intervals) == 2
+    pool, base, direction = [[good, bad]], Weights.uniform(), (1.0, -1.0) + (0.0,) * 6
+    result = mert.line_search(pool, mert.base_scores(pool, base.values), direction)
+    # crossing at (0.0625 - 0.125)/(1 - (-0.5)): one breakpoint, two segments
+    [segments] = _segments(pool, base, direction)
+    assert [idx for _, idx in segments] == [1, 0]
+    assert segments[0][0] == -math.inf and segments[1][0] == (0.0625 - 0.125) / 1.5
     assert result.best_bleu == 1.0
     assert result.best_step > (0.0625 - 0.125) / 1.5  # the side that matches the reference
-    starts = [iv[0] for iv in result.intervals]
-    assert starts[0] == -math.inf and starts == sorted(starts)
 
 
 def test_inert_direction_flat_envelope():
     a = _entry(REF, (1.0, 0.3) + (0.0,) * 6)
     b = _entry(("x",) * 6, (1.0, -0.4) + (0.0,) * 6)
     # the direction has zero weight on every differing feature
-    result = mert.line_search([[a, b]], Weights.uniform(), (1.0,) + (0.0,) * 7)
+    pool, base, direction = [[a, b]], Weights.uniform(), (1.0,) + (0.0,) * 7
+    result = mert.line_search(pool, mert.base_scores(pool, base.values), direction)
     assert result.best_step == 0.0
-    assert len(result.intervals) == 1
+    assert _segments(pool, base, direction) == [[(-math.inf, 0)]]
 
 
 def test_identical_hypotheses_flat():
     a = _entry(REF, (1.0,) + (0.0,) * 7)
-    result = mert.line_search([[a]], Weights.uniform(), (0.0, 1.0) + (0.0,) * 6)
+    base = mert.base_scores([[a]], Weights.uniform().values)
+    result = mert.line_search([[a]], base, (0.0, 1.0) + (0.0,) * 6)
     assert result.best_step == 0.0 and result.best_bleu == 1.0
 
 
 def test_zero_direction_rejected():
     a = _entry(REF, (1.0,) + (0.0,) * 7)
     with pytest.raises(ParameterError):
-        mert.line_search([[a]], Weights.uniform(), (0.0,) * 8)
+        mert.line_search([[a]], mert.base_scores([[a]], Weights.uniform().values), (0.0,) * 8)
 
 
 def test_envelope_matches_grid_search():
@@ -85,7 +94,7 @@ def test_envelope_matches_grid_search():
         direction = tuple(rng.uniform(-1, 1) for _ in range(8))
         if all(d == 0 for d in direction):
             continue
-        result = mert.line_search(pool, base, direction)
+        result = mert.line_search(pool, mert.base_scores(pool, base.values), direction)
         grid = grid_best_bleu(pool, base, direction)
         # the exact envelope can only match or beat the grid
         assert result.best_bleu >= grid - 1e-12, trial
@@ -111,7 +120,8 @@ def test_coincident_breakpoints_across_sentences():
             ]
             pool.append(entries)
         direction = tuple(rng.uniform(-1, 1) for _ in range(8))
-        result = mert.line_search(pool, Weights.uniform(), direction)
+        result = mert.line_search(pool, mert.base_scores(pool, Weights.uniform().values),
+                                  direction)
         stepped = Weights(
             tuple(b + result.best_step * d for b, d in zip(Weights.uniform().values, direction))
         )
@@ -121,13 +131,12 @@ def test_coincident_breakpoints_across_sentences():
 def test_interval_partition_properties():
     rng = random.Random(77)
     pool = _random_pool(rng, 3, 5)
-    result = mert.line_search(pool, Weights.uniform(), tuple(rng.uniform(-1, 1) for _ in range(8)))
-    ivs = result.intervals
-    assert ivs[0][0] == -math.inf and ivs[-1][1] == math.inf
-    for (s1, e1, _), (s2, e2, _) in zip(ivs, ivs[1:]):
-        assert e1 == s2
-    hyp_count = sum(len(entries) for entries in pool)
-    assert len(ivs) <= hyp_count
+    direction = tuple(rng.uniform(-1, 1) for _ in range(8))
+    for entries, segments in zip(pool, _segments(pool, Weights.uniform(), direction)):
+        starts = [start for start, _ in segments]
+        assert starts[0] == -math.inf
+        assert all(a < b for a, b in zip(starts, starts[1:]))
+        assert len(segments) <= len(entries)
 
 
 def _edit(rng, ref):
@@ -192,13 +201,12 @@ def test_line_search_equals_reference_float_for_float(seed):
             _sparse(rng, tuple(float(rng.randint(-2, 2)) or 1.0 for _ in range(8))),
         ]
         for base in bases:
-            shared = mert._base_scores(pool, base.values if isinstance(base, Weights) else base)
+            table = mert.base_scores(pool, base.values if isinstance(base, Weights) else base)
             for direction in directions:
-                got = mert.line_search(pool, base, direction)
+                got = mert.line_search(pool, table, direction)
                 want = line_search_reference(pool, base, direction)
-                # the whole result, intervals included; repr also tells -0.0 from 0.0
+                # repr also tells -0.0 from 0.0
                 assert got == want and repr(got) == repr(want), (base, direction)
-                assert mert.line_search(pool, base, direction, _base=shared) == got
 
 
 # ---- optimizer ----------------------------------------------------------------
@@ -350,7 +358,8 @@ def test_mert_parameter_validation():
     table, model = _toy_models()
     dev = _dev_corpus()
     with pytest.raises(ParameterError):
-        mert.mert(dev, lambda w: None, Weights.uniform(), iterations=0, seed=0, log_lines=[])
+        mert.mert(dev, lambda w: None, Weights.uniform(), iterations=0, nbest_size=10, seed=0,
+                  log_lines=[])
 
 
 def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
@@ -389,7 +398,8 @@ def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
     # with no dev sentence no optimizer call runs, and the start comes back
     scored.clear()
     empty = corpus.ParallelCorpus(())
-    assert mert.mert(empty, lambda w: None, initial.scaled(2.0), seed=0, log_lines=[]) == initial
+    assert mert.mert(empty, lambda w: None, initial.scaled(2.0), iterations=10, nbest_size=100,
+                     seed=0, log_lines=[]) == initial
     assert scored == []
 
 
