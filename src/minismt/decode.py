@@ -24,8 +24,8 @@ live states out of a stack. Expansion walks only the starts inside the
 distortion window and, from each, the spans by length up to the first
 covered word, in collect_options' (start, end, target) order.
 
-Each search numbers the LM states it reaches, and a hypothesis holds its
-state's number. It keeps three memos for its one sentence, since many
+Each search numbers the LM states it reaches, and a hypothesis's key holds
+its state's number. It keeps three memos for its one sentence, since many
 expansions repeat the same lookup: the LM sum of the words a step reads
 after a state (its target, and </s> when it completes the sentence) with
 the state it leaves, the LM step of one word after a state, and the future
@@ -37,9 +37,10 @@ cyclic garbage collector is paused over a search and its read-out: a
 hypothesis points only to an earlier stack and to losers of its own key, so
 the graph is acyclic and reference counting frees it; threads decoding at
 once share that one switch, which costs only speed. A hypothesis keeps
-only its LM and distortion values, and an arcs list from its first
+only its recombination key, its LM value and an arcs list from its first
 recombination; the 8-feature increment is built for the paths that are
-returned. Its weighted score is summed inline, term by term in Weights.dot's
+returned, each step's distortion worked out again from its predecessor's
+key. Its weighted score is summed inline, term by term in Weights.dot's
 order from 0.0, from products of the option's static terms taken once per
 search, which gives the same float as Weights.dot. A returned translation,
 from decode() as from nbest(), carries only its tokens, features and score.
@@ -178,34 +179,16 @@ class Translation:
     score: float
 
 
+@dataclass(slots=True, eq=False)
 class _Hyp:
-    __slots__ = (
-        "coverage",
-        "lm_state",
-        "last_end",
-        "score",
-        "inc_score",
-        "prev",
-        "option",
-        "lm_score",
-        "distortion",
-        "arcs",
-        "serial",
-    )
-
-    def __init__(self, coverage, lm_state, last_end, score, inc_score, prev, option,
-                 lm_score, distortion, serial):
-        self.coverage = coverage
-        self.lm_state = lm_state  # the number of its LM state in this search
-        self.last_end = last_end
-        self.score = score
-        self.inc_score = inc_score
-        self.prev = prev
-        self.option = option
-        self.lm_score = lm_score  # the step's LM feature, </s> included
-        self.distortion = distortion
-        self.arcs = None  # the losers recombined into this state, once there are any
-        self.serial = serial
+    key: object  # its recombination key, the one its stack holds: see _insert
+    score: float
+    inc_score: float
+    prev: object
+    option: object
+    lm_score: float  # the step's LM feature, </s> included
+    serial: int
+    arcs: list = None  # the losers recombined into this state, once there are any
 
     def partial_tokens(self):
         targets = []
@@ -244,19 +227,20 @@ def collect_options(sentence, table):
 def _lm_word_bounds(model, weights_lm):
     """Optimistic per-word LM contribution for the future-cost estimate.
 
-    With non-positive backoff weights (true for Witten-Bell training) the
-    best stored probability of a word bounds its conditional probability
-    in any context from above; under a negative LM weight a crude lower
-    bound is used instead so the estimate stays optimistic.
+    A context adds at most order - 1 backoff weights to a stored probability
+    of the word. Under a non-negative LM weight a word's best stored
+    probability plus that many of the largest positive backoff (none for
+    Witten-Bell training, whose backoffs are all negative) bounds its
+    conditional probability from above; under a negative LM weight its worst
+    stored probability plus that many of the most negative backoff bounds
+    it from below, so the estimate stays optimistic either way.
     """
     pick = max if weights_lm >= 0 else min
     bounds = {}
     for gram, prob in model.probs.items():
         w = gram[-1]
         bounds[w] = pick(bounds.get(w, prob), prob)
-    if weights_lm >= 0:
-        return bounds
-    slack = (model.order - 1) * min(0.0, min(model.backoffs.values(), default=0.0))
+    slack = (model.order - 1) * pick(0.0, pick(model.backoffs.values(), default=0.0))
     return {w: p + slack for w, p in bounds.items()}
 
 
@@ -315,11 +299,13 @@ class Decoder:
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
         # this sentence's LM states, numbered in the order they are reached;
-        # a hypothesis and the memos hold a state's number
+        # a hypothesis's key and the memos hold a state's number
         lm_states = [self._lm_start]
         lm_ids = {lm_states[0]: 0}
-        root = _Hyp(0, 0, -1, 0.0, 0.0, None, None, 0.0, 0, 0)
-        stacks = [{0: root}] + [{} for _ in range(n)]  # by words covered; keys: see _insert
+        root = _Hyp((0, 0, -1), 0.0, 0.0, None, None, 0.0, 0)
+        # by words covered; keys: see _insert. Stack 0 is keyed by 0, the
+        # empty sentence's full_mask, so that sentence's goal is the root
+        stacks = [{0: root}] + [{} for _ in range(n)]
         serial = 1
         # no jump inside the sentence is longer than n, so n is no limit
         dl = n if self.config.distortion_limit is None else self.config.distortion_limit
@@ -349,15 +335,14 @@ class Decoder:
             # always finish monotonically
             for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo,
                                     can_finish) if covered else [root]:
-                lm_state, last_end, before = hyp.lm_state, hyp.last_end, hyp.coverage
+                before, lm_state, last_end = hyp.key
                 lm_row = lm_memo.get(lm_state)
                 if lm_row is None:
                     lm_row = lm_memo[lm_state] = {}
                 for start in range(max(0, last_end + 1 - dl), min(n, last_end + 2 + dl)):
                     if before >> start & 1:
                         continue
-                    distortion = distortion_cost(last_end, start)
-                    distortion_term = w5 * -float(distortion)
+                    distortion_term = w5 * -float(distortion_cost(last_end, start))
                     for mask, end, group in spans[start]:
                         if before & mask:
                             break  # the longer spans from this start overlap too
@@ -392,13 +377,13 @@ class Decoder:
                             # exactly (float addition is monotone)
                             inc_score = (0.0 + w0 * lm_score + t1 + t2 + t3 + t4
                                          + distortion_term + t6 + t7)
-                            new = _Hyp(coverage, next_lm, end, hyp.score + inc_score,
-                                       inc_score, hyp, option, lm_score, distortion, serial)
-                            serial += 1
                             key = full_mask if final else (coverage, next_lm, end)
+                            new = _Hyp(key, hyp.score + inc_score, inc_score, hyp, option,
+                                       lm_score, serial)
+                            serial += 1
                             cur = stack.setdefault(key, new)
                             if cur is not new:
-                                self._insert(stack, key, cur, new)
+                                self._insert(stack, cur, new)
         return stacks[n].get(full_mask)
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
@@ -412,15 +397,16 @@ class Decoder:
         """
         ranked = []
         for h in stack.values():
-            future = future_memo.get(h.coverage)
+            coverage = h.key[0]
+            future = future_memo.get(coverage)
             if future is None:
-                future = future_memo[h.coverage] = _future_of(h.coverage, full_mask, future_table)
+                future = future_memo[coverage] = _future_of(coverage, full_mask, future_table)
             # serials are unique, so the tuples never compare hypotheses
             ranked.append((-(h.score + future), h.serial, h))
         ranked.sort()
         threshold, kept = self.config.beam_threshold, []
         for neg, _, h in ranked:
-            if not can_finish(h.coverage, h.last_end):
+            if not can_finish(h.key[0], h.key[2]):
                 continue
             if threshold is not None:
                 if not kept:
@@ -433,14 +419,14 @@ class Decoder:
         return kept
 
     @staticmethod
-    def _insert(stack, key, cur, new):
-        """Recombine new into cur, the state of key: (coverage, LM state,
+    def _insert(stack, cur, new):
+        """Recombine new into cur, the state of their key: (coverage, LM state,
         last_end), or full_mask, the goal, for every complete hypothesis. The
         better of the two holds the key and cur's arcs; the other joins them."""
         arcs = cur.arcs or []  # a state's arcs list is built at its first loser
         if new.score > cur.score or (
                 new.score == cur.score and new.partial_tokens() < cur.partial_tokens()):
-            stack[key] = new
+            stack[cur.key] = new
             cur.arcs = None  # a loser holding its own arcs list would make a cycle
             cur, new = new, cur
         arcs.append(new)
@@ -578,7 +564,10 @@ def _materialize_path(hyps, score):
     features = list(_ZERO)
     for node in hyps:
         s = node.option.static
-        inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(node.distortion), s[6], s[7])
+        # prev is the state the step was expanded from, whose key holds the
+        # last_end the search measured the jump from
+        distortion = distortion_cost(node.prev.key[2], node.option.start)
+        inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(distortion), s[6], s[7])
         tokens.extend(node.option.target)
         features = [f + d for f, d in zip(features, inc)]
     return Translation(tuple(tokens), tuple(features), score)

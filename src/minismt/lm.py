@@ -55,6 +55,8 @@ def train(sentences, order):
     for lineno, s in enumerate(sentences, 1):
         if len(s) == 0:
             raise TrainingError("line %d is empty; training requires nonempty sentences" % lineno)
+        if START in s:  # <s> is no unigram event, so no n-gram can end in it
+            raise TrainingError("line %d holds the sentence-start symbol %s" % (lineno, START))
 
     counts = _count_windows(sentences, order)
     probs, backoffs = _estimate_witten_bell(counts, order)

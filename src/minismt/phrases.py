@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .align import NULL_WORD
-from .errors import FormatError, ParameterError, read_lines, write_lines
+from .errors import FormatError, ParameterError, TrainingError, read_lines, write_lines
 
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
 
@@ -143,12 +143,13 @@ def score(extracted, lexicon_fwd, lexicon_bwd):
 
     entries = {}
     for (src, tgt), (c, _, links) in joint.items():
-        entries[(src, tgt)] = Scores(
-            phi_fwd=c / source_totals[src],
-            lex_fwd=_lexical_weight(src, tgt, links, lexicon_fwd),
-            phi_rev=c / target_totals[tgt],
-            lex_rev=_lexical_weight(tgt, src, frozenset((j, i) for i, j in links), lexicon_bwd),
-        )
+        lex_fwd = _lexical_weight(src, tgt, links, lexicon_fwd)
+        lex_rev = _lexical_weight(tgt, src, frozenset((j, i) for i, j in links), lexicon_bwd)
+        if not (lex_fwd and lex_rev):  # read_table refuses a score of 0
+            raise TrainingError("the lexicons give the phrase pair %r ||| %r a lexical weight "
+                                "of 0" % (" ".join(src), " ".join(tgt)))
+        entries[(src, tgt)] = Scores(phi_fwd=c / source_totals[src], lex_fwd=lex_fwd,
+                                     phi_rev=c / target_totals[tgt], lex_rev=lex_rev)
     del joint
     return PhraseTable(entries)
 

@@ -297,21 +297,31 @@ def test_future_table_dp_property():
                     fut[span_mask(i, k)] + fut[span_mask(k, j)] - 1e-12)
 
 
-def test_future_table_is_optimistic():
+def test_future_table_is_optimistic(tmp_path):
     # MERT's random directions can make the LM weight negative; the bound
     # then takes each word's lowest probability plus the lowest backoff sum
-    # a context can add
+    # a context can add, as a non-negative weight's bound takes the highest
+    # probability plus the highest sum: more than 0 only for a hand-written
+    # model like the last one, whose backoff(a) is +0.5
     rng = random.Random(29)
-    for _ in range(10):
-        sentence, table, model, weights = _random_instance(rng, max_len=4)
+    instances = [_random_instance(rng, max_len=4) for _ in range(10)]
+    path = tmp_path / "positive_backoff.arpa"
+    path.write_text("\\data\\\nngram 1=5\nngram 2=2\n\n"
+                    "\\1-grams:\n-1.0\t</s>\n-99\t<s>\t0.0\n-1.0\t<unk>\n-1.0\ta\t0.5\n-1.0\tb\n\n"
+                    "\\2-grams:\n-0.5\t<s> a\n0.0\tb </s>\n\n\\end\\\n", encoding="utf-8")
+    table = phrases.PhraseTable({(("f0",), ("a",)): phrases.Scores(1.0, 1.0, 1.0, 1.0),
+                                 (("f1",), ("b",)): phrases.Scores(1.0, 1.0, 1.0, 1.0)})
+    instances.append((("f0", "f1"), table, lm.read_arpa(path), Weights((1.0,) + (0.0,) * 7)))
+    for sentence, table, model, weights in instances:
         probs = {}
         for gram, prob in model.probs.items():
             probs.setdefault(gram[-1], []).append(prob)
-        slack = (model.order - 1) * min([0.0, *model.backoffs.values()])
+        low = (model.order - 1) * min([0.0, *model.backoffs.values()])
+        high = (model.order - 1) * max([0.0, *model.backoffs.values()])
         negated = Weights((-weights.values[0],) + weights.values[1:])
-        for w, bounds, end in ((weights, {v: max(p) for v, p in probs.items()}, 0.0),
-                               (negated, {v: min(p) + slack for v, p in probs.items()},
-                                negated.values[0] * (min(probs[lm.END]) + slack))):
+        for w, bounds, end in ((weights, {v: max(p) + high for v, p in probs.items()}, 0.0),
+                               (negated, {v: min(p) + low for v, p in probs.items()},
+                                negated.values[0] * (min(probs[lm.END]) + low))):
             d = Decoder(table, model, w, UNPRUNED)
             assert d._bounds == bounds
             fut = d.future_cost_table(sentence, collect_options(sentence, table))
@@ -410,6 +420,9 @@ def test_nbest_equals_full_enumeration_ranking():
         want = enumerate_all_translations(sentence, table, model, weights)
         got = Decoder(table, model, weights, UNPRUNED).nbest(sentence, len(want) + 5)
         assert [(t.tokens, t.score) for t in got] == want, trial
+        # every entry's features, not only the 1-best's, give its score
+        for t in got:
+            assert abs(weights.dot(t.features) - t.score) <= 1e-9, (trial, t)
     # weights of 0 and ±1 tie many scores exactly; every prefix of the
     # ranking must hold, so the read-out may stop only below the last score
     for trial in range(60):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from minismt import lm
+from minismt.cli import main
 from minismt.errors import FormatError, ParameterError, TrainingError
 
 from oracles import conditional_sum, count_padded, event_vocab
@@ -108,6 +109,21 @@ def test_train_errors():
         lm.train([("a",)], 0)
     with pytest.raises(ParameterError):
         lm.train([("a",)], 6)
+
+
+def test_train_refuses_a_sentence_holding_the_start_symbol(tmp_path, capsys):
+    with pytest.raises(TrainingError, match="line 2 "):
+        lm.train([("c", "d"), ("a", lm.START, "b")], 2)
+    (tmp_path / "c.txt").write_text("a <s> b\nc d\n", encoding="utf-8")
+    assert main(["train-lm", str(tmp_path / "c.txt"), "--order", "2",
+                 "-o", str(tmp_path / "m.arpa")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR data: line 1 ")
+    assert not (tmp_path / "m.arpa").exists()
+    # </s> and <unk> inside a sentence are words like any other
+    for word in (lm.END, lm.UNK):
+        m = lm.train([("a", word, "b"), ("c", "d")], 2)
+        assert conditional_sum(m, ("a",)) == pytest.approx(1.0, abs=1e-6)
 
 
 # ---- queries -------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from minismt import align, corpus, phrases, pipeline
 from minismt.align import NULL_WORD, AlignmentMatrix, TranslationLexicon
 from minismt.corpus import SentencePair
-from minismt.errors import FormatError, ParameterError
+from minismt.cli import main
+from minismt.errors import FormatError, ParameterError, TrainingError
 
 from conftest import random_alignment
 from oracles import brute_force_extract
@@ -166,6 +167,27 @@ def test_lexical_weight_averages_multiple_links():
     scores = _entries(table)[(("s", "r"), ("t",))]
     assert scores.lex_fwd == pytest.approx((0.4 + 0.2) / 2)
     assert scores.lex_rev == pytest.approx(0.3 * 0.6)  # each source word linked to t
+
+
+def test_score_refuses_a_zero_lexical_weight(tmp_path, capsys, monkeypatch):
+    """A lexicon that lacks a linked word pair would give a table that
+    read_table refuses, so extract stops with one error line and no table."""
+    fwd = TranslationLexicon({"s": {"u": 1.0}, NULL_WORD: {"t": 0.5}})
+    bwd = TranslationLexicon({"t": {"s": 1.0}, NULL_WORD: {"s": 0.5}})
+    pp = phrases.PhrasePair(("s",), ("t",), (0, 0), (0, 0), frozenset({(0, 0)}))
+    with pytest.raises(TrainingError, match="'s' \\|\\|\\| 't'"):
+        phrases.score([[pp]], fwd, bwd)
+    files = {"src": "a b\n", "tgt": "x y\n", "al": "0-0 1-1\n",
+             "fwd": "a\tx\t1\n<null>\tx\t0.5\n<null>\ty\t0.5\n",
+             "bwd": "x\ta\t1\ny\tb\t1\n<null>\ta\t0.5\n<null>\tb\t0.5\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main("extract --source src --target tgt --alignments al --lex-fwd fwd --lex-bwd bwd "
+                "-o table".split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR data: "), err
+    assert not (tmp_path / "table").exists()
 
 
 def test_phi_distributions_normalize(toy_train):

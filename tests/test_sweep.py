@@ -4,7 +4,8 @@ Each case copies a small well-formed set of files, applies one line-level
 mutation to one file the subcommand reads, and runs the subcommand in this
 process through cli.main. A case may succeed (exit 0); otherwise it exits
 1 with exactly one `ERROR <category>: ...` line on stderr and leaves no
-output file. A Python exception escaping main (a traceback, for a user) is
+output file, and a case that succeeds leaves outputs that load with their
+own readers. A Python exception escaping main (a traceback, for a user) is
 a failure of the case. The random choices are seeded by the case's name,
 so the sweep is the same on every run.
 """
@@ -16,7 +17,7 @@ import shutil
 
 import pytest
 
-from minismt import artok, corpus, lm, parallel, pipeline
+from minismt import align, artok, corpus, lm, parallel, phrases, pipeline
 from minismt.cli import main
 from minismt.decode import Weights
 
@@ -70,9 +71,21 @@ _COMMANDS = {
                  ("work/prepare.manifest.json",)),
 }
 
+# subcommand -> a load of the outputs it wrote, in the case directory, with their readers
+_LOADS = {
+    "train-lm": lambda d: lm.read_arpa(d / "out.arpa"),
+    "align": lambda d: (
+        list(align.read_alignments(d / "out.align",
+                                   corpus.load_parallel(d / "source.en", d / "target.ar"))),
+        align.read_lexicon(d / "out.align.lex.fwd"), align.read_lexicon(d / "out.align.lex.bwd")),
+    "extract": lambda d: phrases.read_table(d / "out.table"),
+    "mert": lambda d: Weights.from_file(d / "out.weights"),
+}
+
 _SEEDS = 2  # cases per file and kind
 _KINDS = ("drop-field", "insert-field", "bad-value", "duplicate-line", "drop-line", "swap-lines",
-          "truncate", "empty", "control", "tab-space")
+          "truncate", "empty", "control", "tab-space", "reserved")
+_RESERVED = (lm.START, lm.END, lm.UNK, align.NULL_WORD)
 
 
 def _mutate(text, kind, rng):
@@ -106,6 +119,13 @@ def _mutate(text, kind, rng):
             old = rng.choice([c for c in " \t" if c in lines[i]])
             k = rng.choice([k for k, c in enumerate(lines[i]) if c == old])
             lines[i] = lines[i][:k] + {" ": "\t", "\t": " "}[old] + lines[i][k + 1:]
+    elif kind == "reserved":  # each reserved word, as a field of one line
+        i = rng.choice([k for k, line in enumerate(lines) if line.strip()])
+        sep = "\t" if "\t" in lines[i] else " "
+        fields = lines[i].split(sep)
+        for word in _RESERVED:
+            fields.insert(rng.randint(0, len(fields)), word)
+        lines[i] = sep.join(fields)
     else:  # a field is a run of non-whitespace
         i = rng.choice([k for k, line in enumerate(lines) if line.strip()])
         line = lines[i]
@@ -182,6 +202,11 @@ def test_every_malformed_file_ends_in_success_or_one_error_line(
                 code = "%s: %s" % (type(exc).__name__, exc)
             # split wherever any reader may end a line, "\r" included
             out, err = (text.splitlines() for text in capsys.readouterr())
+            if code == 0 and command in _LOADS:
+                try:
+                    _LOADS[command](d)
+                except Exception as exc:  # noqa: BLE001 - an output its reader refuses too
+                    code = "0, but reading its output: %s: %s" % (type(exc).__name__, exc)
             if not _ends_well(command, code, out, err, [d / w for w in writes]):
                 failures.append("%s: exit %s, stderr %r" % (case, code, err))
     assert not failures, "\n".join(failures)
