@@ -72,7 +72,9 @@ def transpose_corpus(corpus):
 
 
 def em_train(corpus, iterations):
-    """IBM Model 1 EM over a cleaned parallel corpus: no side of a pair is empty.
+    """IBM Model 1 EM over a cleaned parallel corpus: no side of a pair is empty,
+    and no source sentence holds a word spelled NULL_WORD, whose counts would
+    go to the null word's row.
 
     Initialization is uniform over co-occurring pairs (and the null word);
     each iteration accumulates posterior-weighted counts and renormalizes.
@@ -89,6 +91,8 @@ def em_train(corpus, iterations):
         if not pair.source or not pair.target:
             raise TrainingError("line %d has an empty side; EM requires nonempty sentences"
                                 % lineno)
+        if NULL_WORD in pair.source:
+            raise TrainingError("line %d holds %s, the null word's name" % (lineno, NULL_WORD))
 
     table = {}
     for pair in pairs:
@@ -194,11 +198,11 @@ def symmetrize(forward, backward, heuristic):
     elif heuristic == "union":
         links = union
     else:
-        links = _grow_diag_final(inter, union, forward.source_len, forward.target_len)
+        links = _grow_diag_final(inter, union)
     return AlignmentMatrix(frozenset(links), forward.source_len, forward.target_len)
 
 
-def _grow_diag_final(intersection, union, source_len, target_len):
+def _grow_diag_final(intersection, union):
     links = set(intersection)
     aligned_src = {i for i, _ in links}
     aligned_tgt = {j for _, j in links}

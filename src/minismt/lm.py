@@ -30,7 +30,6 @@ class NGramModel:
     order: int
     probs: dict  # token tuple -> log10 conditional probability
     backoffs: dict  # context tuple -> log10 backoff weight
-    vocab: frozenset
 
 
 def _count_windows(sentences, order):
@@ -60,8 +59,7 @@ def train(sentences, order):
 
     counts = _count_windows(sentences, order)
     probs, backoffs = _estimate_witten_bell(counts, order)
-    vocab = frozenset(w for (w,) in counts[1]) | {UNK}
-    return NGramModel(order, probs, backoffs, vocab)
+    return NGramModel(order, probs, backoffs)
 
 
 def _estimate_witten_bell(counts, order):
@@ -188,7 +186,7 @@ def write_arpa(model, path):
     grams_by_order = [[] for _ in range(model.order + 1)]
     for gram in model.probs:
         grams_by_order[len(gram)].append(gram)
-    if (START,) not in model.probs and START in model.vocab:
+    if (START,) not in model.probs:  # <s> is listed with the placeholder probability
         grams_by_order[1].append((START,))
     for grams in grams_by_order[1:]:
         grams.sort()
@@ -293,8 +291,7 @@ def read_arpa(path):
                 "%s: declared %d %d-grams but listed %d" % (path, n, m, listed[m])
             )
 
-    vocab = frozenset(g[0] for g in probs if len(g) == 1)
     # pure-lookup entries: drop the start symbol's placeholder probability
     if (START,) in probs and probs[(START,)] <= _NO_PROB:
         del probs[(START,)]
-    return NGramModel(order, probs, backoffs, vocab)
+    return NGramModel(order, probs, backoffs)

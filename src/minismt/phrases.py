@@ -143,6 +143,9 @@ def score(extracted, lexicon_fwd, lexicon_bwd):
 
     entries = {}
     for (src, tgt), (c, _, links) in joint.items():
+        if "|||" in src or "|||" in tgt:
+            raise TrainingError("the phrase pair %r -> %r holds the token |||, the phrase "
+                                "table's field separator" % (" ".join(src), " ".join(tgt)))
         lex_fwd = _lexical_weight(src, tgt, links, lexicon_fwd)
         lex_rev = _lexical_weight(tgt, src, frozenset((j, i) for i, j in links), lexicon_bwd)
         if not (lex_fwd and lex_rev):  # read_table refuses a score of 0

@@ -1,7 +1,9 @@
 """End-to-end pipeline: preprocess -> train -> tune -> decode -> evaluate.
 
-Configuration is an INI-style key-value file; every key has a default
-(see PipelineConfig). The stage graph is one table (_GRAPH): for each
+Configuration is an INI-style key-value file. Each setting is declared
+once, as a PipelineConfig field that carries its `[section] key`, the
+parser of its value and its default; load_config reads the key table from
+those fields. The stage graph is one table (_GRAPH): for each
 stage, the work-dir files it reads and writes and its manifest params.
 A stage function is given its paths and those params and nothing else, and
 the align, extract and mert subcommands run the same functions.
@@ -27,7 +29,7 @@ import importlib.resources
 import json
 import shutil
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import align, artok, bleu, corpus, lm, mert, phrases
@@ -54,32 +56,37 @@ def parse_limit(text):
     return None if _unbounded(text) else int(text)
 
 
+def _setting(section, key, default, parse=str):
+    """A PipelineConfig field set by `[section] key`, whose stripped value `parse` reads."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse})
+
+
 @dataclass
 class PipelineConfig:
     """Every pipeline setting with its default; the CLI reads its defaults here too."""
 
-    train_source: str = ""
-    train_target: str = ""
-    dev_source: str = ""
-    dev_target: str = ""
-    test_source: str = ""
-    test_target: str = ""
-    scheme: str = "atb"
-    inventory: str = ""  # empty -> bundled Buckwalter inventory
-    lexicon: str = ""  # empty -> bundled stem lexicon
-    clean_max_len: int = 80
-    clean_max_ratio: float = 9.0
-    lm_order: int = 5
-    align_iterations: int = 5
-    align_heuristic: str = "grow-diag-final"
-    max_phrase_len: int = 7
-    stack_size: int = 100
-    beam_threshold: float | None = None
-    distortion_limit: int | None = 6
-    mert_iterations: int = 10
-    mert_nbest: int = 100
-    seed: int = 17
-    work_dir: str = ""
+    train_source: str = _setting("data", "train_source", "")
+    train_target: str = _setting("data", "train_target", "")
+    dev_source: str = _setting("data", "dev_source", "")
+    dev_target: str = _setting("data", "dev_target", "")
+    test_source: str = _setting("data", "test_source", "")
+    test_target: str = _setting("data", "test_target", "")
+    scheme: str = _setting("tokenize", "scheme", "atb", str.lower)
+    inventory: str = _setting("tokenize", "inventory", "")  # empty -> bundled Buckwalter inventory
+    lexicon: str = _setting("tokenize", "lexicon", "")  # empty -> bundled stem lexicon
+    clean_max_len: int = _setting("clean", "max_len", 80, int)
+    clean_max_ratio: float = _setting("clean", "max_ratio", 9.0, parse_number)
+    lm_order: int = _setting("lm", "order", 5, int)
+    align_iterations: int = _setting("align", "iterations", 5, int)
+    align_heuristic: str = _setting("align", "heuristic", "grow-diag-final", str.lower)
+    max_phrase_len: int = _setting("phrases", "max_len", 7, int)
+    stack_size: int = _setting("decoder", "stack_size", 100, int)
+    beam_threshold: float | None = _setting("decoder", "beam_threshold", None, parse_threshold)
+    distortion_limit: int | None = _setting("decoder", "distortion_limit", 6, parse_limit)
+    mert_iterations: int = _setting("mert", "iterations", 10, int)
+    mert_nbest: int = _setting("mert", "nbest", 100, int)
+    seed: int = _setting("run", "seed", 17, int)
+    work_dir: str = _setting("run", "work_dir", "")
 
     def inventory_path(self):
         return Path(self.inventory) if self.inventory else bundled_data("clitics.bw.tsv")
@@ -88,31 +95,7 @@ class PipelineConfig:
         return Path(self.lexicon) if self.lexicon else bundled_data("stems.bw.txt")
 
 
-# (section, key) -> (PipelineConfig field, parser of the stripped value)
-_KEYS = {
-    ("data", "train_source"): ("train_source", str),
-    ("data", "train_target"): ("train_target", str),
-    ("data", "dev_source"): ("dev_source", str),
-    ("data", "dev_target"): ("dev_target", str),
-    ("data", "test_source"): ("test_source", str),
-    ("data", "test_target"): ("test_target", str),
-    ("tokenize", "scheme"): ("scheme", str.lower),
-    ("tokenize", "inventory"): ("inventory", str),
-    ("tokenize", "lexicon"): ("lexicon", str),
-    ("clean", "max_len"): ("clean_max_len", int),
-    ("clean", "max_ratio"): ("clean_max_ratio", parse_number),
-    ("lm", "order"): ("lm_order", int),
-    ("align", "iterations"): ("align_iterations", int),
-    ("align", "heuristic"): ("align_heuristic", str.lower),
-    ("phrases", "max_len"): ("max_phrase_len", int),
-    ("decoder", "stack_size"): ("stack_size", int),
-    ("decoder", "beam_threshold"): ("beam_threshold", parse_threshold),
-    ("decoder", "distortion_limit"): ("distortion_limit", parse_limit),
-    ("mert", "iterations"): ("mert_iterations", int),
-    ("mert", "nbest"): ("mert_nbest", int),
-    ("run", "seed"): ("seed", int),
-    ("run", "work_dir"): ("work_dir", str),
-}
+_SETTINGS = {f.metadata["key"]: f for f in fields(PipelineConfig)}  # (section, key) -> field
 
 
 def bundled_data(name):
@@ -131,13 +114,13 @@ def load_config(path):
     except configparser.Error as exc:  # its messages span lines; the CLI prints one
         raise ConfigError(" ".join(str(exc).split()))
     for section, key in raw:
-        if (section, key) not in _KEYS:
+        if (section, key) not in _SETTINGS:
             raise ConfigError("unknown config key [%s] %s" % (section, key))
     try:
         values = {}
         for section_key, text in raw.items():
-            field, parse = _KEYS[section_key]
-            values[field] = parse(text)
+            setting = _SETTINGS[section_key]
+            values[setting.name] = setting.metadata["parse"](text)
     except ValueError as exc:
         raise ConfigError("bad value in %s: %s" % (path, exc))
     return PipelineConfig(**values)
@@ -347,7 +330,7 @@ def _sha256(path):
 
 
 def _params(cfg, stage):
-    return {param: getattr(cfg, field) for param, field in stage.params.items()}
+    return {param: getattr(cfg, name) for param, name in stage.params.items()}
 
 
 def _manifest_path(work, stage):

@@ -36,8 +36,8 @@ def count_padded(sentences, order):
 
 
 def event_vocab(model):
-    """Tokens that can be predicted: the vocabulary minus the start symbol."""
-    return model.vocab - {lm.START}
+    """Tokens that can be predicted: the words of the model's unigrams."""
+    return {gram[0] for gram in model.probs if len(gram) == 1}
 
 
 def conditional_sum(model, context):

@@ -5,6 +5,7 @@ import pytest
 
 from minismt import align, corpus, parallel, pipeline
 from minismt.align import NULL_WORD, AlignmentMatrix, TranslationLexicon
+from minismt.cli import main
 from minismt.errors import ParameterError, TrainingError
 
 
@@ -50,6 +51,9 @@ def test_em_errors():
         align.em_train(corpus.ParallelCorpus(()), 3)
     with pytest.raises(ParameterError):
         align.em_train(make_corpus(("a", "x")), 0)
+    # its counts would go to the null word's row
+    with pytest.raises(TrainingError, match="line 2 holds <null>, the null word's name"):
+        align.em_train(make_corpus(("b c", "u v"), ("a <null>", "x y")), 2)
 
 
 def test_align_corpus_on_one_and_two_cpus(monkeypatch, toy_train):
@@ -75,6 +79,23 @@ def test_align_corpus_on_one_and_two_cpus(monkeypatch, toy_train):
     assert fwd1.log_likelihood_history == fwd2.log_likelihood_history
     assert bwd1.log_likelihood_history == bwd2.log_likelihood_history
     assert len(fwd1.log_likelihood_history) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_align_refuses_the_null_word_on_either_side(monkeypatch, tmp_path, capsys, side, workers):
+    """The reverse direction trains with the sides swapped, so a target word
+    of the null word's name is refused too: one error line and no file."""
+    lines = {"source": ["a b", "b c", "a c"], "target": ["x y", "u v", "x v"]}
+    lines[side][0] = lines[side][0].split()[0] + " <null>"
+    for name, text in lines.items():
+        (tmp_path / name).write_text("\n".join(text) + "\n", encoding="utf-8")
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: workers)
+    monkeypatch.chdir(tmp_path)
+    assert main("align --source source --target target -o al".split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR data: line 1 holds <null>, the null word's name"], err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["source", "target"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

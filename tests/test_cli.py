@@ -334,6 +334,28 @@ def test_make_toy_config(tmp_path, capsys):
     assert pipeline.validate(cfg) == []
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_validates_and_lists_every_setting(tmp_path, monkeypatch):
+    """README's example config is valid over the bundled toy files, and its
+    key table names every setting with the default its field declares."""
+    readme = _README.read_text(encoding="utf-8")
+    pipeline.make_toy_config(tmp_path)  # the toy files, in tmp_path/data
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "readme.ini").write_text(example, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert pipeline.validate(pipeline.load_config("readme.ini")) == []
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]+) \|", readme, re.M)
+    assert sorted((section, key) for section, key, _ in rows) == sorted(pipeline._SETTINGS)
+    for section, key, default in rows:
+        setting = pipeline._SETTINGS[section, key]
+        if setting.default == "":  # required, or the bundled file
+            assert not default.startswith("`"), (section, key)
+        else:
+            assert setting.metadata["parse"](default.strip("` ")) == setting.default, (section, key)
+
+
 def test_run_stage_unknown_name(small_toy):
     cfg = pipeline.load_config(small_toy)
     with pytest.raises(Exception):

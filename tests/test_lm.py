@@ -139,7 +139,7 @@ def _assert_states_are_exact(m, contexts):
     word), state(c) scores w as c does, bit for bit, and the state after w
     depends on c only through state(c)."""
     state, step = lm.state_machine(m)
-    words = sorted(m.vocab | {lm.END, "zzz-unseen"})
+    words = sorted(event_vocab(m) | {lm.START, lm.END, "zzz-unseen"})
     for c in contexts:
         s = state(c)
         assert s == c[len(c) - len(s) :] and len(s) <= m.order - 1, (c, s)
@@ -222,7 +222,7 @@ def test_product_identity():
 def test_perplexity_uniform_model():
     vocab = ["a", "b", "c", lm.END]
     probs = {(w,): math.log10(1 / len(vocab)) for w in vocab}
-    m = lm.NGramModel(1, probs, {}, frozenset(vocab))
+    m = lm.NGramModel(1, probs, {})
     assert lm.perplexity(m, [("a", "b"), ("c",)]) == pytest.approx(len(vocab), rel=1e-12)
 
 
@@ -267,10 +267,10 @@ def test_arpa_round_trip_keeps_the_estimator(tmp_path):
     path = tmp_path / "m.arpa"
     lm.write_arpa(m, path)
     r = lm.read_arpa(path)
-    assert (r.order, r.vocab, set(r.backoffs)) == (m.order, m.vocab, set(m.backoffs))
+    assert (r.order, event_vocab(r), set(r.backoffs)) == (m.order, event_vocab(m), set(m.backoffs))
     contexts = {gram[:-1] for gram in m.probs} | {("zzz",)}
     for ctx in contexts:
-        for w in sorted(m.vocab) + ["zzz"]:
+        for w in sorted(event_vocab(m) | {lm.START}) + ["zzz"]:
             expected = pytest.approx(lm.logprob(m, w, ctx), abs=1e-6)
             assert lm.logprob(r, w, ctx) == expected, (w, ctx)
 

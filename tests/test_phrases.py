@@ -190,6 +190,23 @@ def test_score_refuses_a_zero_lexical_weight(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "table").exists()
 
 
+def test_extract_refuses_a_phrase_holding_the_field_separator(tmp_path, capsys, monkeypatch):
+    """A token ||| would split a table line into more than three fields, a
+    table decode refuses, so extract stops with one error line and no table."""
+    corpus_files = {"src": "a ||| b\nc d\na c\n", "tgt": "x y z\nu v\nx v\n"}
+    for name, text in corpus_files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main("align --source src --target tgt -o al".split()) == 0
+    capsys.readouterr()
+    assert main("extract --source src --target tgt --alignments al --lex-fwd al.lex.fwd "
+                "--lex-bwd al.lex.bwd -o table".split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR data: "), err
+    assert "|||" in err[0]
+    assert not (tmp_path / "table").exists()
+
+
 def test_phi_distributions_normalize(toy_train):
     rng = random.Random(21)
     pairs = toy_train.pairs[:60]
