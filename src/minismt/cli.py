@@ -4,31 +4,35 @@ Filter-style commands (tokenize, detokenize, query-lm, decode, nbest) read
 one sentence per line from stdin or a file and write to stdout. Failures
 exit nonzero after printing a single machine-parsable line of the form
 ``ERROR <category>: <message>`` to stderr.
+
+A stage subcommand runs the pipeline's stage function with a --flag per
+param of its stage, which that param's PipelineConfig field parses and defaults.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from . import align, artok, bleu, corpus, lm, pipeline
-from .decode import Decoder, Weights, translate_all
-from .errors import CorpusAlignmentError, MinismtError, read_lines
+from . import artok, bleu, corpus, lm, pipeline
+from .decode import Weights, translate_all
+from .errors import CorpusAlignmentError, MinismtError, TrainingError, read_lines
 
-_DEFAULTS = pipeline.PipelineConfig()  # the pipeline's defaults are the CLI's too
+_TOKENIZE_PARAMS = {"scheme": "scheme", "inventory": "inventory", "lexicon": "lexicon"}
 # every character at which str.splitlines ends a line, escaped as repr() writes
 # it, so that a message quoting a path or a field stays on its one ERROR line
 _ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-def _load_artok(args):
-    files = pipeline.PipelineConfig(inventory=args.inventory or "", lexicon=args.lexicon or "")
-    inventory = artok.CliticInventory.load(files.inventory_path())
-    lexicon = artok.load_lexicon(files.lexicon_path())
-    return artok.Scheme.parse(args.scheme), inventory, lexicon
+def _settings(args):
+    """The setting flags' values, as the keywords of the subcommand's stage function."""
+    return {param: getattr(args, param) for param in args.params}
 
 
 def _cmd_tokenize(args):
-    scheme, inventory, lexicon = _load_artok(args)
+    cfg = pipeline.PipelineConfig(**_settings(args))  # for its bundled-file defaults
+    inventory = artok.CliticInventory.load(cfg.inventory_path())
+    lexicon = artok.load_lexicon(cfg.lexicon_path())
+    scheme = artok.Scheme.parse(cfg.scheme)
     sentences = corpus.read_sentences(args.input)
     for tokens in artok.tokenize_all(sentences, scheme, inventory, lexicon):
         print(" ".join(tokens))
@@ -51,7 +55,7 @@ def _cmd_stats(args):
 
 
 def _cmd_train_lm(args):
-    pipeline.stage_lm(args.corpus, args.output, order=args.order)
+    pipeline.stage_lm(args.corpus, args.output, **_settings(args))
     print("wrote %s (order %d)" % (args.output, args.order))
     return 0
 
@@ -69,23 +73,21 @@ def _cmd_query_lm(args):
 def _cmd_align(args):
     pairs = pipeline.stage_align(args.source, args.target, args.output,
                                  args.output + ".lex.fwd", args.output + ".lex.bwd",
-                                 iterations=args.iterations, heuristic=args.heuristic)
+                                 **_settings(args))
     print("wrote %s (%d pairs)" % (args.output, pairs))
     return 0
 
 
 def _cmd_extract(args):
     entries = pipeline.stage_phrases(args.source, args.target, args.alignments, args.lex_fwd,
-                                     args.lex_bwd, args.output, max_len=args.max_len)
+                                     args.lex_bwd, args.output, **_settings(args))
     print("wrote %s (%d entries)" % (args.output, entries))
     return 0
 
 
 def _decoder_from_args(args):
-    table, model, config = pipeline.load_search(
-        args.table, args.lm, args.stack_size, args.beam_threshold, args.distortion_limit)
-    weights = Weights.from_file(args.weights) if args.weights else Weights.uniform()
-    return Decoder(table, model, weights, config)
+    decoder = pipeline.load_search(args.table, args.lm, **_settings(args))
+    return decoder(Weights.from_file(args.weights) if args.weights else Weights.uniform())
 
 
 def _cmd_decode(args):
@@ -97,7 +99,12 @@ def _cmd_decode(args):
 
 def _cmd_nbest(args):
     decoder = _decoder_from_args(args)
-    for idx, nbest in enumerate(translate_all(decoder, corpus.read_sentences(args.input), args.n)):
+    sentences = corpus.read_sentences(args.input)
+    for lineno, sentence in enumerate(sentences, 1):
+        if "|||" in sentence:  # an unknown word is copied into the output
+            raise TrainingError("input line %d holds the token |||, the n-best format's field "
+                                "separator" % lineno)
+    for idx, nbest in enumerate(translate_all(decoder, sentences, args.n)):
         for t in nbest:
             print(
                 "%d ||| %s ||| %s ||| %.6f"
@@ -108,10 +115,7 @@ def _cmd_nbest(args):
 
 def _cmd_mert(args):
     pipeline.stage_mert(args.dev_source, args.dev_target, args.table, args.lm, args.output,
-                        args.output + ".log", iterations=args.iterations, nbest=args.nbest,
-                        seed=args.seed, stack_size=args.stack_size,
-                        beam_threshold=args.beam_threshold,
-                        distortion_limit=args.distortion_limit)
+                        args.output + ".log", **_settings(args))
     print("wrote %s" % args.output)
     return 0
 
@@ -160,19 +164,23 @@ def _cmd_make_toy_config(args):
     return 0
 
 
-def _add_search_flags(sub):
-    sub.add_argument("--stack-size", type=int, default=_DEFAULTS.stack_size)
-    sub.add_argument("--beam-threshold", type=pipeline.parse_threshold,
-                     default=_DEFAULTS.beam_threshold, help="a number, or none")
-    sub.add_argument("--distortion-limit", type=pipeline.parse_limit,
-                     default=_DEFAULTS.distortion_limit, help="an integer, or none (unlimited)")
+def _add_setting_flags(sub, params):
+    """A --param flag for each {param: PipelineConfig field name} item, which
+    the field parses and defaults as a config file's [section] key does."""
+    for param, name in params.items():
+        setting = pipeline.FIELDS[name]
+        sub.add_argument("--" + param.replace("_", "-"), type=setting.metadata["parse"],
+                         default=setting.default,
+                         help="as [%s] %s in a pipeline config" % setting.metadata["key"])
+    sub.set_defaults(params=params)
 
 
 def _add_decoder_flags(sub):
     sub.add_argument("--table", required=True, help="phrase table file")
     sub.add_argument("--lm", required=True, help="ARPA language model file")
     sub.add_argument("--weights", help="weights file (default: uniform)")
-    _add_search_flags(sub)
+    _add_setting_flags(sub, pipeline.SEARCH_PARAMS)
+    sub.add_argument("--input", help="input file (default: stdin)")
 
 
 def build_parser():
@@ -182,94 +190,77 @@ def build_parser():
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("tokenize", help="clitic-tokenize Arabic text (filter)")
-    sub.add_argument("--scheme", default=_DEFAULTS.scheme, help="atb or myd3")
-    sub.add_argument("--inventory", help="clitic inventory TSV (default: bundled)")
-    sub.add_argument("--lexicon", help="stem lexicon (default: bundled)")
-    sub.add_argument("--input", help="input file (default: stdin)")
-    sub.set_defaults(fn=_cmd_tokenize)
+    def command(name, fn, help):
+        sub = commands.add_parser(name, help=help)
+        sub.set_defaults(fn=fn)
+        return sub
 
-    sub = commands.add_parser("detokenize", help="rejoin '+'-marked segments (filter)")
+    sub = command("tokenize", _cmd_tokenize, "clitic-tokenize Arabic text (filter)")
+    _add_setting_flags(sub, _TOKENIZE_PARAMS)
     sub.add_argument("--input", help="input file (default: stdin)")
-    sub.set_defaults(fn=_cmd_detokenize)
 
-    sub = commands.add_parser("stats", help="parallel corpus statistics")
+    sub = command("detokenize", _cmd_detokenize, "rejoin '+'-marked segments (filter)")
+    sub.add_argument("--input", help="input file (default: stdin)")
+
+    sub = command("stats", _cmd_stats, "parallel corpus statistics")
     sub.add_argument("source")
     sub.add_argument("target")
-    sub.set_defaults(fn=_cmd_stats)
 
-    sub = commands.add_parser("train-lm", help="train a backoff n-gram model")
+    sub = command("train-lm", _cmd_train_lm, "train a backoff n-gram model")
     sub.add_argument("corpus", help="tokenized corpus, one sentence per line")
-    sub.add_argument("--order", type=int, default=_DEFAULTS.lm_order)
+    _add_setting_flags(sub, pipeline.PARAMS["lm"])
     sub.add_argument("-o", "--output", required=True)
-    sub.set_defaults(fn=_cmd_train_lm)
 
-    sub = commands.add_parser("query-lm", help="sentence log-probabilities and perplexity")
+    sub = command("query-lm", _cmd_query_lm, "sentence log-probabilities and perplexity")
     sub.add_argument("model", help="ARPA file")
     sub.add_argument("--input", help="input file (default: stdin)")
-    sub.set_defaults(fn=_cmd_query_lm)
 
-    sub = commands.add_parser("align", help="IBM Model 1 word alignment")
+    sub = command("align", _cmd_align, "IBM Model 1 word alignment")
     sub.add_argument("--source", required=True)
     sub.add_argument("--target", required=True)
-    sub.add_argument("--iterations", type=int, default=_DEFAULTS.align_iterations)
-    sub.add_argument("--heuristic", default=_DEFAULTS.align_heuristic, choices=align.HEURISTICS)
+    _add_setting_flags(sub, pipeline.PARAMS["align"])
     sub.add_argument("-o", "--output", required=True,
                      help="alignment file; the lexicons go to <output>.lex.fwd / .lex.bwd")
-    sub.set_defaults(fn=_cmd_align)
 
-    sub = commands.add_parser("extract", help="extract and score a phrase table")
+    sub = command("extract", _cmd_extract, "extract and score a phrase table")
     sub.add_argument("--source", required=True)
     sub.add_argument("--target", required=True)
     sub.add_argument("--alignments", required=True)
     sub.add_argument("--lex-fwd", required=True)
     sub.add_argument("--lex-bwd", required=True)
-    sub.add_argument("--max-len", type=int, default=_DEFAULTS.max_phrase_len)
+    _add_setting_flags(sub, pipeline.PARAMS["phrases"])
     sub.add_argument("-o", "--output", required=True)
-    sub.set_defaults(fn=_cmd_extract)
 
-    sub = commands.add_parser("decode", help="translate, one sentence per line")
+    sub = command("decode", _cmd_decode, "translate, one sentence per line")
     _add_decoder_flags(sub)
-    sub.add_argument("--input", help="input file (default: stdin)")
-    sub.set_defaults(fn=_cmd_decode)
 
-    sub = commands.add_parser("nbest", help="n-best lists in Moses format")
+    sub = command("nbest", _cmd_nbest, "n-best lists in Moses format")
     _add_decoder_flags(sub)
     sub.add_argument("-n", type=int, default=10)
-    sub.add_argument("--input", help="input file (default: stdin)")
-    sub.set_defaults(fn=_cmd_nbest)
 
-    sub = commands.add_parser("mert", help="tune log-linear weights on a dev set")
+    sub = command("mert", _cmd_mert, "tune log-linear weights on a dev set")
     sub.add_argument("--dev-source", required=True)
     sub.add_argument("--dev-target", required=True)
     sub.add_argument("--table", required=True)
     sub.add_argument("--lm", required=True)
-    sub.add_argument("--iterations", type=int, default=_DEFAULTS.mert_iterations)
-    sub.add_argument("--nbest", type=int, default=_DEFAULTS.mert_nbest)
-    sub.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    _add_search_flags(sub)
+    _add_setting_flags(sub, pipeline.PARAMS["mert"])
     sub.add_argument("-o", "--output", required=True,
                      help="weights file; the per-iteration run log goes to <output>.log")
-    sub.set_defaults(fn=_cmd_mert)
 
-    sub = commands.add_parser("bleu", help="corpus BLEU of a hypothesis file")
+    sub = command("bleu", _cmd_bleu, "corpus BLEU of a hypothesis file")
     sub.add_argument("hypothesis")
     sub.add_argument("references", nargs="+")
     sub.add_argument("--max-order", type=int, default=bleu.MAX_ORDER)
-    sub.set_defaults(fn=_cmd_bleu)
 
-    sub = commands.add_parser("validate", help="check a pipeline config file")
+    sub = command("validate", _cmd_validate, "check a pipeline config file")
     sub.add_argument("config")
-    sub.set_defaults(fn=_cmd_validate)
 
-    sub = commands.add_parser("pipeline", help="run the full pipeline (or one stage)")
+    sub = command("pipeline", _cmd_pipeline, "run the full pipeline (or one stage)")
     sub.add_argument("config")
     sub.add_argument("--stage", choices=pipeline.STAGES)
-    sub.set_defaults(fn=_cmd_pipeline)
 
-    sub = commands.add_parser("make-toy-config", help="set up the bundled toy corpus run")
+    sub = command("make-toy-config", _cmd_make_toy_config, "set up the bundled toy corpus run")
     sub.add_argument("out_dir")
-    sub.set_defaults(fn=_cmd_make_toy_config)
 
     return parser
 

@@ -446,8 +446,7 @@ class Decoder:
         Fewer than n entries come back only when the search graph holds
         fewer than n distinct target strings.
         """
-        if n < 1:
-            raise ParameterError("nbest size must be >= 1, got %r" % (n,))
+        check_nbest_size(n)
         return self._kbest(sentence, n)
 
     def _kbest(self, sentence, n):
@@ -576,12 +575,19 @@ def _materialize_path(hyps, score):
 # ---- decoding a sentence list on every CPU -----------------------------
 
 
+def check_nbest_size(n):
+    if n < 1:
+        raise ParameterError("nbest size must be >= 1, got %r" % (n,))
+
+
 def translate_all(decoder, sentences, n):
     """Yield decoder.nbest(s, n) for each sentence, in input order.
 
     The sentences are decoded through parallel.fork_map, one at a time per
     worker; the decoder reaches the workers by fork inheritance and is never
     pickled. A MinismtError raised for a sentence is raised here, with its
-    class and message, once the results before it have been yielded.
+    class and message, once the results before it have been yielded. A bad
+    n is refused here, before any worker is forked or sentence decoded.
     """
+    check_nbest_size(n)
     return fork_map(lambda sentence: decoder.nbest(sentence, n), sentences)

@@ -34,7 +34,7 @@ class FormatError(MinismtError):
 
 
 class TrainingError(MinismtError):
-    """Training was asked to run on unusable data (e.g. an empty corpus)."""
+    """Training or decoding was asked to run on unusable data (e.g. an empty corpus)."""
 
     category = "data"
 
@@ -86,9 +86,11 @@ def write_lines(path, lines):
     """Write each string of `lines` to a UTF-8 file as one line ending in "\n".
 
     `lines` is any iterable, written as it is read, so a generator of lines
-    is never held whole.
+    is never held whole. Returns the number of lines written.
     """
+    count = 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for line in lines:
+        for count, line in enumerate(lines, 1):
             f.write(line)
             f.write("\n")
+    return count

@@ -50,8 +50,7 @@ def extract(pair, alignment, max_len):
     i1..i2 of the links inside j1..j2 grows with it. Once that span is wider
     than max_len no pair can be emitted for this j1, so the loop stops.
     """
-    if max_len < 1:
-        raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
+    check_max_len(max_len)
     links = alignment.links
     n, m = len(pair.source), len(pair.target)
     linked_src = [[] for _ in range(m)]  # the source indices linked to each target position
@@ -88,6 +87,11 @@ def extract(pair, alignment, max_len):
                     hi += 1
                 lo -= 1
     return set(out)
+
+
+def check_max_len(max_len):
+    if max_len < 1:
+        raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
 
 
 def distortion_cost(prev_end, next_start):
@@ -190,7 +194,8 @@ def write_table(table, path, prune=TABLE_PRUNE_LIMIT):
     """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` lines.
 
     Sorted by source then target, keeping the best `prune` targets per
-    source by phi_fwd (score first, lexicographic target on ties).
+    source by phi_fwd (score first, lexicographic target on ties). Returns
+    the number of lines written.
     """
     def lines():
         for src in sorted(table.by_source):
@@ -199,7 +204,7 @@ def write_table(table, path, prune=TABLE_PRUNE_LIMIT):
                 yield "%s ||| %s ||| %.10g %.10g %.10g %.10g" % (
                     " ".join(src), " ".join(tgt), *s.as_tuple())
 
-    write_lines(path, lines())
+    return write_lines(path, lines())
 
 
 def read_table(path):

@@ -6,7 +6,7 @@ parser of its value and its default; load_config reads the key table from
 those fields. The stage graph is one table (_GRAPH): for each
 stage, the work-dir files it reads and writes and its manifest params.
 A stage function is given its paths and those params and nothing else, and
-the align, extract and mert subcommands run the same functions.
+the stage subcommands run the same functions with a flag per param (PARAMS).
 Each stage writes its artifacts plus a manifest (sha256 of inputs and
 outputs, and its params) into the work directory, so a stage can be rerun
 in isolation. Before a stage runs, every file it reads is checked against
@@ -63,7 +63,7 @@ def _setting(section, key, default, parse=str):
 
 @dataclass
 class PipelineConfig:
-    """Every pipeline setting with its default; the CLI reads its defaults here too."""
+    """Every pipeline setting with its default; the CLI's setting flags are these fields."""
 
     train_source: str = _setting("data", "train_source", "")
     train_target: str = _setting("data", "train_target", "")
@@ -95,7 +95,8 @@ class PipelineConfig:
         return Path(self.lexicon) if self.lexicon else bundled_data("stems.bw.txt")
 
 
-_SETTINGS = {f.metadata["key"]: f for f in fields(PipelineConfig)}  # (section, key) -> field
+FIELDS = {f.name: f for f in fields(PipelineConfig)}
+_SETTINGS = {f.metadata["key"]: f for f in FIELDS.values()}  # (section, key) -> field
 
 
 def bundled_data(name):
@@ -222,49 +223,46 @@ def stage_align(train_src, train_tgt, alignments, lex_fwd, lex_bwd, *, iteration
 
 
 def stage_phrases(train_src, train_tgt, alignments, lex_fwd, lex_bwd, table, *, max_len):
-    """Extract and score the phrase table; returns its number of entries.
+    """Extract and score the phrase table; returns the number of entries written.
 
     Each pair's phrase pairs are extracted as score reads them and dropped
     once counted, so only the counts outlive their pair.
     """
+    phrases.check_max_len(max_len)
     corp = corpus.load_parallel(train_src, train_tgt)
     matrices = align.read_alignments(alignments, corp)
     lexicons = align.read_lexicon(lex_fwd), align.read_lexicon(lex_bwd)
     extracted = (phrases.extract(pair, matrix, max_len)
                  for pair, matrix in zip(corp.pairs, matrices))
-    scored = phrases.score(extracted, *lexicons)
-    phrases.write_table(scored, table)
-    return len(scored)
+    return phrases.write_table(phrases.score(extracted, *lexicons), table)
 
 
-def load_search(table_path, lm_path, stack_size, beam_threshold, distortion_limit):
-    """Phrase table, language model and DecoderConfig: what a run's decoders share."""
-    config = DecoderConfig(stack_size, beam_threshold, distortion_limit)
-    return phrases.read_table(table_path), lm.read_arpa(lm_path), config
+def load_search(table_path, lm_path, **search):
+    """`decoder(weights)`: a Decoder over one phrase table, language model and
+    DecoderConfig(**search), which every decoder it gives shares."""
+    config = DecoderConfig(**search)
+    table, model = phrases.read_table(table_path), lm.read_arpa(lm_path)
+    return lambda weights: Decoder(table, model, weights, config)
 
 
 def stage_mert(dev_src, dev_tgt, table_path, lm_path, weights, log, *, iterations, nbest, seed,
-               stack_size, beam_threshold, distortion_limit):
+               **search):
     """Tune the weights from uniform on the dev set; write them and the run log."""
     dev = corpus.load_parallel(dev_src, dev_tgt)
-    table, model, dconf = load_search(table_path, lm_path, stack_size, beam_threshold,
-                                      distortion_limit)
+    decoder = load_search(table_path, lm_path, **search)
     log_lines = []
-    tuned = mert.mert(dev, lambda w: Decoder(table, model, w, dconf), Weights.uniform(),
-                      iterations, nbest, seed=seed, log_lines=log_lines)
+    tuned = mert.mert(dev, decoder, Weights.uniform(), iterations, nbest, seed=seed,
+                      log_lines=log_lines)
     tuned.to_file(weights)
     write_lines(log, log_lines)
 
 
-def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok, *,
-                 stack_size, beam_threshold, distortion_limit):
+def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_detok, **search):
     """Decode the test set with the tuned weights and with the uniform start MERT tuned from."""
     sentences = corpus.read_sentences(test_src)
-    table, model, dconf = load_search(table_path, lm_path, stack_size, beam_threshold,
-                                      distortion_limit)
+    decoder = load_search(table_path, lm_path, **search)
     for w, out_path in ((Weights.from_file(weights), hyp), (Weights.uniform(), hyp_uniform)):
-        decoder = Decoder(table, model, w, dconf)
-        hyps = [nbest[0].tokens for nbest in translate_all(decoder, sentences, 1)]
+        hyps = [nbest[0].tokens for nbest in translate_all(decoder(w), sentences, 1)]
         write_lines(out_path, (" ".join(h) for h in hyps))
         if out_path == hyp:
             write_lines(hyp_detok, (" ".join(artok.detokenize(h)) for h in hyps))
@@ -282,8 +280,8 @@ def stage_evaluate(test_tgt, hyp, hyp_uniform, report):
 # ---- the stage graph ---------------------------------------------------
 
 _Stage = namedtuple("_Stage", "name run reads writes params external", defaults=(lambda cfg: (),))
-_SEARCH_PARAMS = {"stack_size": "stack_size", "beam_threshold": "beam_threshold",
-                  "distortion_limit": "distortion_limit"}
+SEARCH_PARAMS = {"stack_size": "stack_size", "beam_threshold": "beam_threshold",
+                 "distortion_limit": "distortion_limit"}
 
 # One row per stage, in run order: the work-dir files it reads, the files it
 # writes, its manifest params as {param: PipelineConfig field}, and a function
@@ -291,7 +289,7 @@ _SEARCH_PARAMS = {"stack_size": "stack_size", "beam_threshold": "beam_threshold"
 # function takes those outside paths, then the read paths, then the write
 # paths, then its params as keywords, and never sees the config: the params
 # row is all it is given, so the manifest records everything it depends on.
-# The align, extract and mert subcommands call the same functions.
+# The subcommands call the same functions, a flag per param.
 _GRAPH = (
     _Stage("prepare", stage_prepare, (),
            ("corpus.train.en", "corpus.train.ar", "corpus.dev.en", "corpus.dev.ar",
@@ -309,14 +307,15 @@ _GRAPH = (
     _Stage("mert", stage_mert, ("corpus.dev.en", "corpus.dev.ar", "phrase-table.txt", "lm.arpa"),
            ("weights.txt", "mert.log"),
            {"iterations": "mert_iterations", "nbest": "mert_nbest", "seed": "seed",
-            **_SEARCH_PARAMS}),
+            **SEARCH_PARAMS}),
     _Stage("decode", stage_decode,
            ("corpus.test.en", "phrase-table.txt", "lm.arpa", "weights.txt"),
-           ("test.hyp.ar", "test.hyp.uniform.ar", "test.hyp.detok.ar"), _SEARCH_PARAMS),
+           ("test.hyp.ar", "test.hyp.uniform.ar", "test.hyp.detok.ar"), SEARCH_PARAMS),
     _Stage("evaluate", stage_evaluate, ("corpus.test.ar", "test.hyp.ar", "test.hyp.uniform.ar"),
            ("bleu.txt",), {}),
 )
 STAGES = tuple(stage.name for stage in _GRAPH)
+PARAMS = {stage.name: stage.params for stage in _GRAPH}  # {param: field name} by stage
 _BY_NAME = {stage.name: stage for stage in _GRAPH}
 _WRITER = {name: stage for stage in _GRAPH for name in stage.writes}
 
@@ -418,25 +417,13 @@ def make_toy_config(out_dir):
     out = Path(out_dir)
     data_dir = out / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    names = ["toy.%s.%s" % (split, side) for split in ("train", "dev", "test")
-             for side in ("en", "ar")]
-    for name in names:
-        shutil.copy(bundled_data(name), data_dir / name)
+    lines = ["[data]"]
+    for split in ("train", "dev", "test"):
+        for role, side in (("source", "en"), ("target", "ar")):
+            name = "toy.%s.%s" % (split, side)
+            shutil.copy(bundled_data(name), data_dir / name)
+            lines.append("%s_%s = %s" % (split, role, data_dir / name))
     config_path = out / "toy.ini"
-    lines = [
-        "[data]",
-        "train_source = %s" % (data_dir / "toy.train.en"),
-        "train_target = %s" % (data_dir / "toy.train.ar"),
-        "dev_source = %s" % (data_dir / "toy.dev.en"),
-        "dev_target = %s" % (data_dir / "toy.dev.ar"),
-        "test_source = %s" % (data_dir / "toy.test.en"),
-        "test_target = %s" % (data_dir / "toy.test.ar"),
-        "",
-        "[tokenize]",
-        "scheme = myd3",
-        "",
-        "[run]",
-        "work_dir = %s" % (out / "work"),
-    ]
-    write_lines(config_path, lines)
+    write_lines(config_path, lines + ["", "[tokenize]", "scheme = myd3", "",
+                                      "[run]", "work_dir = %s" % (out / "work")])
     return config_path

@@ -229,9 +229,9 @@ def toy_concatenations(toy_runs):
     """The toy run's decoder at the pipeline's DecoderConfig(100, None, 6), and
     its test set's sentences joined three at a time."""
     work = toy_runs[0]["work"]
-    table, model, config = pipeline.load_search(
-        work / "phrase-table.txt", work / "lm.arpa", 100, None, 6)
-    decoder = Decoder(table, model, Weights.from_file(work / "weights.txt"), config)
+    decoder = pipeline.load_search(work / "phrase-table.txt", work / "lm.arpa", stack_size=100,
+                                   beam_threshold=None, distortion_limit=6)
+    decoder = decoder(Weights.from_file(work / "weights.txt"))
     test = [tuple(line.split())
             for line in (work / "corpus.test.en").read_text(encoding="utf-8").splitlines()]
     return decoder, [a + b + c for a, b, c in zip(test[::3], test[1::3], test[2::3])]
@@ -267,10 +267,9 @@ def test_toy_test_set_has_no_search_errors(toy_runs):
     None, 6), no test reference, force-decoded without pruning, scores
     higher than the 1-best of a sentence it differs from."""
     work = toy_runs[0]["work"]
-    table, model, config = pipeline.load_search(
-        work / "phrase-table.txt", work / "lm.arpa", 100, None, 6)
+    table, model = phrases.read_table(work / "phrase-table.txt"), lm.read_arpa(work / "lm.arpa")
     weights = Weights.from_file(work / "weights.txt")
-    decoder = Decoder(table, model, weights, config)
+    decoder = Decoder(table, model, weights, DecoderConfig(100, None, 6))
     outcomes = Counter()
     for source, reference in zip(corpus.read_sentences(work / "corpus.test.en"),
                                  corpus.read_sentences(work / "corpus.test.ar")):

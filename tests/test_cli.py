@@ -518,6 +518,68 @@ def test_decode_refuses_a_nan_beam_threshold(tmp_path, capsys):
     assert captured.err.splitlines() == ["ERROR usage: beam_threshold must be >= 0"]
 
 
+def test_extract_reports_the_entries_it_wrote(tmp_path, capsys):
+    # 25 targets of one source word: the table keeps the best 20 of them
+    n = phrases.TABLE_PRUNE_LIMIT + 5
+    files = {name: tmp_path / name for name in ("c.en", "c.ar", "al", "lex.fwd", "lex.bwd")}
+    texts = {"c.en": "a\n" * n, "c.ar": "".join("x%d\n" % k for k in range(n)), "al": "0-0\n" * n,
+             "lex.fwd": "".join("a\tx%d\t%r\n" % (k, 1 / n) for k in range(n)),
+             "lex.bwd": "".join("x%d\ta\t1\n" % k for k in range(n))}
+    for name, text in texts.items():
+        files[name].write_text(text, encoding="utf-8")
+    table = tmp_path / "pt"
+    assert main(["extract", "--source", str(files["c.en"]), "--target", str(files["c.ar"]),
+                 "--alignments", str(files["al"]), "--lex-fwd", str(files["lex.fwd"]),
+                 "--lex-bwd", str(files["lex.bwd"]), "-o", str(table)]) == 0
+    lines = table.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == phrases.TABLE_PRUNE_LIMIT
+    assert capsys.readouterr().out == "wrote %s (%d entries)\n" % (table, len(lines))
+
+
+def test_a_bad_setting_is_refused_without_input(tmp_path, capsys):
+    # each bound is checked before the input is read, so an empty one is refused too
+    files = _tiny_model_files(tmp_path)
+    for name in ("source", "target", "alignments"):
+        files[name].write_text("", encoding="utf-8")
+    table = tmp_path / "pt"
+    assert main(["extract", "--source", str(files["source"]), "--target", str(files["target"]),
+                 "--alignments", str(files["alignments"]), "--lex-fwd", str(files["lexicon"]),
+                 "--lex-bwd", str(files["lexicon"]), "--max-len", "0", "-o", str(table)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ERROR usage: max_len must be >= 1, got 0"]
+    assert not table.exists()
+    assert main(["nbest", "-n", "0", "--table", str(files["table"]), "--lm", str(files["lm"]),
+                 "--input", str(files["source"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ERROR usage: nbest size must be >= 1, got 0"]
+
+
+def test_an_unknown_heuristic_is_one_usage_error_line(tmp_path, capsys):
+    files = _tiny_model_files(tmp_path)
+    out = tmp_path / "out.align"
+    assert main(["align", "--source", str(files["source"]), "--target", str(files["target"]),
+                 "--heuristic", "Grow", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR usage: unknown symmetrization heuristic 'grow'"]
+    assert list(tmp_path.glob("out.align*")) == []
+
+
+def test_nbest_refuses_the_field_separator_as_an_input_token(tmp_path, capsys):
+    # an unknown word is copied into the translation, where ||| would add a field
+    files = _tiny_model_files(tmp_path)
+    files["source"].write_text("a\na ||| b\n", encoding="utf-8")
+    models = ["--table", str(files["table"]), "--lm", str(files["lm"]),
+              "--input", str(files["source"])]
+    assert main(["nbest", "-n", "1"] + models) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "ERROR data: input line 2 holds the token |||, the n-best format's field separator"]
+    assert main(["decode"] + models) == 0
+    assert capsys.readouterr().out == "x\nx ||| b\n"
+
+
 def _child_env(drop=()):
     """This environment without the variables in `drop`, with the tested
     package's source directory first on PYTHONPATH."""
@@ -631,21 +693,39 @@ def test_crlf_copies_load_as_their_originals(small_run, tmp_path):
 
 
 def test_subcommands_use_pipeline_defaults():
+    """Each stage subcommand's setting flags keep their names, default to
+    their PipelineConfig field's default and parse a value as its field does."""
+    models = ["--table", "pt", "--lm", "m.arpa"]
+    search = {"--stack-size": ("stack_size", "7", 7),
+              "--beam-threshold": ("beam_threshold", "inf", None),
+              "--distortion-limit": ("distortion_limit", "none", None)}
+    flags = {  # argv: {flag: (field, a value, what it parses to)}
+        ("tokenize",): {"--scheme": ("scheme", "MYD3", "myd3"),
+                        "--inventory": ("inventory", "inv.tsv", "inv.tsv"),
+                        "--lexicon": ("lexicon", "stems.txt", "stems.txt")},
+        ("train-lm", "c.ar", "-o", "m.arpa"): {"--order": ("lm_order", "3", 3)},
+        ("align", "--source", "c.en", "--target", "c.ar", "-o", "al"): {
+            "--iterations": ("align_iterations", "2", 2),
+            "--heuristic": ("align_heuristic", "UNION", "union")},
+        ("extract", "--source", "c.en", "--target", "c.ar", "--alignments", "al",
+         "--lex-fwd", "f", "--lex-bwd", "b", "-o", "pt"): {
+            "--max-len": ("max_phrase_len", "3", 3)},
+        ("mert", "--dev-source", "d.en", "--dev-target", "d.ar", "-o", "w", *models): {
+            "--iterations": ("mert_iterations", "2", 2), "--nbest": ("mert_nbest", "5", 5),
+            "--seed": ("seed", "3", 3), **search},
+        ("decode", *models): search,
+        ("nbest", *models): search,
+    }
     defaults = pipeline.PipelineConfig()
     parser = build_parser()
-    models = ["--table", "pt", "--lm", "m.arpa"]
-    mert_cmd = ["mert", "--dev-source", "d.en", "--dev-target", "d.ar", "-o", "w"] + models
-    for argv in (["decode"] + models, ["nbest"] + models, mert_cmd):
-        args = parser.parse_args(argv)
-        assert (args.stack_size, args.beam_threshold, args.distortion_limit) == (
-            defaults.stack_size, defaults.beam_threshold, defaults.distortion_limit)
-    args = parser.parse_args(mert_cmd)
-    assert (args.iterations, args.nbest, args.seed) == (
-        defaults.mert_iterations, defaults.mert_nbest, defaults.seed)
-
-    args = parser.parse_args(["decode"] + models + ["--distortion-limit", "none",
-                                                    "--beam-threshold", "none"])
-    assert args.distortion_limit is None and args.beam_threshold is None
+    for argv, settings in flags.items():
+        args = vars(parser.parse_args(argv))
+        given = vars(parser.parse_args([*argv, *(x for f, (_, text, _) in settings.items()
+                                                 for x in (f, text))]))
+        for flag, (name, _, want) in settings.items():
+            dest = flag[2:].replace("-", "_")
+            assert args[dest] == getattr(defaults, name), (argv[0], flag)
+            assert given[dest] == want, (argv[0], flag)
 
 
 @pytest.fixture(scope="module")
