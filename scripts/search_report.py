@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Search quality on the decode-long benchmark input, per stack size.
+
+    python scripts/search_report.py STACK...
+
+Builds decode-long's models and sentences as the benchmark does
+(perfbench/workloads.DecodeLong at seed 20240601, tuned weights, distortion
+limit 6) and decodes the 120 sentences 1-best at each stack size, and at
+stack 100 as the reference. Each sentence that decodes is classed against
+an unpruned forced decode of its reference (tests/oracles.search_outcome):
+a search error, a model error, an unreachable reference, or exact. One line
+per stack gives the sentences that failed, those four counts, the sum of the
+1-best model scores, and how many 1-best scores rose and fell against stack
+100. The last line of standard output is one JSON object holding the same
+figures by stack size.
+"""
+
+import json
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import workloads  # noqa: E402  (puts src/ on the path)
+from oracles import forced_decode, search_outcome  # noqa: E402
+from minismt import lm  # noqa: E402
+from minismt.decode import Decoder, DecoderConfig  # noqa: E402
+from minismt.errors import MinismtError  # noqa: E402
+
+SEED = 20240601
+REFERENCE_STACK = 100
+OUTCOMES = ("search", "model", "unreachable", "exact")
+
+
+def main(argv):
+    try:
+        stacks = [int(arg) for arg in argv]
+    except ValueError:
+        stacks = []
+    if not stacks or min(stacks) < 1:
+        sys.exit("usage: search_report.py STACK... (stack sizes >= 1)")
+    bench = workloads.DecodeLong()
+    with tempfile.TemporaryDirectory() as directory:
+        bench.setup(Path(directory), SEED)
+        model = lm.read_arpa(Path(directory) / "work" / "lm.arpa")
+    table, weights = bench.decoder.table, bench.decoder.weights
+    limit = workloads.DECODER_CONFIG.distortion_limit
+    references = [refs[0] for refs in bench.references]
+    forced = [forced_decode(s, r, table, model, weights, limit)
+              for s, r in zip(bench.sentences, references)]
+
+    decoded_at = {}  # stack size -> (each 1-best, None where the search fails; seconds)
+
+    def decode_at(stack):
+        if stack not in decoded_at:
+            decoder = Decoder(table, model, weights, DecoderConfig(stack, None, limit))
+            start = time.perf_counter()
+            bests = []
+            for sentence in bench.sentences:
+                try:
+                    bests.append(decoder.decode(sentence))
+                except MinismtError:
+                    bests.append(None)
+            decoded_at[stack] = bests, time.perf_counter() - start
+        return decoded_at[stack]
+
+    reference, _ = decode_at(REFERENCE_STACK)
+    summary = {}
+    for stack in stacks:
+        bests, seconds = decode_at(stack)
+        decoded = [(b, r, f, base) for b, r, f, base in zip(bests, references, forced, reference)
+                   if b is not None]
+        outcomes = Counter(search_outcome(b, r, f) for b, r, f, _ in decoded)
+        row = {"failed": bests.count(None), **{o: outcomes[o] for o in OUTCOMES},
+               "score_sum": round(sum(b.score for b, *_ in decoded), 2),
+               "higher": sum(base is not None and b.score > base.score
+                             for b, _, _, base in decoded),
+               "lower": sum(base is not None and b.score < base.score
+                            for b, _, _, base in decoded)}
+        summary[stack] = row
+        print("stack %d: %d failed; search/model/unreachable/exact %s; score sum %.2f; "
+              "vs stack %d: %d higher, %d lower (%.1f s)"
+              % (stack, row["failed"], " / ".join(str(row[o]) for o in OUTCOMES),
+                 row["score_sum"], REFERENCE_STACK, row["higher"], row["lower"], seconds))
+    print(json.dumps(summary))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -11,8 +11,10 @@ decode() and nbest() read every list with one lazy k-best merge. The LM
 state is lm.state_machine's: the longest suffix of the output that the model
 can still read, so the hypotheses of one key score every continuation alike.
 Pruning is histogram (stack size) plus an optional relative score window,
-both measured on score + admissible future-cost estimate, which is looked up
-once per recombined state as a stack is ranked.
+both measured on score + admissible future-cost estimate - distortion
+weight * d, the distortion still to pay (Moore & Quirk 2007) on a walk of
+the uncovered runs from last_end + 1. d is no lower bound, so this ranking
+is not admissible; an unpruned search is unchanged.
 
 Unlimited reordering is a distortion window as wide as the sentence, since
 no jump inside n words is longer than n. An expansion can leave a gap that
@@ -27,17 +29,17 @@ covered word, in collect_options' (start, end, target) order.
 Each search numbers the LM states it reaches, and a hypothesis's key holds
 its state's number. It keeps three memos for its one sentence, since many
 expansions repeat the same lookup: the LM sum of the words a step reads
-after a state (its target, and </s> when it completes the sentence) with
-the state it leaves, the LM step of one word after a state, and the future
-cost of a coverage (from span costs keyed by span mask). The LM is reached
-only through lm.state_machine's step. A hit returns the float its first
-computation gave, so a score does not depend on which lookups hit; nothing
-outlives the call, so memory stays bounded by one sentence's search. The
-cyclic garbage collector is paused over a search and its read-out: a
+after a state (its target, and </s> when it completes the sentence) with the
+state it leaves, the LM step of one word after a state, and the future cost
+(from span costs keyed by span mask) and d's terms of a coverage. The LM is
+reached only through lm.state_machine's step. A hit returns the float its
+first computation gave, so a score does not depend on which lookups hit;
+nothing outlives the call, so memory stays bounded by one sentence's search.
+The cyclic garbage collector is paused over a search and its read-out: a
 hypothesis points only to an earlier stack and to losers of its own key, so
 the graph is acyclic and reference counting frees it; threads decoding at
-once share that one switch, which costs only speed. A hypothesis keeps
-only its recombination key, its LM value and an arcs list from its first
+once share that one switch, which costs only speed. A hypothesis keeps only
+its recombination key, its LM value and an arcs list from its first
 recombination; the 8-feature increment is built for the paths that are
 returned, each step's distortion worked out again from its predecessor's
 key. Its weighted score is summed inline, term by term in Weights.dot's
@@ -327,7 +329,7 @@ class Decoder:
         # step that completes the sentence reads its target and </s>
         lm_memo = {}
         word_memo = {}  # (LM state, word) -> (log P(word | state), next LM state)
-        future_memo = {}  # coverage -> future cost
+        future_memo = {}  # coverage -> (future cost, first open, covered between open runs)
         can_finish = _liveness(full_mask, dl)
 
         for covered in range(n):
@@ -387,7 +389,10 @@ class Decoder:
         return stacks[n].get(full_mask)
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
-        """The stack's hypotheses to expand, best score + future cost first.
+        """The stack's hypotheses to expand, best first on score + future cost
+        - distortion weight * d, which the beam threshold is measured on too.
+        d jumps from last_end + 1 to the first open position, then over the
+        covered positions between open runs, which depend on the coverage.
 
         A state that can_finish rejects is passed over, as if it had never
         been built: it takes no place in the stack and does not set the beam.
@@ -396,13 +401,20 @@ class Decoder:
         states ranked high enough to be kept are tested.
         """
         ranked = []
+        w_distortion = self.weights.values[5]
         for h in stack.values():
-            coverage = h.key[0]
-            future = future_memo.get(coverage)
-            if future is None:
-                future = future_memo[coverage] = _future_of(coverage, full_mask, future_table)
+            coverage, _, last_end = h.key
+            memo = future_memo.get(coverage)
+            if memo is None:
+                gaps = full_mask & ~coverage
+                first = (gaps & -gaps).bit_length() - 1
+                inner = gaps.bit_length() - first - gaps.bit_count()
+                memo = future_memo[coverage] = (_future_of(coverage, full_mask, future_table),
+                                                first, inner)
+            future, first, inner = memo
+            d = abs(first - last_end - 1) + inner
             # serials are unique, so the tuples never compare hypotheses
-            ranked.append((-(h.score + future), h.serial, h))
+            ranked.append((-(h.score + future - w_distortion * d), h.serial, h))
         ranked.sort()
         threshold, kept = self.config.beam_threshold, []
         for neg, _, h in ranked:

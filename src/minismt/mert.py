@@ -253,10 +253,11 @@ def mert(dev_corpus, decoder_factory, initial, iterations, nbest_size, *, seed, 
     available). An iteration that starts at the weights of the last n-best
     pass decodes nothing, as that pass's lists are all in the pool. Returns the tuned
     Weights; the result never scores below the initial weights on the
-    final accumulated pool. Deterministic for a fixed seed.
+    final accumulated pool. Deterministic for a fixed seed. A bad nbest_size
+    is refused by translate_all, before anything is decoded.
     """
-    if iterations < 1 or nbest_size < 1:
-        raise ParameterError("iterations and nbest_size must be >= 1")
+    if iterations < 1:
+        raise ParameterError("iterations must be >= 1, got %r" % (iterations,))
     rng = random.Random(seed)
     initial = initial.l1_normalized()
     current = initial

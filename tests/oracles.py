@@ -4,12 +4,14 @@ These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation
 (and its search errors by an unpruned forced decode of the reference),
 line search by dense grid evaluation, the distortion limit's dead ends by
-searching one-word steps, and language model probabilities by
-recounting the padded token stream (`conditional_sum` sums one context's
-conditional distribution over `event_vocab`). `line_search_reference` is the plain
-line search that the optimized one must equal float for float;
-`sentence_stats_reference` recounts every reference for each hypothesis,
-and `mert_reference` decodes on every iteration.
+searching one-word steps, the distortion estimate that ranks a stack by
+walking the uncovered runs one bit at a time, and language model
+probabilities by recounting the padded token stream (`conditional_sum` sums
+one context's conditional distribution over `event_vocab`).
+`line_search_reference` is the plain line search that the optimized one
+must equal float for float; `sentence_stats_reference` recounts every
+reference for each hypothesis, and `mert_reference` decodes on every
+iteration.
 """
 
 import functools
@@ -242,6 +244,23 @@ def future_of_by_bits(coverage, full_mask, table):
             j += 1
         total += table[span_mask(i, j)]
         i = j
+    return total
+
+
+def distortion_estimate_reference(coverage, last_end, n):
+    """The distortion a state still has to pay, estimated one bit at a time:
+    a cursor starts at last_end + 1 and walks the uncovered runs left to
+    right, adding |run start - cursor| for each run and then moving to the
+    position just past the run."""
+    total, cursor, i = 0, last_end + 1, 0
+    while i < n:
+        if coverage >> i & 1:
+            i += 1
+            continue
+        total += abs(i - cursor)
+        while i < n and not coverage >> i & 1:
+            i += 1
+        cursor = i
     return total
 
 

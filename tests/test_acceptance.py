@@ -224,13 +224,17 @@ def test_decoder_optimality_oracle_100_instances():
     _ok("decoder equals exhaustive maximum exactly on 100 instances (free + monotone)")
 
 
+# the pipeline's default search settings, as its mert and decode stages take them
+DEFAULT_SEARCH = {param: getattr(pipeline.PipelineConfig(), field)
+                  for param, field in pipeline.SEARCH_PARAMS.items()}
+
+
 @pytest.fixture(scope="module")
 def toy_concatenations(toy_runs):
-    """The toy run's decoder at the pipeline's DecoderConfig(100, None, 6), and
+    """The toy run's decoder at the pipeline's default search settings, and
     its test set's sentences joined three at a time."""
     work = toy_runs[0]["work"]
-    decoder = pipeline.load_search(work / "phrase-table.txt", work / "lm.arpa", stack_size=100,
-                                   beam_threshold=None, distortion_limit=6)
+    decoder = pipeline.load_search(work / "phrase-table.txt", work / "lm.arpa", **DEFAULT_SEARCH)
     decoder = decoder(Weights.from_file(work / "weights.txt"))
     test = [tuple(line.split())
             for line in (work / "corpus.test.en").read_text(encoding="utf-8").splitlines()]
@@ -239,7 +243,7 @@ def toy_concatenations(toy_runs):
 
 def test_long_sentences_decode_within_the_distortion_limit(toy_concatenations):
     """Three-sentence concatenations of the toy test set decode at the
-    pipeline's DecoderConfig(100, None, 6); these five once failed when dead
+    pipeline's default search settings; these five once failed when dead
     ends, states whose uncovered words no jump within the limit could reach,
     filled their stacks."""
     decoder, sentences = toy_concatenations
@@ -262,22 +266,26 @@ def test_toy_searches_leave_no_cycles_for_the_collector(toy_concatenations):
     _ok("4 toy concatenations decode and list 100-best with no garbage cycle")
 
 
-def test_toy_test_set_has_no_search_errors(toy_runs):
-    """At the toy run's tuned weights and the pipeline's DecoderConfig(100,
-    None, 6), no test reference, force-decoded without pruning, scores
-    higher than the 1-best of a sentence it differs from."""
+@pytest.mark.parametrize("stack_size", [DEFAULT_SEARCH["stack_size"], 100])
+def test_toy_test_set_has_no_search_errors(toy_runs, stack_size):
+    """At the toy run's tuned weights and the pipeline's default search
+    settings, and at a stack of 100, no test reference, force-decoded
+    without pruning, scores higher than the 1-best of a sentence it differs
+    from."""
     work = toy_runs[0]["work"]
     table, model = phrases.read_table(work / "phrase-table.txt"), lm.read_arpa(work / "lm.arpa")
     weights = Weights.from_file(work / "weights.txt")
-    decoder = Decoder(table, model, weights, DecoderConfig(100, None, 6))
+    config = DecoderConfig(**{**DEFAULT_SEARCH, "stack_size": stack_size})
+    decoder = Decoder(table, model, weights, config)
     outcomes = Counter()
     for source, reference in zip(corpus.read_sentences(work / "corpus.test.en"),
                                  corpus.read_sentences(work / "corpus.test.ar")):
-        forced = forced_decode(source, reference, table, model, weights, 6)
+        forced = forced_decode(source, reference, table, model, weights, config.distortion_limit)
         outcomes[search_outcome(decoder.decode(source), reference, forced)] += 1
     assert outcomes["search"] == 0, outcomes
     assert sum(outcomes.values()) == 120
-    _ok("toy test set: %s, no search error" % dict(sorted(outcomes.items())))
+    _ok("toy test set at stack %d: %s, no search error"
+        % (stack_size, dict(sorted(outcomes.items()))))
 
 
 def test_em_properties_on_toy(toy_runs):

@@ -14,6 +14,7 @@ from minismt.decode import (
     UNKNOWN_WORD_PENALTY,
     Weights,
     _future_of,
+    _Hyp,
     _liveness,
     collect_options,
     translate_all,
@@ -21,8 +22,9 @@ from minismt.decode import (
 from minismt.errors import FormatError, MinismtError, ParameterError
 
 from conftest import random_phrase_table, unreachable_after
-from oracles import (_oracle_options, can_finish_reference, enumerate_all_translations,
-                     exhaustive_decode, forced_decode, future_of_by_bits, span_mask)
+from oracles import (_oracle_options, can_finish_reference, distortion_estimate_reference,
+                     enumerate_all_translations, exhaustive_decode, forced_decode,
+                     future_of_by_bits, span_mask)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -181,6 +183,34 @@ def test_future_of_equals_bit_by_bit_gap_walk():
         for coverage in range(full + 1):
             want = future_of_by_bits(coverage, full, table)
             assert _future_of(coverage, full, table) == want, (n, coverage)
+
+
+def test_ranking_charges_the_distortion_estimate_of_every_state():
+    # every state (coverage with a word open, last covered position) of every
+    # n <= 9, ranked through one future memo per n. A stack ranks on score +
+    # future - w_distortion * d; with futures of 0, w_distortion 1 and a
+    # state's score set to the oracle's d, the state ranks at 0.0 exactly
+    # when the decoder's d is the oracle's, as the root at score 0 does
+    # (its memo entry: future 0, first open 0, no covered run between open
+    # ones), and a beam of width 0 keeps both only if they tie
+    assert distortion_estimate_reference(0b00111011, 5, 8) == 7  # open 2, 6, 7
+    rng = random.Random(23)
+    _, table, model, _ = _random_instance(rng)
+    weights = Weights((0.5,) * 5 + (1.0,) + (0.5,) * 2)
+    decoder = Decoder(table, model, weights, DecoderConfig(10**6, 0.0, None))
+    root = _Hyp((0, 0, -1), 0.0, 0.0, None, None, 0.0, 0)
+    for n in range(2, 10):  # n = 1 has no state with a word open but the root
+        full = (1 << n) - 1
+        futures = {span_mask(i, j): 0.0 for i in range(n) for j in range(i + 1, n + 1)}
+        memo = {}
+        for coverage in range(1, full):
+            for last_end in (i for i in range(n) if coverage >> i & 1):
+                d = distortion_estimate_reference(coverage, last_end, n)
+                state = _Hyp((coverage, 0, last_end), float(d), 0.0, None, None, 0.0, 1)
+                kept = decoder._pruned({root.key: root, state.key: state}, full, futures, memo,
+                                       lambda coverage, last_end: True)
+                assert len(kept) == 2, (n, bin(coverage), last_end, d)
+        assert memo[0] == (0.0, 0, 0)
 
 
 def _neighbour_rule(coverage, last_end, n, dl):

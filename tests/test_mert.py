@@ -362,6 +362,25 @@ def test_mert_parameter_validation():
                   log_lines=[])
 
 
+def test_mert_refuses_a_bad_nbest_size_with_the_decoders_message():
+    # decode.check_nbest_size, which translate_all runs before it forks, is
+    # the one n-best bound: mert states none of its own
+    table, model = _toy_models()
+    config = DecoderConfig(stack_size=50, beam_threshold=None, distortion_limit=None)
+    searched = []
+
+    class Counted(Decoder):
+        def _search(self, sentence):
+            searched.append(sentence)
+            return super()._search(sentence)
+
+    with pytest.raises(ParameterError) as caught:
+        mert.mert(_dev_corpus(), lambda w: Counted(table, model, w, config), Weights.uniform(),
+                  iterations=3, nbest_size=0, seed=0, log_lines=[])
+    assert str(caught.value) == "nbest size must be >= 1, got 0"
+    assert searched == []
+
+
 def test_mert_returns_the_start_when_the_optimizer_worsens(monkeypatch):
     # the closing guard takes the last optimizer call's pool BLEU, which is
     # the final pool's, and scores only the initial weights itself
