@@ -11,10 +11,11 @@ decode() and nbest() read every list with one lazy k-best merge. The LM
 state is lm.state_machine's: the longest suffix of the output that the model
 can still read, so the hypotheses of one key score every continuation alike.
 Pruning is histogram (stack size) plus an optional relative score window,
-both measured on score + admissible future-cost estimate - distortion
-weight * d, the distortion still to pay (Moore & Quirk 2007) on a walk of
-the uncovered runs from last_end + 1. d is no lower bound, so this ranking
-is not admissible; an unpruned search is unchanged.
+both measured on score + future-cost estimate - distortion weight * d, the
+distortion still to pay (Moore & Quirk 2007) on a walk of the uncovered runs
+from last_end + 1. The future cost scores each phrase's target with the LM
+alone, from the empty context; neither term bounds the best completion, so
+the ranking is an estimate, and an unpruned search is unchanged.
 
 Unlimited reordering is a distortion window as wide as the sentence, since
 no jump inside n words is longer than n. An expansion can leave a gap that
@@ -226,26 +227,6 @@ def collect_options(sentence, table):
     return options
 
 
-def _lm_word_bounds(model, weights_lm):
-    """Optimistic per-word LM contribution for the future-cost estimate.
-
-    A context adds at most order - 1 backoff weights to a stored probability
-    of the word. Under a non-negative LM weight a word's best stored
-    probability plus that many of the largest positive backoff (none for
-    Witten-Bell training, whose backoffs are all negative) bounds its
-    conditional probability from above; under a negative LM weight its worst
-    stored probability plus that many of the most negative backoff bounds
-    it from below, so the estimate stays optimistic either way.
-    """
-    pick = max if weights_lm >= 0 else min
-    bounds = {}
-    for gram, prob in model.probs.items():
-        w = gram[-1]
-        bounds[w] = pick(bounds.get(w, prob), prob)
-    slack = (model.order - 1) * pick(0.0, pick(model.backoffs.values(), default=0.0))
-    return {w: p + slack for w, p in bounds.items()}
-
-
 class Decoder:
     """Reusable search engine over one phrase table / LM / weight vector."""
 
@@ -259,18 +240,17 @@ class Decoder:
                                  "decode with a smoothed model")
         lm_state, self._lm_step = lm_mod.state_machine(model)
         self._lm_start = lm_state((lm_mod.START,))
-        self._bounds = _lm_word_bounds(model, weights.values[0])
-        self._unk_bound = self._bounds.get(lm_mod.UNK, 0.0)
 
     # ---- future cost -------------------------------------------------
 
     def future_cost_table(self, sentence, options):
         """span (i, j exclusive), keyed by its mask (1 << j) - (1 << i) as in
-        Option.mask -> optimistic score for translating it with the options."""
+        Option.mask -> estimated score for translating it with the options: the
+        best sum of _option_estimate over the span's segmentations."""
         n = len(sentence)
         best = {}
         for o in options:
-            best[o.mask] = max(best.get(o.mask, -math.inf), self._option_bound(o))
+            best[o.mask] = max(best.get(o.mask, -math.inf), self._option_estimate(o))
         table = {}
         for length in range(1, n + 1):
             for i in range(n - length + 1):
@@ -284,11 +264,15 @@ class Decoder:
                 table[span] = value
         return table
 
-    def _option_bound(self, option):
-        lm_bound = 0.0
+    def _option_estimate(self, option):
+        """The option's weighted score with the LM score of its target alone:
+        the first word from the empty context, each later one after the words
+        before it (Koehn 2010, ch. 6)."""
+        lm_score, lm_state = 0.0, ()
         for w in option.target:
-            lm_bound += self._bounds.get(w, self._unk_bound)
-        return self.weights.dot((lm_bound,) + option.static[1:])
+            p, lm_state = self._lm_step(lm_state, w)
+            lm_score += p
+        return self.weights.dot((lm_score,) + option.static[1:])
 
     # ---- search ------------------------------------------------------
 

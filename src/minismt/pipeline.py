@@ -80,7 +80,7 @@ class PipelineConfig:
     align_iterations: int = _setting("align", "iterations", 5, int)
     align_heuristic: str = _setting("align", "heuristic", "grow-diag-final", str.lower)
     max_phrase_len: int = _setting("phrases", "max_len", 7, int)
-    stack_size: int = _setting("decoder", "stack_size", 20, int)
+    stack_size: int = _setting("decoder", "stack_size", 10, int)
     beam_threshold: float | None = _setting("decoder", "beam_threshold", None, parse_threshold)
     distortion_limit: int | None = _setting("decoder", "distortion_limit", 6, parse_limit)
     mert_iterations: int = _setting("mert", "iterations", 10, int)

@@ -4,7 +4,8 @@ These deliberately avoid the algorithms they verify: extraction is checked
 by enumerating every rectangle, decoding by enumerating every derivation
 (and its search errors by an unpruned forced decode of the reference),
 line search by dense grid evaluation, the distortion limit's dead ends by
-searching one-word steps, the distortion estimate that ranks a stack by
+searching one-word steps, the future-cost table by scoring every
+segmentation of every span, the distortion estimate that ranks a stack by
 walking the uncovered runs one bit at a time, and language model
 probabilities by recounting the padded token stream (`conditional_sum` sums
 one context's conditional distribution over `event_vocab`).
@@ -245,6 +246,33 @@ def future_of_by_bits(coverage, full_mask, table):
         total += table[span_mask(i, j)]
         i = j
     return total
+
+
+def future_cost_reference(sentence, table, model, weights):
+    """The future-cost table by enumeration: for each span, the best score sum
+    over every segmentation into options, each option scored as weights.dot
+    of its target's LM log-probability alone (word k after target[:k]) and
+    its static terms, as if no other phrase were around it."""
+    n = len(sentence)
+    scored = [[] for _ in range(n)]  # start -> (end, option score)
+    for i, j, target, logs, unknown in _oracle_options(sentence, table):
+        lm_score = 0.0
+        for k, w in enumerate(target):
+            lm_score += lm.logprob(model, w, target[:k])
+        penalty = -float(len(target)) - (UNKNOWN_WORD_PENALTY if unknown else 0.0)
+        scored[i].append((j, weights.dot((lm_score, *logs, 0.0, penalty, -1.0))))
+
+    def segmentations(i, j):
+        if i == j:
+            yield 0.0
+            return
+        for end, score in scored[i]:
+            if end <= j:
+                for rest in segmentations(end, j):
+                    yield score + rest
+
+    return {span_mask(i, j): max(segmentations(i, j))
+            for i in range(n) for j in range(i + 1, n + 1)}
 
 
 def distortion_estimate_reference(coverage, last_end, n):

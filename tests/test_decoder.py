@@ -24,7 +24,7 @@ from minismt.errors import FormatError, MinismtError, ParameterError
 from conftest import random_phrase_table, unreachable_after
 from oracles import (_oracle_options, can_finish_reference, distortion_estimate_reference,
                      enumerate_all_translations, exhaustive_decode, forced_decode,
-                     future_of_by_bits, span_mask)
+                     future_cost_reference, future_of_by_bits, span_mask)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -327,12 +327,11 @@ def test_future_table_dp_property():
                     fut[span_mask(i, k)] + fut[span_mask(k, j)] - 1e-12)
 
 
-def test_future_table_is_optimistic(tmp_path):
-    # MERT's random directions can make the LM weight negative; the bound
-    # then takes each word's lowest probability plus the lowest backoff sum
-    # a context can add, as a non-negative weight's bound takes the highest
-    # probability plus the highest sum: more than 0 only for a hand-written
-    # model like the last one, whose backoff(a) is +0.5
+def test_future_table_equals_enumerated_phrase_scores(tmp_path):
+    # each option's target is scored by the LM alone, its first word from the
+    # empty context; MERT's random directions can make the LM weight negative,
+    # so each instance runs with it negated too. The hand-written last model
+    # has a positive backoff, backoff(a) = +0.5, which the target "a b" reads
     rng = random.Random(29)
     instances = [_random_instance(rng, max_len=4) for _ in range(10)]
     path = tmp_path / "positive_backoff.arpa"
@@ -340,24 +339,18 @@ def test_future_table_is_optimistic(tmp_path):
                     "\\1-grams:\n-1.0\t</s>\n-99\t<s>\t0.0\n-1.0\t<unk>\n-1.0\ta\t0.5\n-1.0\tb\n\n"
                     "\\2-grams:\n-0.5\t<s> a\n0.0\tb </s>\n\n\\end\\\n", encoding="utf-8")
     table = phrases.PhraseTable({(("f0",), ("a",)): phrases.Scores(1.0, 1.0, 1.0, 1.0),
-                                 (("f1",), ("b",)): phrases.Scores(1.0, 1.0, 1.0, 1.0)})
+                                 (("f1",), ("b",)): phrases.Scores(1.0, 1.0, 1.0, 1.0),
+                                 (("f0", "f1"), ("a", "b")): phrases.Scores(0.5, 0.5, 0.5, 0.5)})
     instances.append((("f0", "f1"), table, lm.read_arpa(path), Weights((1.0,) + (0.0,) * 7)))
-    for sentence, table, model, weights in instances:
-        probs = {}
-        for gram, prob in model.probs.items():
-            probs.setdefault(gram[-1], []).append(prob)
-        low = (model.order - 1) * min([0.0, *model.backoffs.values()])
-        high = (model.order - 1) * max([0.0, *model.backoffs.values()])
+    for trial, (sentence, table, model, weights) in enumerate(instances):
         negated = Weights((-weights.values[0],) + weights.values[1:])
-        for w, bounds, end in ((weights, {v: max(p) + high for v, p in probs.items()}, 0.0),
-                               (negated, {v: min(p) + low for v, p in probs.items()},
-                                negated.values[0] * (min(probs[lm.END]) + low))):
+        for w in (weights, negated):
             d = Decoder(table, model, w, UNPRUNED)
-            assert d._bounds == bounds
-            fut = d.future_cost_table(sentence, collect_options(sentence, table))
-            best, _, _ = exhaustive_decode(sentence, table, model, w)
-            # the table leaves out the </s> term, which adds at most `end`
-            assert fut[span_mask(0, len(sentence))] + end >= best - 1e-9
+            got = d.future_cost_table(sentence, collect_options(sentence, table))
+            want = future_cost_reference(sentence, table, model, w)
+            assert got.keys() == want.keys(), trial
+            for span, value in want.items():
+                assert abs(got[span] - value) <= 1e-9, (trial, span)
 
 
 def test_single_word_future_is_best_option():
@@ -367,7 +360,7 @@ def test_single_word_future_is_best_option():
     d = Decoder(table, model, w, UNPRUNED)
     options = collect_options(("f0",), table)
     fut = d.future_cost_table(("f0",), options)
-    assert fut[span_mask(0, 1)] == d._option_bound(options[0])
+    assert fut[span_mask(0, 1)] == d._option_estimate(options[0])
 
 
 def test_future_prefers_two_word_phrase_when_better():
@@ -384,7 +377,7 @@ def test_future_prefers_two_word_phrase_when_better():
     options = collect_options(("f0", "f1"), table)
     fut = d.future_cost_table(("f0", "f1"), options)
     two_word = next(o for o in options if o.end - o.start == 2)
-    assert fut[span_mask(0, 2)] == d._option_bound(two_word)
+    assert fut[span_mask(0, 2)] == d._option_estimate(two_word)
     assert fut[span_mask(0, 2)] > fut[span_mask(0, 1)] + fut[span_mask(1, 2)]
 
 
