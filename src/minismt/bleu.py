@@ -1,8 +1,9 @@
 """Corpus BLEU: clipped modified n-gram precision with brevity penalty.
 
-Statistics are additive across sentences, so corpus scores come from one
-accumulated BleuStats. Evaluation is strict (unsmoothed): if any order up
-to `max_order` has zero matches the score is zero.
+A sentence's statistics are one flat tuple of ints (the layout is stated
+once, at ZERO below). They add element-wise across sentences, so a corpus
+score comes from their sum. Evaluation is strict (unsmoothed): if any order
+up to `max_order` has zero matches the score is zero.
 
 A sentence's statistics have a reference side (each n-gram's largest count
 in any one reference, and the reference lengths) and a hypothesis side.
@@ -13,31 +14,16 @@ of one dev sentence; it depends on nothing else, so the stats are the same.
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .errors import ParameterError
+from .corpus import read_sentences
+from .errors import CorpusAlignmentError, ParameterError
 
 MAX_ORDER = 4
 
-
-@dataclass(frozen=True)
-class BleuStats:
-    matches: tuple  # clipped n-gram matches, n = 1..MAX_ORDER
-    totals: tuple  # candidate n-gram counts, n = 1..MAX_ORDER
-    hyp_len: int
-    ref_len: int  # effective reference length (closest, ties toward shorter)
-
-    def __add__(self, other):
-        return BleuStats(
-            tuple(a + b for a, b in zip(self.matches, other.matches)),
-            tuple(a + b for a, b in zip(self.totals, other.totals)),
-            self.hyp_len + other.hyp_len,
-            self.ref_len + other.ref_len,
-        )
-
-    @classmethod
-    def zero(cls):
-        return cls((0,) * MAX_ORDER, (0,) * MAX_ORDER, 0, 0)
+# The statistics' layout: clipped matches for n = 1..MAX_ORDER, hypothesis
+# n-gram counts for n = 1..MAX_ORDER, hypothesis length, effective
+# reference length (the closest reference length, ties toward the shorter).
+ZERO = (0,) * (2 * MAX_ORDER + 2)
 
 
 def _ngram_counts(tokens, n):
@@ -75,60 +61,75 @@ def sentence_stats(hypothesis, references):
         matches.append(sum(min(c, max_ref.get(gram, 0)) for gram, c in hyp_counts.items()))
         totals.append(sum(hyp_counts.values()))
     ref_len = min(ref_lens, key=lambda L: (abs(L - len(hypothesis)), L))
-    return BleuStats(tuple(matches), tuple(totals), len(hypothesis), ref_len)
+    return (*matches, *totals, len(hypothesis), ref_len)
+
+
+def sum_stats(stats):
+    """The element-wise sum of an iterable of statistics; ZERO when empty."""
+    return tuple(map(sum, zip(ZERO, *stats)))
 
 
 def corpus_stats(hypotheses, reference_lists):
-    """Accumulated stats over parallel lists of hypotheses and reference lists."""
+    """Summed stats over parallel lists of hypotheses and reference lists."""
     if len(hypotheses) != len(reference_lists):
         raise ParameterError(
             "%d hypotheses vs %d reference entries" % (len(hypotheses), len(reference_lists))
         )
-    total = BleuStats.zero()
-    for hyp, refs in zip(hypotheses, reference_lists):
-        total = total + sentence_stats(hyp, refs)
-    return total
+    return sum_stats(sentence_stats(h, refs) for h, refs in zip(hypotheses, reference_lists))
+
+
+def _precisions(stats, max_order):
+    """(matches, candidate count) of each order 1..max_order."""
+    return zip(stats[:max_order], stats[MAX_ORDER : MAX_ORDER + max_order])
 
 
 def corpus_bleu(stats, max_order=MAX_ORDER):
-    """BLEU in [0, 1] from accumulated stats; zero when any precision is zero."""
+    """BLEU in [0, 1] from summed stats; zero when any precision is zero."""
     if not 1 <= max_order <= MAX_ORDER:
         raise ParameterError("max_order must be in 1..%d" % MAX_ORDER)
-    if stats.hyp_len == 0:
-        return 0.0
     log_sum = 0.0
-    for n in range(max_order):
-        if stats.matches[n] == 0 or stats.totals[n] == 0:
+    for matches, total in _precisions(stats, max_order):
+        if matches == 0:  # as it is whenever total is
             return 0.0
-        log_sum += math.log(stats.matches[n] / stats.totals[n])
-    bp = brevity_penalty(stats)
-    return bp * math.exp(log_sum / max_order)
+        log_sum += math.log(matches / total)
+    return brevity_penalty(stats) * math.exp(log_sum / max_order)
 
 
 def brevity_penalty(stats):
-    if stats.hyp_len == 0:
+    hyp_len, ref_len = stats[-2:]
+    if hyp_len == 0:
         return 0.0
-    if stats.hyp_len >= stats.ref_len:
+    if hyp_len >= ref_len:
         return 1.0
-    return math.exp(1.0 - stats.ref_len / stats.hyp_len)
+    return math.exp(1.0 - ref_len / hyp_len)
 
 
 def format_report(stats, max_order=MAX_ORDER):
-    """One-line report: percentage score, per-order precisions, BP, lengths."""
+    """One-line report: percentage score, the precision of each order up to
+    `max_order`, BP, lengths."""
     score = corpus_bleu(stats, max_order)
-    precisions = [
-        100.0 * stats.matches[n] / stats.totals[n] if stats.totals[n] else 0.0
-        for n in range(MAX_ORDER)
-    ]
-    ratio = stats.hyp_len / stats.ref_len if stats.ref_len else 0.0
-    return (
-        "BLEU = %.2f, %s (BP=%.3f, ratio=%.3f, hyp_len=%d, ref_len=%d)"
-        % (
-            100.0 * score,
-            "/".join("%.1f" % p for p in precisions),
-            brevity_penalty(stats),
-            ratio,
-            stats.hyp_len,
-            stats.ref_len,
-        )
+    precisions = [100.0 * m / t if t else 0.0 for m, t in _precisions(stats, max_order)]
+    hyp_len, ref_len = stats[-2:]
+    ratio = hyp_len / ref_len if ref_len else 0.0
+    return "BLEU = %.2f, %s (BP=%.3f, ratio=%.3f, hyp_len=%d, ref_len=%d)" % (
+        100.0 * score,
+        "/".join("%.1f" % p for p in precisions),
+        brevity_penalty(stats),
+        ratio,
+        hyp_len,
+        ref_len,
     )
+
+
+def file_report(hypothesis_path, reference_paths, max_order=MAX_ORDER):
+    """format_report of a hypothesis file against one or more reference
+    files, line k against line k of each; a reference file with another line
+    count is a CorpusAlignmentError naming it."""
+    hyps = read_sentences(hypothesis_path)
+    ref_files = [read_sentences(path) for path in reference_paths]
+    for path, refs in zip(reference_paths, ref_files):
+        if len(refs) != len(hyps):
+            raise CorpusAlignmentError(
+                "reference file %s has %d lines, hypothesis has %d" % (path, len(refs), len(hyps))
+            )
+    return format_report(corpus_stats(hyps, list(zip(*ref_files))), max_order)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import artok, bleu, corpus, lm, pipeline
 from .decode import Weights, translate_all
-from .errors import CorpusAlignmentError, MinismtError, TrainingError, read_lines
+from .errors import MinismtError, TrainingError, read_lines
 
 _TOKENIZE_PARAMS = {"scheme": "scheme", "inventory": "inventory", "lexicon": "lexicon"}
 # every character at which str.splitlines ends a line, escaped as repr() writes
@@ -121,17 +121,7 @@ def _cmd_mert(args):
 
 
 def _cmd_bleu(args):
-    hyps = corpus.read_sentences(args.hypothesis)
-    ref_files = [corpus.read_sentences(p) for p in args.references]
-    for i, refs in enumerate(ref_files):
-        if len(refs) != len(hyps):
-            raise CorpusAlignmentError(
-                "reference file %s has %d lines, hypothesis has %d"
-                % (args.references[i], len(refs), len(hyps))
-            )
-    reference_lists = [[refs[i] for refs in ref_files] for i in range(len(hyps))]
-    stats = bleu.corpus_stats(hyps, reference_lists)
-    print(bleu.format_report(stats, args.max_order))
+    print(bleu.file_report(args.hypothesis, args.references, args.max_order))
     return 0
 
 

@@ -20,11 +20,11 @@ computes every float as a plain per-direction evaluation would:
   order onto 0.0 (an axis slope is 0.0 + f[i]). Features are finite, so a
   skipped term is ±0.0, and adding ±0.0 to a sum that starts at +0.0 never
   changes it: the float is that of Weights.dot, which adds all eight;
-- the sweep keeps its running BLEU statistics in one list of ints, exact
-  under any order of additions, and scores an interval by passing a
-  BleuStats built from it to bleu.corpus_bleu, so the scores are the same
-  floats. It scores only the intervals it can choose, those of positive
-  width and the last one, and keeps only the best interval's bounds;
+- the sweep keeps its running BLEU statistics as ints in bleu's layout,
+  exact under any order of additions, and scores an interval by passing
+  them to bleu.corpus_bleu as they are, so the scores are the same floats.
+  It scores only the intervals it can choose, those of positive width and
+  the last one, and keeps only the best interval's bounds;
 - pool BLEU selects each sentence's entry by the base·f of a base_scores
   table, so an accepted step's table gives the candidate's pool BLEU and
   is the next round's base.
@@ -59,7 +59,7 @@ GAIN_THRESHOLD = 1e-4
 class PoolEntry:
     tokens: tuple
     features: tuple
-    stats: bleu.BleuStats
+    stats: tuple  # bleu.sentence_stats
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,6 @@ def _envelope(slopes, order, intercepts):
     return [(start, idx) for start, _, _, idx in hull]
 
 
-def _counts(stats):
-    return stats.matches + stats.totals + (stats.hyp_len, stats.ref_len)
-
-
-def _corpus_bleu(counts):
-    n = bleu.MAX_ORDER
-    return bleu.corpus_bleu(
-        bleu.BleuStats(tuple(counts[:n]), tuple(counts[n : 2 * n]), counts[-2], counts[-1])
-    )
-
-
 def line_search(pool, base, direction):
     """Exact best step along `direction` for corpus BLEU on the pool.
 
@@ -144,17 +133,14 @@ def line_search(pool, base, direction):
     if all(abs(d) == 0.0 for d in direction):
         raise ParameterError("line search direction must be nonzero")
 
-    envelopes = []
-    events = []  # (gamma, sentence index, segment position)
-    running = [0] * (2 * bleu.MAX_ORDER + 2)  # the _counts of the selections
-    for s, (entries, (intercepts, order, columns)) in enumerate(zip(pool, base)):
-        segments = _envelope(_dots(columns, direction, len(order)), order, intercepts)
-        envelopes.append(segments)
-        for k, c in enumerate(_counts(entries[segments[0][1]].stats)):
-            running[k] += c
-        for pos in range(1, len(segments)):
-            events.append((segments[pos][0], s, pos))
-    events.sort()
+    envelopes = [_envelope(_dots(columns, direction, len(order)), order, intercepts)
+                 for intercepts, order, columns in base]
+    # (gamma, sentence index, segment position)
+    events = sorted((segments[pos][0], s, pos) for s, segments in enumerate(envelopes)
+                    for pos in range(1, len(segments)))
+    # the statistics of the selections left of the first event
+    running = bleu.sum_stats(entries[segments[0][1]].stats
+                             for entries, segments in zip(pool, envelopes))
 
     # the best interval so far, leftmost on ties; zero-width intervals arise
     # when breakpoints of different sentences coincide and are never chosen
@@ -163,15 +149,14 @@ def line_search(pool, base, direction):
     cursor = -math.inf
     for gamma, s, pos in events:
         if cursor < gamma:
-            value = _corpus_bleu(running)
+            value = bleu.corpus_bleu(running)
             if value > best_bleu:
                 best_bleu, start, end = value, cursor, gamma
         old = pool[s][envelopes[s][pos - 1][1]].stats
         new = pool[s][envelopes[s][pos][1]].stats
-        for k, (a, b) in enumerate(zip(_counts(new), _counts(old))):
-            running[k] += a - b
+        running = [r + a - b for r, a, b in zip(running, new, old)]
         cursor = gamma
-    value = _corpus_bleu(running)
+    value = bleu.corpus_bleu(running)
     if value > best_bleu:
         best_bleu, start, end = value, cursor, math.inf
 
@@ -189,12 +174,12 @@ def line_search(pool, base, direction):
 def _selected_bleu(pool, base):
     """Corpus BLEU of each sentence's highest-scoring entry under the
     weights of the table `base`; ties go to the smaller target string."""
-    total = bleu.BleuStats.zero()
+    selected = []
     for entries, (scores, _, _) in zip(pool, base):
         top = max(scores)
         best = min((e for e, x in zip(entries, scores) if x == top), key=lambda e: e.tokens)
-        total = total + best.stats
-    return bleu.corpus_bleu(total)
+        selected.append(best.stats)
+    return bleu.corpus_bleu(bleu.sum_stats(selected))
 
 
 def pool_bleu(pool, weights):

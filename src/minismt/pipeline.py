@@ -269,12 +269,8 @@ def stage_decode(test_src, table_path, lm_path, weights, hyp, hyp_uniform, hyp_d
 
 
 def stage_evaluate(test_tgt, hyp, hyp_uniform, report):
-    refs = [[r] for r in corpus.read_sentences(test_tgt)]
-    lines = []
-    for label, path in (("tuned", hyp), ("uniform", hyp_uniform)):
-        stats = bleu.corpus_stats(corpus.read_sentences(path), refs)
-        lines.append("%s: %s" % (label, bleu.format_report(stats)))
-    write_lines(report, lines)
+    write_lines(report, ("%s: %s" % (label, bleu.file_report(path, [test_tgt]))
+                         for label, path in (("tuned", hyp), ("uniform", hyp_uniform))))
 
 
 # ---- the stage graph ---------------------------------------------------

@@ -357,9 +357,9 @@ def grid_best_bleu(pool, base, direction, lo=-5.0, hi=5.0, resolution=1e-3):
         if choice == last_choice:
             continue  # same selections, same BLEU
         last_choice = choice
-        total = bleu.BleuStats.zero()
+        total = bleu.ZERO
         for ls, i in zip(lines, choice):
-            total = total + ls[i][3]
+            total = _add(total, ls[i][3])
         value = bleu.corpus_bleu(total)
         if value > best:
             best = value
@@ -400,31 +400,36 @@ def _envelope_reference(lines):
     return [(start, idx) for start, _, _, idx in hull]
 
 
+def _add(*stats):
+    """The element-wise sum of BLEU statistics, as a new tuple."""
+    return tuple(sum(column) for column in zip(*stats))
+
+
 def _negate(stats):
-    return bleu.BleuStats(
-        tuple(-m for m in stats.matches),
-        tuple(-t for t in stats.totals),
-        -stats.hyp_len,
-        -stats.ref_len,
-    )
+    return tuple(-c for c in stats)
+
+
+def clipped_matches(stats):
+    """The clipped n-gram matches of BLEU statistics, n = 1..MAX_ORDER."""
+    return stats[: bleu.MAX_ORDER]
 
 
 def line_search_reference(pool, base, direction):
     """mert.line_search computed directly: both dot products of every entry
-    over all eight terms for each direction, a new BleuStats per event, and
-    a score for every interval, zero-width ones included."""
+    over all eight terms for each direction, a new statistics tuple per
+    event, and a score for every interval, zero-width ones included."""
     base_v = base.values if isinstance(base, Weights) else tuple(base)
 
     envelopes = []
     events = []  # (gamma, sentence index, segment position)
-    running = bleu.BleuStats.zero()
+    running = bleu.ZERO
     for s, entries in enumerate(pool):
         lines = []
         for idx, entry in enumerate(entries):
             lines.append((_dot(direction, entry.features), _dot(base_v, entry.features), idx))
         segments = _envelope_reference(lines)
         envelopes.append(segments)
-        running = running + entries[segments[0][1]].stats
+        running = _add(running, entries[segments[0][1]].stats)
         for pos in range(1, len(segments)):
             events.append((segments[pos][0], s, pos))
     events.sort()
@@ -439,7 +444,7 @@ def line_search_reference(pool, base, direction):
             best_bleu, best_index = score, len(intervals) - 1
         old = pool[s][envelopes[s][pos - 1][1]].stats
         new = pool[s][envelopes[s][pos][1]].stats
-        running = running + new + _negate(old)
+        running = _add(running, new, _negate(old))
         cursor = gamma
     score = bleu.corpus_bleu(running)
     intervals.append((cursor, math.inf, score))
@@ -480,14 +485,14 @@ def sentence_stats_reference(hypothesis, references):
         matches.append(sum(min(c, max_ref[gram]) for gram, c in hyp_counts.items()))
         totals.append(sum(hyp_counts.values()))
     ref_len = min((len(r) for r in references), key=lambda L: (abs(L - len(hypothesis)), L))
-    return bleu.BleuStats(tuple(matches), tuple(totals), len(hypothesis), ref_len)
+    return tuple(matches) + tuple(totals) + (len(hypothesis), ref_len)
 
 
 def pool_bleu_reference(pool, weights):
-    total = bleu.BleuStats.zero()
+    total = bleu.ZERO
     for entries in pool:
         best = min(entries, key=lambda e: (-weights.dot(e.features), e.tokens))
-        total = total + best.stats
+        total = _add(total, best.stats)
     return bleu.corpus_bleu(total)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from minismt import align, artok, bleu, corpus, lm, mert, parallel, phrases, pipeline
+from minismt import align, artok, bleu, cli, corpus, lm, mert, parallel, phrases, pipeline
 from minismt.decode import Decoder, DecoderConfig, Weights
 
 from conftest import random_alignment, random_phrase_table, unreachable_after
@@ -104,6 +104,18 @@ def test_toy_work_files_match_checked_in_hashes(toy_runs):
     _ok("%d toy work files match %s" % (len(got), TOY_WORK_SHA256.name))
 
 
+def test_bleu_command_prints_the_evaluate_report(toy_runs, capsys):
+    """`minismt bleu` on the toy run's hypotheses prints bleu.txt's lines."""
+    work = toy_runs[0]["work"]
+    printed = []
+    for hyp in ("test.hyp.ar", "test.hyp.uniform.ar"):
+        assert cli.main(["bleu", str(work / hyp), str(work / "corpus.test.ar")]) == 0
+        printed.append(capsys.readouterr().out)
+    report = (work / "bleu.txt").read_text(encoding="utf-8")
+    assert report == "tuned: %suniform: %s" % tuple(printed)
+    _ok("minismt bleu prints bleu.txt's tuned and uniform reports")
+
+
 @pytest.fixture(scope="module")
 def toy_sentences(toy_runs):
     path = toy_runs[0]["work"] / "corpus.train.ar"
@@ -164,8 +176,8 @@ def test_bleu_oracle_cases():
     """Clipping p1 = 1/3 exactly; BP hand case to 1e-4; identity = 1.0; < 1 s."""
     started = time.monotonic()
     clip = bleu.sentence_stats(("the", "the", "the"), [("the", "cat")])
-    assert clip.matches[0] == 1 and clip.totals[0] == 3
-    assert clip.matches[0] / clip.totals[0] == 1 / 3
+    # clipped matches, candidate n-grams, hypothesis and reference length
+    assert clip == (1, 0, 0, 0, 3, 2, 1, 0, 3, 2)
 
     bp_case = bleu.sentence_stats(("the", "cat", "sat"), [("the", "cat", "sat", "down")])
     assert bleu.corpus_bleu(bp_case, max_order=3) == pytest.approx(

@@ -7,27 +7,29 @@ from minismt import bleu
 from minismt.errors import ParameterError
 from minismt.pipeline import parse_number
 
-from oracles import sentence_stats_reference
+from oracles import clipped_matches, sentence_stats_reference
 
+
+# literal statistics follow the layout stated at bleu.ZERO
 
 def test_identity_hypothesis_scores_one():
     ref = tuple("the quick brown fox jumps".split())
     stats = bleu.sentence_stats(ref, [ref])
-    assert stats.matches == stats.totals
+    assert stats == (5, 4, 3, 2, 5, 4, 3, 2, 5, 5)
     assert bleu.corpus_bleu(stats) == 1.0
 
 
 def test_canonical_clipping_case():
     stats = bleu.sentence_stats(("the", "the", "the"), [("the", "cat")])
-    assert stats.matches[0] == 1  # clipped to the reference count
-    assert stats.totals[0] == 3
-    assert stats.matches[0] / stats.totals[0] == pytest.approx(1 / 3)
+    # one unigram match: clipped to the reference count
+    assert stats == (1, 0, 0, 0, 3, 2, 1, 0, 3, 2)
+    assert bleu.corpus_bleu(stats, max_order=1) == pytest.approx(1 / 3)
 
 
 def test_effective_length_tie_prefers_shorter():
     refs = [tuple("r" for _ in range(4)), tuple("r" for _ in range(6))]
     stats = bleu.sentence_stats(tuple("h" for _ in range(5)), refs)
-    assert stats.ref_len == 4
+    assert stats == (0, 0, 0, 0, 5, 4, 3, 2, 5, 4)
 
 
 def test_brevity_penalty_hand_case():
@@ -41,16 +43,18 @@ def test_brevity_penalty_hand_case():
 
 def test_empty_hypothesis():
     stats = bleu.sentence_stats((), [("a", "b")])
-    assert stats.hyp_len == 0 and all(m == 0 for m in stats.matches)
+    assert stats == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)
     assert bleu.corpus_bleu(stats) == 0.0
+    assert bleu.brevity_penalty(stats) == 0.0
 
 
 def test_stats_additive():
     refs = [[("a", "b", "c", "d", "e")], [("x", "y", "z", "w", "q")]]
     hyps = [("a", "b", "c", "d"), ("x", "y", "z", "w", "q")]
     joint = bleu.corpus_stats(hyps, refs)
-    split = bleu.sentence_stats(hyps[0], refs[0]) + bleu.sentence_stats(hyps[1], refs[1])
-    assert joint == split
+    first, second = (bleu.sentence_stats(h, r) for h, r in zip(hyps, refs))
+    assert joint == tuple(a + b for a, b in zip(first, second))
+    assert bleu.corpus_stats([], []) == bleu.ZERO
 
 
 def test_reference_order_invariance():
@@ -67,18 +71,17 @@ def test_adding_reference_never_decreases_matches():
     refs = [tuple(rng.choice("abcd") for _ in range(8))]
     base = bleu.sentence_stats(hyp, refs)
     extended = bleu.sentence_stats(hyp, refs + [tuple(rng.choice("abcd") for _ in range(8))])
-    for n in range(4):
-        assert extended.matches[n] >= base.matches[n]
+    for e, b in zip(clipped_matches(extended), clipped_matches(base)):
+        assert e >= b
 
 
 def test_bounds_random():
     rng = random.Random(5)
-    total = bleu.BleuStats.zero()
+    hyps, refs = [], []
     for _ in range(30):
-        hyp = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 9)))
-        ref = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 9)))
-        total = total + bleu.sentence_stats(hyp, [ref])
-    assert 0.0 <= bleu.corpus_bleu(total) <= 1.0
+        hyps.append(tuple(rng.choice("abcd") for _ in range(rng.randint(1, 9))))
+        refs.append([tuple(rng.choice("abcd") for _ in range(rng.randint(1, 9)))])
+    assert 0.0 <= bleu.corpus_bleu(bleu.corpus_stats(hyps, refs)) <= 1.0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -113,6 +116,8 @@ def test_report_formatting():
     line = bleu.format_report(stats)
     assert line.startswith("BLEU = 100.00, 100.0/100.0/100.0/100.0 (BP=1.000")
     assert "hyp_len=8" in line and "ref_len=8" in line
+    # the precisions of the orders it scores only
+    assert bleu.format_report(stats, 2).startswith("BLEU = 100.00, 100.0/100.0 (BP=1.000")
     # percentage renders with two decimals and a dot
     partial = bleu.sentence_stats(("a", "b"), [ref])
     line2 = bleu.format_report(partial)

@@ -15,7 +15,7 @@ import minismt
 from minismt import align, artok, corpus, lm, mert, parallel, phrases, pipeline
 from minismt.cli import build_parser, main
 from minismt.decode import FEATURE_NAMES, DecoderConfig, Weights
-from minismt.errors import MissingArtifactError, ParameterError
+from minismt.errors import CorpusAlignmentError, MissingArtifactError, ParameterError
 
 
 @pytest.fixture()
@@ -127,6 +127,22 @@ def test_bleu_line_count_mismatch_is_a_data_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "ERROR data: reference file %s has 1 lines, hypothesis has 2" % (tmp_path / "ref")]
+
+
+def test_evaluate_line_count_mismatch_is_the_bleu_data_error(tmp_path):
+    (tmp_path / "hyp").write_text("a b\n", encoding="utf-8")
+    (tmp_path / "ref").write_text("a b\nc\n", encoding="utf-8")
+    with pytest.raises(CorpusAlignmentError) as exc:
+        pipeline.stage_evaluate(tmp_path / "ref", tmp_path / "hyp", tmp_path / "hyp",
+                                tmp_path / "bleu.txt")
+    assert str(exc.value) == "reference file %s has 2 lines, hypothesis has 1" % (tmp_path / "ref")
+
+
+def test_bleu_prints_the_precisions_of_max_order(tmp_path, capsys):
+    (tmp_path / "h").write_text("a b\nc\n", encoding="utf-8")
+    assert main(["bleu", str(tmp_path / "h"), str(tmp_path / "h"), "--max-order", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "BLEU = 100.00, 100.0 (BP=1.000, ratio=1.000, hyp_len=3, ref_len=3)\n")
 
 
 def test_stats_mismatch_error_line(tmp_path, capsys):

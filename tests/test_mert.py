@@ -316,9 +316,8 @@ def test_mert_improves_or_maintains_dev_bleu():
         from minismt import bleu as bleu_mod
 
         decoder = factory(w)
-        stats = bleu_mod.BleuStats.zero()
-        for pair in dev.pairs:
-            stats = stats + bleu_mod.sentence_stats(decoder.decode(pair.source).tokens, [pair.target])
+        stats = bleu_mod.corpus_stats([decoder.decode(pair.source).tokens for pair in dev.pairs],
+                                      [[pair.target] for pair in dev.pairs])
         return bleu_mod.corpus_bleu(stats)
 
     assert dev_bleu(tuned) >= dev_bleu(Weights.uniform()) - 1e-12
