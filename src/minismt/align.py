@@ -14,6 +14,22 @@ serially in one process, so every float, and every output byte, is the
 same whatever the number of CPUs; `taskset -c 0` trains them one after
 the other in this process.
 
+em_train keeps its probabilities and expected counts in two flat float
+lists, `prob` and `expected`, indexed by cell. A cell is one co-occurring
+(given word, out word) pair, numbered as it is first seen; each given
+word's row maps its out words to their cells in the order a dict-of-dicts
+table inserts them. Each sentence pair keeps one tuple of cell numbers,
+target-major: for each target word, the null word's cell and then each
+source word's, read in slices of len(source) + 1. An iteration makes the
+float additions and divisions of the dict-of-dicts EM in the same order:
+a denominator sums the null word's and then each source word's
+probability, an expected count receives its additions pair by pair and
+target word by target word, and a row is normalized by its counts summed
+left to right in insertion order. So the lexicon, the order of its rows
+and the log-likelihood history are the same floats on any Python. The
+tuples cost about 8 bytes per (pair, target word, given word) triple in
+each direction, and are freed when em_train returns its dict lexicon.
+
 Alignment matrices stream: align_corpus aligns a pair when its matrix is
 read, and read_alignments parses a line when its matrix is read, so each
 matrix can be dropped once its consumer (write_alignments, extraction) is
@@ -94,41 +110,51 @@ def em_train(corpus, iterations):
         if NULL_WORD in pair.source:
             raise TrainingError("line %d holds %s, the null word's name" % (lineno, NULL_WORD))
 
-    table = {}
+    cells = {}  # given word -> {out word: cell number}, each row in first-seen order
+    pair_cells = []  # one tuple per pair, target-major (see the module docstring)
+    n_cells = 0
     for pair in pairs:
-        for f in (NULL_WORD,) + pair.source:
-            row = table.setdefault(f, {})
-            for e in pair.target:
-                row[e] = 0.0
-    for f, row in table.items():
+        rows = [cells.setdefault(f, {}) for f in (NULL_WORD,) + pair.source]
+        numbers = []
+        for e in pair.target:
+            for row in rows:
+                cell = row.get(e)
+                if cell is None:
+                    cell = row[e] = n_cells
+                    n_cells += 1
+                numbers.append(cell)
+        pair_cells.append(tuple(numbers))
+
+    prob = [0.0] * n_cells
+    for row in cells.values():
         uniform = 1.0 / len(row)
-        for e in row:
-            row[e] = uniform
+        for cell in row.values():
+            prob[cell] = uniform
 
     history = []
     for _ in range(iterations):
-        expected = {f: dict.fromkeys(row, 0.0) for f, row in table.items()}
+        expected = [0.0] * n_cells
         log_likelihood = 0.0
-        for pair in pairs:
-            sources = (NULL_WORD,) + pair.source
-            rows = [table[f] for f in sources]
-            counts = [expected[f] for f in sources]
-            log_len = math.log(len(sources))
-            for e in pair.target:
+        for pair, numbers in zip(pairs, pair_cells):
+            width = len(pair.source) + 1
+            log_len = math.log(width)
+            for j in range(0, len(numbers), width):
+                block = numbers[j : j + width]
                 denom = 0.0
-                for row in rows:
-                    denom += row[e]
+                for cell in block:
+                    denom += prob[cell]
                 log_likelihood += math.log(denom) - log_len
-                for row, count in zip(rows, counts):
-                    count[e] += row[e] / denom
+                for cell in block:
+                    expected[cell] += prob[cell] / denom
         history.append(log_likelihood)
-        for f, row in expected.items():
+        for row in cells.values():
             total = 0.0  # summed left to right: sum() of floats rounds differently from 3.12 on
-            for value in row.values():
-                total += value
-            for e in row:
-                table[f][e] = row[e] / total
+            for cell in row.values():
+                total += expected[cell]
+            for cell in row.values():
+                prob[cell] = expected[cell] / total
 
+    table = {f: {e: prob[cell] for e, cell in row.items()} for f, row in cells.items()}
     return TranslationLexicon(table, tuple(history))
 
 

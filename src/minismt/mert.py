@@ -105,11 +105,33 @@ def _envelope(slopes, order, intercepts):
     listed in `order`.
 
     Returns (start, index) segments in increasing start order; the first
-    segment starts at -inf. Of parallel lines the highest wins, the first
-    among equals: the line dict() keeps, the last of its slope in `order`.
+    segment starts at -inf.
+
+    Only lines that can reach the envelope enter the hull. The walk goes
+    down `order` from the highest intercept, whose line is the top one at
+    gamma = 0, and keeps a line only when its slope is above every slope
+    seen so far (it can win right of the top line) or below every one (left
+    of it). Each dropped line met earlier lines of at least and at most its
+    slope, both of at least its intercept, so it is weakly dominated on
+    both sides of gamma = 0. The kept lines come out in slope order: those
+    left of the top line falling, those right of it rising. Of parallel
+    lines the first one the walk meets wins: the highest, and among equals
+    the last of its slope in `order`.
     """
+    left, right = [], []  # kept lines, outward from the top line
+    lo = hi = None
+    for m, idx in zip(reversed(slopes), reversed(order)):
+        if hi is None:  # the top line
+            right.append((m, idx))
+            lo = hi = m
+        elif m > hi:
+            right.append((m, idx))
+            hi = m
+        elif m < lo:
+            left.append((m, idx))
+            lo = m
     hull = []  # (start, slope, intercept, index)
-    for m, idx in sorted(dict(zip(slopes, order)).items()):
+    for m, idx in left[::-1] + right:
         b = intercepts[idx]
         while hull:
             start, hm, hb, hidx = hull[-1]

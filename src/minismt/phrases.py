@@ -58,14 +58,19 @@ def extract(pair, alignment, max_len):
     last_tgt = [-1] * n
     for i, j in links:
         linked_src[j].append(i)
-        first_tgt[i] = min(first_tgt[i], j)
-        last_tgt[i] = max(last_tgt[i], j)
+        if j < first_tgt[i]:
+            first_tgt[i] = j
+        if j > last_tgt[i]:
+            last_tgt[i] = j
     out = []
     for j1 in range(m):
         i1, i2 = n, -1
         for j2 in range(j1, min(m, j1 + max_len)):
             for i in linked_src[j2]:
-                i1, i2 = min(i1, i), max(i2, i)
+                if i < i1:
+                    i1 = i
+                if i > i2:
+                    i2 = i
             if i2 < 0:
                 continue
             if i2 - i1 >= max_len:

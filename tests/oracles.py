@@ -10,7 +10,8 @@ walking the uncovered runs one bit at a time, and language model
 probabilities by recounting the padded token stream (`conditional_sum` sums
 one context's conditional distribution over `event_vocab`).
 `line_search_reference` is the plain line search that the optimized one
-must equal float for float; `sentence_stats_reference` recounts every
+must equal float for float, and `em_train_reference` the dict-of-dicts
+IBM Model 1 EM that align.em_train must equal float for float; `sentence_stats_reference` recounts every
 reference for each hypothesis, and `mert_reference` decodes on every
 iteration.
 """
@@ -21,6 +22,7 @@ import random
 from collections import Counter
 
 from minismt import bleu, lm
+from minismt.align import NULL_WORD, TranslationLexicon
 from minismt.decode import N_FEATURES, UNKNOWN_WORD_PENALTY, Weights
 from minismt.mert import GAIN_THRESHOLD, LineSearchResult, PoolEntry
 from minismt.phrases import PhrasePair, distortion_cost
@@ -324,6 +326,48 @@ def _oracle_inc(context, last_end, opt, coverage_after, full, model):
     inc[6] = -float(len(target)) - (UNKNOWN_WORD_PENALTY if unknown else 0.0)
     inc[7] = -1.0
     return tuple(inc), ctx
+
+
+def em_train_reference(corpus, iterations):
+    """IBM Model 1 EM on a dict-of-dicts table: table[given][out], rows and
+    their entries inserted as first seen, each sum added left to right."""
+    pairs = corpus.pairs
+    table = {}
+    for pair in pairs:
+        for f in (NULL_WORD,) + pair.source:
+            row = table.setdefault(f, {})
+            for e in pair.target:
+                row[e] = 0.0
+    for f, row in table.items():
+        uniform = 1.0 / len(row)
+        for e in row:
+            row[e] = uniform
+
+    history = []
+    for _ in range(iterations):
+        expected = {f: dict.fromkeys(row, 0.0) for f, row in table.items()}
+        log_likelihood = 0.0
+        for pair in pairs:
+            sources = (NULL_WORD,) + pair.source
+            rows = [table[f] for f in sources]
+            counts = [expected[f] for f in sources]
+            log_len = math.log(len(sources))
+            for e in pair.target:
+                denom = 0.0
+                for row in rows:
+                    denom += row[e]
+                log_likelihood += math.log(denom) - log_len
+                for row, count in zip(rows, counts):
+                    count[e] += row[e] / denom
+        history.append(log_likelihood)
+        for f, row in expected.items():
+            total = 0.0  # summed left to right: sum() of floats rounds differently from 3.12 on
+            for value in row.values():
+                total += value
+            for e in row:
+                table[f][e] = row[e] / total
+
+    return TranslationLexicon(table, tuple(history))
 
 
 def grid_best_bleu(pool, base, direction, lo=-5.0, hi=5.0, resolution=1e-3):

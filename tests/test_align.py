@@ -8,6 +8,8 @@ from minismt.align import NULL_WORD, AlignmentMatrix, TranslationLexicon
 from minismt.cli import main
 from minismt.errors import ParameterError, TrainingError
 
+from oracles import em_train_reference
+
 
 def make_corpus(*pairs):
     return corpus.ParallelCorpus(
@@ -44,6 +46,32 @@ def test_conditional_distributions_normalize():
     lex = align.em_train(corp, 4)
     for given, row in lex.table.items():
         assert sum(row.values()) == pytest.approx(1.0, abs=1e-6)
+
+
+def _random_corpus(rng):
+    """Words repeat within and across sentences, sides may be one word long,
+    and the source and target vocabularies share a spelling ("x")."""
+    def sentence(vocab):
+        return tuple(rng.choice(vocab) for _ in range(rng.choice((1, 1, 2, 3, 4, 6))))
+    return corpus.ParallelCorpus(tuple(
+        corpus.SentencePair(sentence("abcdx"), sentence("xyzuv"))
+        for _ in range(rng.randint(1, 12))))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_em_equals_the_dict_of_dicts_reference(reverse):
+    """The same floats, rows and row order as the plain dict-of-dicts EM."""
+    rng = random.Random(1993)
+    for trial in range(100):
+        corp = _random_corpus(rng)
+        if reverse:
+            corp = align.transpose_corpus(corp)
+        iterations = rng.randint(1, 5)
+        got, want = align.em_train(corp, iterations), em_train_reference(corp, iterations)
+        assert list(got.table.items()) == list(want.table.items()), trial
+        for given, row in want.table.items():
+            assert list(got.table[given].items()) == list(row.items()), (trial, given)
+        assert got.log_likelihood_history == want.log_likelihood_history, trial
 
 
 def test_em_errors():

@@ -8,6 +8,7 @@ from minismt.decode import Decoder, DecoderConfig, Weights
 from minismt.errors import ParameterError
 
 from oracles import (
+    _envelope_reference,
     grid_best_bleu,
     line_search_reference,
     mert_reference,
@@ -84,6 +85,27 @@ def test_zero_direction_rejected():
     a = _entry(REF, (1.0,) + (0.0,) * 7)
     with pytest.raises(ParameterError):
         mert.line_search([[a]], mert.base_scores([[a]], Weights.uniform().values), (0.0,) * 8)
+
+
+@pytest.mark.parametrize("kind", ["random", "ties"])
+def test_envelope_equals_reference(kind):
+    """mert._envelope, which drops lines that cannot reach the envelope, gives
+    the reference's segments on integer lines: parallel ones, equal
+    intercepts and slopes of both signs of zero among them."""
+    rng = random.Random(2003)
+    for trial in range(2000):
+        n = rng.randint(1, 10)
+        if kind == "random":
+            slopes = [float(rng.randint(-20, 20)) for _ in range(n)]
+            intercepts = [float(rng.randint(-20, 20)) for _ in range(n)]
+        else:
+            slopes = [rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0)) for _ in range(n)]
+            intercepts = [float(rng.randint(-2, 2)) for _ in range(n)]
+        # as base_scores orders entries: ascending intercept, later entries first among equals
+        order = sorted(range(n - 1, -1, -1), key=intercepts.__getitem__)
+        got = mert._envelope([slopes[i] for i in order], order, intercepts)
+        want = _envelope_reference([(slopes[i], intercepts[i], i) for i in range(n)])
+        assert got == want, (trial, slopes, intercepts)
 
 
 def test_envelope_matches_grid_search():
