@@ -12,9 +12,14 @@ a search error, a model error, an unreachable reference, or exact. One line
 per stack gives the sentences that failed, those four counts, the sum of the
 1-best model scores, and how many 1-best scores rose and fell against stack
 100. The last line of standard output is one JSON object holding the same
-figures by stack size.
+figures by stack size, each stack's with the sha256 of its 1-best lines: the
+tokens joined by spaces, one line per sentence, a failed sentence's empty.
+tests/data/decode_long.sha256 holds the value at the pipeline's default stack
+size, which CI compares, so a change to the search's output regenerates it
+deliberately.
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -76,12 +81,14 @@ def main(argv):
         decoded = [(b, r, f, base) for b, r, f, base in zip(bests, references, forced, reference)
                    if b is not None]
         outcomes = Counter(search_outcome(b, r, f) for b, r, f, _ in decoded)
+        lines = "".join(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests)
         row = {"failed": bests.count(None), **{o: outcomes[o] for o in OUTCOMES},
                "score_sum": round(sum(b.score for b, *_ in decoded), 2),
                "higher": sum(base is not None and b.score > base.score
                              for b, _, _, base in decoded),
                "lower": sum(base is not None and b.score < base.score
-                            for b, _, _, base in decoded)}
+                            for b, _, _, base in decoded),
+               "sha256": hashlib.sha256(lines.encode("utf-8")).hexdigest()}
         summary[stack] = row
         print("stack %d: %d failed; search/model/unreachable/exact %s; score sum %.2f; "
               "vs stack %d: %d higher, %d lower (%.1f s)"

@@ -27,8 +27,8 @@ live states out of a stack. Expansion walks only the starts inside the
 distortion window and, from each, the spans by length up to the first
 covered word, in collect_options' (start, end, target) order.
 
-Each search numbers the LM states it reaches, and a hypothesis's key holds
-its state's number. It keeps three memos for its one sentence, since many
+A hypothesis's key and the search's memos hold lm.state_machine's states
+as they are. A search keeps three memos for its one sentence, since many
 expansions repeat the same lookup: the LM sum of the words a step reads
 after a state (its target, and </s> when it completes the sentence) with the
 state it leaves, the LM step of one word after a state, and the future cost
@@ -193,14 +193,6 @@ class _Hyp:
     serial: int
     arcs: list = None  # the losers recombined into this state, once there are any
 
-    def partial_tokens(self):
-        targets = []
-        node = self
-        while node.prev is not None:
-            targets.append(node.option.target)
-            node = node.prev
-        return tuple(w for target in reversed(targets) for w in target)
-
 
 def collect_options(sentence, table):
     """Applicable phrase options per span, plus copy-through unknowns, in
@@ -284,11 +276,7 @@ class Decoder:
         step = self._lm_step
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
-        # this sentence's LM states, numbered in the order they are reached;
-        # a hypothesis's key and the memos hold a state's number
-        lm_states = [self._lm_start]
-        lm_ids = {lm_states[0]: 0}
-        root = _Hyp((0, 0, -1), 0.0, 0.0, None, None, 0.0, 0)
+        root = _Hyp((0, self._lm_start, -1), 0.0, 0.0, None, None, 0.0, 0)
         # by words covered; keys: see _insert. Stack 0 is keyed by 0, the
         # empty sentence's full_mask, so that sentence's goal is the root
         stacks = [{0: root}] + [{} for _ in range(n)]
@@ -346,12 +334,7 @@ class Decoder:
                                 for w in words:
                                     hit = word_memo.get((next_lm, w))
                                     if hit is None:
-                                        p, after = step(lm_states[next_lm], w)
-                                        after_id = lm_ids.get(after)
-                                        if after_id is None:
-                                            after_id = lm_ids[after] = len(lm_states)
-                                            lm_states.append(after)
-                                        hit = word_memo[next_lm, w] = (p, after_id)
+                                        hit = word_memo[next_lm, w] = step(next_lm, w)
                                     lm_score += hit[0]
                                     next_lm = hit[1]
                                 memo = lm_row[words] = (lm_score, next_lm)
@@ -418,10 +401,11 @@ class Decoder:
     def _insert(stack, cur, new):
         """Recombine new into cur, the state of their key: (coverage, LM state,
         last_end), or full_mask, the goal, for every complete hypothesis. The
-        better of the two holds the key and cur's arcs; the other joins them."""
+        better of the two holds the key and cur's arcs; the other joins them.
+        On an exact tie, cur, the first built, keeps the key: which member
+        represents a state changes neither its members nor their read-out."""
         arcs = cur.arcs or []  # a state's arcs list is built at its first loser
-        if new.score > cur.score or (
-                new.score == cur.score and new.partial_tokens() < cur.partial_tokens()):
+        if new.score > cur.score:
             stack[cur.key] = new
             cur.arcs = None  # a loser holding its own arcs list would make a cycle
             cur, new = new, cur
@@ -482,18 +466,18 @@ class _KBestPaths:
     (Huang & Chiang 2005, Better k-best parsing, Algorithm 3)."""
 
     def __init__(self):
-        self._state = {}  # id(rep) -> (paths found so far, heap of candidates)
+        self._state = {}  # rep -> (paths found so far, heap of candidates)
 
     def kth(self, rep, k):
         """k-th best (score, hypothesis path) reaching rep's state, or None."""
-        state = self._state.get(id(rep))
+        state = self._state.get(rep)
         if state is None:
             # every entry's rank-0 path goes through its predecessor's best
             # path, and predecessors are representatives, so the rank-0
             # value is just the entry's own search score
             heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep, *(rep.arcs or ())]]
             heapq.heapify(heap)
-            state = self._state[id(rep)] = ([], heap)
+            state = self._state[rep] = ([], heap)
         found, heap = state
         while len(found) <= k and heap:
             neg, _, entry, rank = heapq.heappop(heap)

@@ -105,11 +105,13 @@ def bundled_data(name):
 
 def load_config(path):
     """Parse an INI config file into a PipelineConfig (defaults applied)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are read literally
     try:
         parser.read_file(read_lines(path), source=str(path))
+        # [DEFAULT] comes first: no setting lives there, and its keys reach every section
         raw = {(section, key): value.strip()
-               for section in parser.sections() for key, value in parser[section].items()}
+               for section in (parser.default_section, *parser.sections())
+               for key, value in parser[section].items()}
     except OSError:
         raise ConfigError("cannot read config file %s" % path)
     except configparser.Error as exc:  # its messages span lines; the CLI prints one

@@ -309,6 +309,27 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR config:")
 
 
+def test_config_values_are_read_literally(tmp_path, capsys):
+    # a '%' is no interpolation: the toy run in a directory named with one validates
+    assert main(["make-toy-config", str(tmp_path / "run50%")]) == 0
+    path = capsys.readouterr().out.strip()
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert pipeline.load_config(path).work_dir == str(tmp_path / "run50%" / "work")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[DEFAULT]\norder = 2\n\n[lm]\n", "order"),  # it would reach [lm] order
+    ("[DEFAULT]\nwork_dir = x\n", "work_dir"),  # it would reach no section
+])
+def test_default_section_keys_rejected(tmp_path, capsys, text, key):
+    config = tmp_path / "default.ini"
+    config.write_text(text, encoding="utf-8")
+    assert main(["validate", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR config: unknown config key [DEFAULT] %s" % key], err
+
+
 def test_stage_requires_upstream(small_toy, capsys):
     assert main(["pipeline", str(small_toy), "--stage", "decode"]) == 1
     err = capsys.readouterr().err

@@ -10,6 +10,7 @@ from minismt import lm, parallel, phrases
 from minismt.decode import (
     Decoder,
     DecoderConfig,
+    Option,
     Translation,
     UNKNOWN_WORD_PENALTY,
     Weights,
@@ -379,6 +380,64 @@ def test_future_prefers_two_word_phrase_when_better():
     two_word = next(o for o in options if o.end - o.start == 2)
     assert fut[span_mask(0, 2)] == d._option_estimate(two_word)
     assert fut[span_mask(0, 2)] > fut[span_mask(0, 1)] + fut[span_mask(1, 2)]
+
+
+# ---- recombination ---------------------------------------------------------------
+
+
+def test_recombination_keeps_the_first_built_of_equal_hypotheses():
+    root = _Hyp((0, (lm.START,), -1), 0.0, 0.0, None, None, 0.0, 0)
+    key = (0b1, ("z",), 0)
+
+    def hyp(word, score, serial):
+        option = Option(0, 1, (word,), 0b1, (0.0,) * 8)
+        return _Hyp(key, score, score, root, option, 0.0, serial)
+
+    # the first built has the larger partial string, which decides nothing
+    first, tied = hyp("z", -1.0, 1), hyp("a", -1.0, 2)
+    stack = {key: first}
+    Decoder._insert(stack, first, tied)
+    assert stack[key] is first and first.arcs == [tied] and tied.arcs is None
+    # a better one takes the key and the arcs, and the old holder joins them
+    better = hyp("z", -0.5, 3)
+    Decoder._insert(stack, first, better)
+    assert stack[key] is better and better.arcs == [tied, first] and first.arcs is None
+
+
+def _search_graph(goal):
+    """Every hypothesis that the goal's representatives, arcs and prev reach."""
+    seen, todo = set(), [goal]
+    while todo:
+        h = todo.pop()
+        if h not in seen:
+            seen.add(h)
+            todo.extend(h.arcs or ())
+            if h.prev is not None:
+                todo.append(h.prev)
+    return seen
+
+
+def _partial_output(h):
+    words = []
+    while h.prev is not None:
+        words[:0] = h.option.target
+        h = h.prev
+    return tuple(words)
+
+
+def test_search_keys_hold_the_lm_states_of_their_outputs():
+    rng = random.Random(71)
+    configs = (UNPRUNED, DecoderConfig(2, None, None), DecoderConfig(10**6, None, 1))
+    for trial in range(20):
+        sentence, table, model, weights = _random_instance(rng)
+        state = lm.state_machine(model)[0]
+        full_mask = (1 << len(sentence)) - 1
+        for config in configs:
+            goal = Decoder(table, model, weights, config)._search(sentence)
+            for h in _search_graph(goal):
+                if h.key != full_mask:  # the goal's key holds no LM state
+                    want = state((lm.START,) + _partial_output(h))
+                    assert h.key[1] == want, (trial, config, h.key)
 
 
 # ---- nbest ---------------------------------------------------------------------
