@@ -6,10 +6,11 @@ the distortion limit, adding only the LM and distortion terms to the static
 increment that collect_options stored on the option; hypotheses identical in
 (coverage, LM state, last source position) are recombined, with the losers
 kept as arcs. Nothing follows a complete hypothesis, so all of them
-recombine into one goal state (the root, on the empty sentence), from which
-decode() and nbest() read every list with one lazy k-best merge. The LM
-state is lm.state_machine's: the longest suffix of the output that the model
-can still read, so the hypotheses of one key score every continuation alike.
+recombine into one goal state (the root, on the empty sentence), whose
+lazy list of distinct strings decode() and nbest() read: each state lists
+the distinct partial strings that reach it. The LM state is
+lm.state_machine's: the longest suffix of the output that the model can
+still read, so the hypotheses of one key score every continuation alike.
 Pruning is histogram (stack size) plus an optional relative score window,
 both measured on score + future-cost estimate - distortion weight * d, the
 distortion still to pay (Moore & Quirk 2007) on a walk of the uncovered runs
@@ -41,12 +42,13 @@ hypothesis points only to an earlier stack and to losers of its own key, so
 the graph is acyclic and reference counting frees it; threads decoding at
 once share that one switch, which costs only speed. A hypothesis keeps only
 its recombination key, its LM value and an arcs list from its first
-recombination; the 8-feature increment is built for the paths that are
-returned, each step's distortion worked out again from its predecessor's
-key. Its weighted score is summed inline, term by term in Weights.dot's
-order from 0.0, from products of the option's static terms taken once per
-search, which gives the same float as Weights.dot. A returned translation,
-from decode() as from nbest(), carries only its tokens, features and score.
+recombination; the 8-feature increment is built for the partial strings
+the read-out lists, each step's distortion worked out again from its
+predecessor's key, and added to its predecessor's features. Its weighted
+score is summed inline, term by term in Weights.dot's order from 0.0, from
+products of the option's static terms taken once per search, which gives
+the same float as Weights.dot. A returned translation, from decode() as
+from nbest(), carries only its tokens, features and score.
 
 translate_all decodes a list of sentences on every CPU in the process's
 affinity mask (`taskset` limits it), through parallel.fork_map. Each search
@@ -66,7 +68,6 @@ product of weights and accumulated features to within 1e-9.
 
 import gc
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -420,7 +421,8 @@ class Decoder:
         return self._kbest(sentence, 1)[0]
 
     def nbest(self, sentence, n):
-        """The n best distinct translations, best score first.
+        """The n best distinct translations, best score first, each with the
+        features of its best derivation in the search graph.
 
         Ties are broken toward the lexicographically smaller target string.
         Fewer than n entries come back only when the search graph holds
@@ -437,39 +439,36 @@ class Decoder:
             goal = self._search(tuple(sentence))
             if goal is None:
                 raise MinismtError("search produced no complete hypothesis")
-            paths = _KBestPaths()
-            # kth yields exact, non-increasing scores (a priority is a path
-            # score plus inc_score, as a search score is, and float addition
-            # is monotone), so each target string's first path is its best;
-            # once n strings are in, a path scoring below the last new string's
-            # score cannot change the top n, while an equal one can win a tie
-            found = {}
-            last = None
-            for k in itertools.count():
-                path = paths.kth(goal, k)
-                if path is None or len(found) >= n and path[0] < last:
-                    break
-                score, hyps = path
-                tokens = tuple(w for node in hyps for w in node.option.target)
-                if tokens not in found:
-                    found[tokens] = path
-                    last = score
-            ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
-            return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
+            lists = _DistinctLists()
+            # the goal's list holds distinct strings at non-increasing scores;
+            # an entry scoring as the n-th can still win the tie toward the
+            # smaller string, so the read-out goes on while they are equal
+            best = []
+            entry = lists.kth(goal, 0)
+            while entry is not None and (len(best) < n or not entry[0] < best[-1][0]):
+                best.append(entry)
+                entry = lists.kth(goal, len(best))
+            best.sort(key=lambda e: (-e[0], e[1]))
+            return [Translation(tokens, features, score) for score, tokens, features in best[:n]]
         finally:
             if enabled:
                 gc.enable()
 
 
-class _KBestPaths:
-    """Lazy k-best path enumeration over the recombination graph
-    (Huang & Chiang 2005, Better k-best parsing, Algorithm 3)."""
+class _DistinctLists:
+    """A lazy list per recombined state of the distinct partial strings that
+    reach it, best first (Huang & Chiang 2005, Better k-best parsing, Alg. 3;
+    Mohri & Riley 2002). Two paths into one state with the same partial
+    string have the same completions, the lower one scoring lower with each,
+    so a state skips a path whose string it has listed: the goal's k-th
+    entry is the k-th best distinct translation."""
 
     def __init__(self):
-        self._state = {}  # rep -> (paths found so far, heap of candidates)
+        self._state = {}  # rep -> (entries so far, their strings, heap of candidates)
 
     def kth(self, rep, k):
-        """k-th best (score, hypothesis path) reaching rep's state, or None."""
+        """The k-th best distinct (score, tokens, features) reaching rep's
+        state, or None."""
         state = self._state.get(rep)
         if state is None:
             # every entry's rank-0 path goes through its predecessor's best
@@ -477,20 +476,31 @@ class _KBestPaths:
             # value is just the entry's own search score
             heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep, *(rep.arcs or ())]]
             heapq.heapify(heap)
-            state = self._state[rep] = ([], heap)
-        found, heap = state
-        while len(found) <= k and heap:
+            state = self._state[rep] = ([], set(), heap)
+        entries, listed, heap = state
+        while len(entries) <= k and heap:
             neg, _, entry, rank = heapq.heappop(heap)
             if entry.prev is None:  # the root: one entry, popped at rank 0 only
-                found.append((-neg, []))
+                entries.append((-neg, (), _ZERO))
                 continue
             # an entry at rank r >= 1 was pushed once its predecessor's r-th
-            # path was found, and every state has a rank-0 path
-            found.append((-neg, self.kth(entry.prev, rank)[1] + [entry]))
+            # entry was found, and every state has a rank-0 entry
+            _, tokens, features = self.kth(entry.prev, rank)
             nxt = self.kth(entry.prev, rank + 1)
             if nxt is not None:
                 heapq.heappush(heap, (-(nxt[0] + entry.inc_score), entry.serial, entry, rank + 1))
-        return found[k] if k < len(found) else None
+            option = entry.option
+            tokens += option.target
+            if tokens in listed:
+                continue
+            listed.add(tokens)
+            s = option.static
+            # prev is the state the step was expanded from, whose key holds
+            # the last_end the search measured the jump from
+            distortion = distortion_cost(entry.prev.key[2], option.start)
+            inc = (entry.lm_score, s[1], s[2], s[3], s[4], -float(distortion), s[6], s[7])
+            entries.append((-neg, tokens, tuple(f + d for f, d in zip(features, inc))))
+        return entries[k] if k < len(entries) else None
 
 
 def _future_of(coverage, full_mask, table):
@@ -535,21 +545,6 @@ def _liveness(full_mask, dl):
         return True
 
     return can_finish
-
-
-def _materialize_path(hyps, score):
-    """The Translation of a path; `score` is the path's score as _kbest found it."""
-    tokens = []
-    features = list(_ZERO)
-    for node in hyps:
-        s = node.option.static
-        # prev is the state the step was expanded from, whose key holds the
-        # last_end the search measured the jump from
-        distortion = distortion_cost(node.prev.key[2], node.option.start)
-        inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(distortion), s[6], s[7])
-        tokens.extend(node.option.target)
-        features = [f + d for f, d in zip(features, inc)]
-    return Translation(tuple(tokens), tuple(features), score)
 
 
 # ---- decoding a sentence list on every CPU -----------------------------

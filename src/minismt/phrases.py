@@ -195,17 +195,17 @@ def extract_corpus(corpus, alignments, max_len):
     return [extract(pair, matrix, max_len) for pair, matrix in zip(corpus.pairs, alignments)]
 
 
-def write_table(table, path, prune=TABLE_PRUNE_LIMIT):
+def write_table(table, path):
     """`source ||| target ||| phi_fwd lex_fwd phi_rev lex_rev` lines.
 
-    Sorted by source then target, keeping the best `prune` targets per
-    source by phi_fwd (score first, lexicographic target on ties). Returns
-    the number of lines written.
+    Sorted by source then target, keeping the best TABLE_PRUNE_LIMIT targets
+    per source by phi_fwd (score first, lexicographic target on ties).
+    Returns the number of lines written.
     """
     def lines():
         for src in sorted(table.by_source):
             options = sorted(table.by_source[src], key=lambda item: (-item[1].phi_fwd, item[0]))
-            for tgt, s in sorted(options[:prune]):
+            for tgt, s in sorted(options[:TABLE_PRUNE_LIMIT]):
                 yield "%s ||| %s ||| %.10g %.10g %.10g %.10g" % (
                     " ".join(src), " ".join(tgt), *s.as_tuple())
 

@@ -10,20 +10,24 @@ walking the uncovered runs one bit at a time, and language model
 probabilities by recounting the padded token stream (`conditional_sum` sums
 one context's conditional distribution over `event_vocab`).
 `line_search_reference` is the plain line search that the optimized one
-must equal float for float, and `em_train_reference` the dict-of-dicts
-IBM Model 1 EM that align.em_train must equal float for float; `sentence_stats_reference` recounts every
-reference for each hypothesis, and `mert_reference` decodes on every
-iteration.
+must equal float for float, `em_train_reference` the dict-of-dicts IBM
+Model 1 EM that align.em_train must equal float for float, and
+`kbest_reference` the read-out of every path to a search's goal that
+Decoder.nbest must equal entry for entry; `sentence_stats_reference`
+recounts every reference for each hypothesis, and `mert_reference` decodes
+on every iteration.
 """
 
 import functools
+import heapq
+import itertools
 import math
 import random
 from collections import Counter
 
 from minismt import bleu, lm
 from minismt.align import NULL_WORD, TranslationLexicon
-from minismt.decode import N_FEATURES, UNKNOWN_WORD_PENALTY, Weights
+from minismt.decode import N_FEATURES, UNKNOWN_WORD_PENALTY, Translation, Weights
 from minismt.mert import GAIN_THRESHOLD, LineSearchResult, PoolEntry
 from minismt.phrases import PhrasePair, distortion_cost
 
@@ -326,6 +330,80 @@ def _oracle_inc(context, last_end, opt, coverage_after, full, model):
     inc[6] = -float(len(target)) - (UNKNOWN_WORD_PENALTY if unknown else 0.0)
     inc[7] = -1.0
     return tuple(inc), ctx
+
+
+def kbest_reference(goal, n):
+    """The n best distinct translations of a search's goal state, read out as
+    every path to the goal in score order (Huang & Chiang 2005, Better k-best
+    parsing, Algorithm 3), keeping each target string's first path and
+    rebuilding its tokens and features from the path's hypotheses: the
+    read-out that Decoder.nbest must equal entry for entry."""
+    paths = _KBestPaths()
+    # kth yields exact, non-increasing scores (a priority is a path
+    # score plus inc_score, as a search score is, and float addition
+    # is monotone), so each target string's first path is its best;
+    # once n strings are in, a path scoring below the last new string's
+    # score cannot change the top n, while an equal one can win a tie
+    found = {}
+    last = None
+    for k in itertools.count():
+        path = paths.kth(goal, k)
+        if path is None or len(found) >= n and path[0] < last:
+            break
+        score, hyps = path
+        tokens = tuple(w for node in hyps for w in node.option.target)
+        if tokens not in found:
+            found[tokens] = path
+            last = score
+    ranked = sorted(found.items(), key=lambda item: (-item[1][0], item[0]))
+    return [_materialize_path(hyps, score) for _, (score, hyps) in ranked[:n]]
+
+
+class _KBestPaths:
+    """Lazy k-best path enumeration over the recombination graph
+    (Huang & Chiang 2005, Better k-best parsing, Algorithm 3)."""
+
+    def __init__(self):
+        self._state = {}  # rep -> (paths found so far, heap of candidates)
+
+    def kth(self, rep, k):
+        """k-th best (score, hypothesis path) reaching rep's state, or None."""
+        state = self._state.get(rep)
+        if state is None:
+            # every entry's rank-0 path goes through its predecessor's best
+            # path, and predecessors are representatives, so the rank-0
+            # value is just the entry's own search score
+            heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep, *(rep.arcs or ())]]
+            heapq.heapify(heap)
+            state = self._state[rep] = ([], heap)
+        found, heap = state
+        while len(found) <= k and heap:
+            neg, _, entry, rank = heapq.heappop(heap)
+            if entry.prev is None:  # the root: one entry, popped at rank 0 only
+                found.append((-neg, []))
+                continue
+            # an entry at rank r >= 1 was pushed once its predecessor's r-th
+            # path was found, and every state has a rank-0 path
+            found.append((-neg, self.kth(entry.prev, rank)[1] + [entry]))
+            nxt = self.kth(entry.prev, rank + 1)
+            if nxt is not None:
+                heapq.heappush(heap, (-(nxt[0] + entry.inc_score), entry.serial, entry, rank + 1))
+        return found[k] if k < len(found) else None
+
+
+def _materialize_path(hyps, score):
+    """The Translation of a path; `score` is the path's score as kbest_reference found it."""
+    tokens = []
+    features = [0.0] * N_FEATURES
+    for node in hyps:
+        s = node.option.static
+        # prev is the state the step was expanded from, whose key holds the
+        # last_end the search measured the jump from
+        distortion = distortion_cost(node.prev.key[2], node.option.start)
+        inc = (node.lm_score, s[1], s[2], s[3], s[4], -float(distortion), s[6], s[7])
+        tokens.extend(node.option.target)
+        features = [f + d for f, d in zip(features, inc)]
+    return Translation(tuple(tokens), tuple(features), score)
 
 
 def em_train_reference(corpus, iterations):

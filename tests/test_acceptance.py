@@ -25,11 +25,18 @@ from oracles import (brute_force_extract, conditional_sum, event_vocab, exhausti
 from test_artok import AR_SENTENCES, BW_SENTENCES, scheme_normal_form
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
+# the pipeline's default search settings, as its mert and decode stages take them
+DEFAULT_SEARCH = {param: getattr(pipeline.PipelineConfig(), field)
+                  for param, field in pipeline.SEARCH_PARAMS.items()}
 
 # sha256sum of every toy work file but the manifests, which name absolute
 # paths; after a deliberate output change, regenerate it in the work dir with
 # sha256sum $(ls | grep -v manifest)
 TOY_WORK_SHA256 = Path(__file__).parent / "data" / "toy_work.sha256"
+# sha256 of the toy dev set's 100-best lists at uniform weights and
+# DEFAULT_SEARCH, each list one line: repr of its (tokens, features, score)
+# entries
+TOY_NBEST_SHA256 = Path(__file__).parent / "data" / "toy_nbest.sha256"
 
 
 def _ok(name):
@@ -102,6 +109,21 @@ def test_toy_work_files_match_checked_in_hashes(toy_runs):
            for name in _work_files(work)}
     assert got == want
     _ok("%d toy work files match %s" % (len(got), TOY_WORK_SHA256.name))
+
+
+def test_toy_nbest_lists_match_the_checked_in_hash(toy_runs):
+    """The toy dev set's 100-best lists at uniform weights and the pipeline's
+    default search settings, features and scores included, have the
+    checked-in sha256."""
+    work = toy_runs[0]["work"]
+    decoder = pipeline.load_search(work / "phrase-table.txt", work / "lm.arpa", **DEFAULT_SEARCH)
+    decoder = decoder(Weights.uniform())
+    digest = hashlib.sha256()
+    for line in (work / "corpus.dev.en").read_text(encoding="utf-8").splitlines():
+        nbest = decoder.nbest(tuple(line.split()), 100)
+        digest.update((repr([(t.tokens, t.features, t.score) for t in nbest]) + "\n").encode())
+    assert digest.hexdigest() == TOY_NBEST_SHA256.read_text(encoding="utf-8").strip()
+    _ok("toy dev 100-best lists match %s" % TOY_NBEST_SHA256.name)
 
 
 def test_bleu_command_prints_the_evaluate_report(toy_runs, capsys):
@@ -234,11 +256,6 @@ def test_decoder_optimality_oracle_100_instances():
         want0, _, _ = exhaustive_decode(sentence, table, model, weights, distortion_limit=0)
         assert got0.score == want0, trial
     _ok("decoder equals exhaustive maximum exactly on 100 instances (free + monotone)")
-
-
-# the pipeline's default search settings, as its mert and decode stages take them
-DEFAULT_SEARCH = {param: getattr(pipeline.PipelineConfig(), field)
-                  for param, field in pipeline.SEARCH_PARAMS.items()}
 
 
 @pytest.fixture(scope="module")

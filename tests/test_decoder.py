@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from minismt import lm, parallel, phrases
+from minismt import decode, lm, parallel, phrases
 from minismt.decode import (
     Decoder,
     DecoderConfig,
@@ -25,7 +25,7 @@ from minismt.errors import FormatError, MinismtError, ParameterError
 from conftest import random_phrase_table, unreachable_after
 from oracles import (_oracle_options, can_finish_reference, distortion_estimate_reference,
                      enumerate_all_translations, exhaustive_decode, forced_decode,
-                     future_cost_reference, future_of_by_bits, span_mask)
+                     future_cost_reference, future_of_by_bits, kbest_reference, span_mask)
 
 UNPRUNED = DecoderConfig(stack_size=10**6, beam_threshold=None, distortion_limit=None)
 
@@ -524,9 +524,9 @@ def test_nbest_equals_full_enumeration_ranking():
             assert [(t.tokens, t.score) for t in got] == want[:k], (trial, k)
 
 
-def test_nbest_returns_n_when_the_best_string_has_many_derivations():
-    # hundreds of derivations of the best string (81 segmentations, each in
-    # many orders) outscore the runner-up; nbest must read past them all
+def _many_derivations_instance():
+    """8 x "f": the best string x^8 has hundreds of derivations (81
+    segmentations, each in many orders), and every other string has many."""
     one = phrases.Scores(1.0, 1.0, 1.0, 1.0)
     table = phrases.PhraseTable({
         (("f",), ("x",)): one,
@@ -535,14 +535,69 @@ def test_nbest_returns_n_when_the_best_string_has_many_derivations():
         (("f",), ("y",)): phrases.Scores(0.01, 0.01, 0.01, 0.01),
     })
     model = lm.train([("x",) * 8, ("x", "y")], 2)
-    sentence = ("f",) * 8
-    weights = Weights.uniform()
+    return ("f",) * 8, table, model, Weights.uniform()
+
+
+def test_nbest_returns_n_when_the_best_string_has_many_derivations():
+    # hundreds of derivations of the best string outscore the runner-up;
+    # nbest must read past them all
+    sentence, table, model, weights = _many_derivations_instance()
     # every source word is "f", so each reordered derivation has a monotone
     # twin with the same string and no distortion cost: the monotone
     # enumeration holds every string at its best score
     want = enumerate_all_translations(sentence, table, model, weights, distortion_limit=0)
     got = Decoder(table, model, weights, UNPRUNED).nbest(sentence, 2)
     assert [(t.tokens, t.score) for t in got] == want[:2]
+
+
+def test_nbest_skips_the_spurious_derivations_of_a_string(monkeypatch):
+    # each state lists a partial string once, so the read-out does not walk
+    # every path of a string to the goal: a read-out of paths pops the heaps
+    # about 9,000 times here
+    sentence, table, model, weights = _many_derivations_instance()
+    decoder = Decoder(table, model, weights, DecoderConfig(10, None, 6))
+    want = kbest_reference(decoder._search(sentence), 10)
+    pops, heappop = [], decode.heapq.heappop
+
+    def counting(heap):
+        pops.append(None)
+        return heappop(heap)
+
+    monkeypatch.setattr(decode.heapq, "heappop", counting)
+    assert decoder.nbest(sentence, 10) == want
+    assert len(pops) < 1000
+
+
+def _tie_heavy_instance(rng, max_len=5):
+    """Weights of 0, 0.5 and ±1 and phrases of up to 3 words: many
+    derivations of one string tie exactly, and so do many strings."""
+    n = rng.randint(1, max_len)
+    table = random_phrase_table(rng, SRC_VOCAB[:n], TGT_VOCAB, n_entries=6, max_len=3)
+    model = _random_model(rng, order=rng.choice([1, 2, 3]))
+    weights = Weights(tuple(rng.choice((0.0, 0.0, 1.0, -1.0, 0.5)) for _ in range(8)))
+    return tuple(SRC_VOCAB[:n]), table, model, weights
+
+
+def test_nbest_equals_the_read_out_of_every_path():
+    # the distinct lists give the paths' read-out exactly: the same strings,
+    # the features of each string's first path, and the same floats
+    rng = random.Random(67)
+    configs = [DecoderConfig(stack, threshold, dl) for stack in (1, 2, 3, 10**6)
+               for threshold in (None, 0.0, 1.0) for dl in (None, 0, 1, 2)]
+    instances = [_random_instance(rng) for _ in range(8)]
+    instances += [_tie_heavy_instance(rng) for _ in range(24)]
+    for trial, (sentence, table, model, weights) in enumerate(instances):
+        for config in configs[trial % 4::4]:
+            decoder = Decoder(table, model, weights, config)
+            goal = decoder._search(sentence)
+            for n in range(1, 31):
+                if goal is None:
+                    with pytest.raises(MinismtError):
+                        decoder.nbest(sentence, n)
+                    continue
+                got = [(t.tokens, t.features, t.score) for t in decoder.nbest(sentence, n)]
+                want = [(t.tokens, t.features, t.score) for t in kbest_reference(goal, n)]
+                assert repr(got) == repr(want), (trial, config, n)
 
 
 @pytest.mark.parametrize("dl", [None, 1])

@@ -305,16 +305,20 @@ def test_table_write_read_round_trip(tmp_path):
 
 
 def test_table_prune_keeps_best_by_phi(tmp_path):
+    # three targets more than the limit; t20 and t21 tie at the cut, where
+    # the smaller target wins
+    limit = phrases.TABLE_PRUNE_LIMIT
+    phis = [0.05] + [0.9 - 0.01 * i for i in range(limit - 1)] + [0.5, 0.5, 0.1]
     entries = {
-        (("a",), ("t%d" % i,)): phrases.Scores(p, 0.5, 0.5, 0.5)
-        for i, p in enumerate((0.05, 0.3, 0.25, 0.2, 0.1, 0.1))
+        (("a",), ("t%02d" % i,)): phrases.Scores(p, 0.5, 0.5, 0.5)
+        for i, p in enumerate(phis)
     }
     table = phrases.PhraseTable(entries)
     path = tmp_path / "pt"
-    phrases.write_table(table, path, prune=3)
+    phrases.write_table(table, path)
     kept = [line.split(" ||| ")[1] for line in path.read_text().splitlines()]
-    assert sorted(kept) == kept and len(kept) == 3
-    assert set(kept) == {"t1", "t2", "t3"}
+    assert sorted(kept) == kept and len(kept) == limit
+    assert set(kept) == {"t%02d" % i for i in range(1, limit + 1)}
 
 
 def test_table_rejects_bad_lines(tmp_path):
