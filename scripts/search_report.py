@@ -12,11 +12,14 @@ a search error, a model error, an unreachable reference, or exact. One line
 per stack gives the sentences that failed, those four counts, the sum of the
 1-best model scores, and how many 1-best scores rose and fell against stack
 100. The last line of standard output is one JSON object holding the same
-figures by stack size, each stack's with the sha256 of its 1-best lines: the
-tokens joined by spaces, one line per sentence, a failed sentence's empty.
-tests/data/decode_long.sha256 holds the value at the pipeline's default stack
-size, which CI compares, so a change to the search's output regenerates it
-deliberately.
+figures by stack size, each stack's with the sha256 of its 1-best lines (the
+tokens joined by spaces) as "sha256", and of its n-best lists at the
+pipeline's MERT n-best size as "nbest_sha256" (each list's repr of (tokens,
+features, score) entries, as tests/data/toy_nbest.sha256 hashes them): one
+line per sentence, a failed sentence's empty. tests/data/decode_long.sha256
+and tests/data/decode_long_nbest.sha256 hold the values at the pipeline's
+default stack size, which CI compares, so a change to the search's output
+regenerates them deliberately.
 """
 
 import hashlib
@@ -36,6 +39,7 @@ from oracles import forced_decode, search_outcome  # noqa: E402
 from minismt import lm  # noqa: E402
 from minismt.decode import Decoder, DecoderConfig  # noqa: E402
 from minismt.errors import MinismtError  # noqa: E402
+from minismt.pipeline import PipelineConfig  # noqa: E402
 
 SEED = 20240601
 REFERENCE_STACK = 100
@@ -74,6 +78,20 @@ def main(argv):
             decoded_at[stack] = bests, time.perf_counter() - start
         return decoded_at[stack]
 
+    def nbest_lines(stack):
+        decoder = Decoder(table, model, weights, DecoderConfig(stack, None, limit))
+        n = PipelineConfig().mert_nbest
+        for sentence in bench.sentences:
+            try:
+                nbest = decoder.nbest(sentence, n)
+            except MinismtError:
+                yield "\n"
+                continue
+            yield repr([(t.tokens, t.features, t.score) for t in nbest]) + "\n"
+
+    def sha256(lines):
+        return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
     reference, _ = decode_at(REFERENCE_STACK)
     summary = {}
     for stack in stacks:
@@ -81,14 +99,14 @@ def main(argv):
         decoded = [(b, r, f, base) for b, r, f, base in zip(bests, references, forced, reference)
                    if b is not None]
         outcomes = Counter(search_outcome(b, r, f) for b, r, f, _ in decoded)
-        lines = "".join(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests)
         row = {"failed": bests.count(None), **{o: outcomes[o] for o in OUTCOMES},
                "score_sum": round(sum(b.score for b, *_ in decoded), 2),
                "higher": sum(base is not None and b.score > base.score
                              for b, _, _, base in decoded),
                "lower": sum(base is not None and b.score < base.score
                             for b, _, _, base in decoded),
-               "sha256": hashlib.sha256(lines.encode("utf-8")).hexdigest()}
+               "sha256": sha256(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests),
+               "nbest_sha256": sha256(nbest_lines(stack))}
         summary[stack] = row
         print("stack %d: %d failed; search/model/unreachable/exact %s; score sum %.2f; "
               "vs stack %d: %d higher, %d lower (%.1f s)"

@@ -86,7 +86,7 @@ def _precisions(stats, max_order):
 def corpus_bleu(stats, max_order=MAX_ORDER):
     """BLEU in [0, 1] from summed stats; zero when any precision is zero."""
     if not 1 <= max_order <= MAX_ORDER:
-        raise ParameterError("max_order must be in 1..%d" % MAX_ORDER)
+        raise ParameterError("max_order must be in 1..%d, got %r" % (MAX_ORDER, max_order))
     log_sum = 0.0
     for matches, total in _precisions(stats, max_order):
         if matches == 0:  # as it is whenever total is

@@ -4,8 +4,9 @@ Hypotheses are organized into stacks by the number of covered source words.
 Expansion applies every phrase-table option over an uncovered span within
 the distortion limit, adding only the LM and distortion terms to the static
 increment that collect_options stored on the option; hypotheses identical in
-(coverage, LM state, last source position) are recombined, with the losers
-kept as arcs. Nothing follows a complete hypothesis, so all of them
+(coverage, LM state, last source position) are recombined, the better
+holding the stack's slot and the losers kept in one map per search, from
+the key to its arcs. Nothing follows a complete hypothesis, so all of them
 recombine into one goal state (the root, on the empty sentence), whose
 lazy list of distinct strings decode() and nbest() read: each state lists
 the distinct partial strings that reach it. The LM state is
@@ -38,17 +39,16 @@ reached only through lm.state_machine's step. A hit returns the float its
 first computation gave, so a score does not depend on which lookups hit;
 nothing outlives the call, so memory stays bounded by one sentence's search.
 The cyclic garbage collector is paused over a search and its read-out: a
-hypothesis points only to an earlier stack and to losers of its own key, so
-the graph is acyclic and reference counting frees it; threads decoding at
-once share that one switch, which costs only speed. A hypothesis keeps only
-its recombination key, its LM value and an arcs list from its first
-recombination; the 8-feature increment is built for the partial strings
-the read-out lists, each step's distortion worked out again from its
-predecessor's key, and added to its predecessor's features. Its weighted
-score is summed inline, term by term in Weights.dot's order from 0.0, from
-products of the option's static terms taken once per search, which gives
-the same float as Weights.dot. A returned translation, from decode() as
-from nbest(), carries only its tokens, features and score.
+hypothesis points only to its predecessor, so the graph is acyclic and
+reference counting frees it; threads decoding at once share that one
+switch, which costs only speed. A hypothesis keeps only its recombination
+key and its step's LM value; the 8-feature increment is built for the
+partial strings the read-out lists, each step's distortion worked out
+again from its predecessor's key, and added to its predecessor's features.
+Its weighted score is summed inline, term by term in Weights.dot's order
+from 0.0, from products of the option's static terms taken once per
+search, which gives the same float as Weights.dot. A returned translation,
+from decode() as from nbest(), carries only its tokens, features and score.
 
 translate_all decodes a list of sentences on every CPU in the process's
 affinity mask (`taskset` limits it), through parallel.fork_map. Each search
@@ -69,6 +69,7 @@ product of weights and accumulated features to within 1e-9.
 import gc
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import lm as lm_mod
@@ -160,11 +161,11 @@ class DecoderConfig:
 
     def __post_init__(self):
         if self.stack_size < 1:
-            raise ParameterError("stack_size must be >= 1")
+            raise ParameterError("stack_size must be >= 1, got %r" % (self.stack_size,))
         if self.beam_threshold is not None and not self.beam_threshold >= 0:  # nan fails
-            raise ParameterError("beam_threshold must be >= 0")
+            raise ParameterError("beam_threshold must be >= 0, got %r" % (self.beam_threshold,))
         if self.distortion_limit is not None and self.distortion_limit < 0:
-            raise ParameterError("distortion_limit must be >= 0")
+            raise ParameterError("distortion_limit must be >= 0, got %r" % (self.distortion_limit,))
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,13 @@ class Translation:
 
 @dataclass(slots=True, eq=False)
 class _Hyp:
-    key: object  # its recombination key, the one its stack holds: see _insert
+    key: object  # its recombination key: see _search
     score: float
     inc_score: float
     prev: object
     option: object
     lm_score: float  # the step's LM feature, </s> included
     serial: int
-    arcs: list = None  # the losers recombined into this state, once there are any
 
 
 def collect_options(sentence, table):
@@ -270,6 +270,10 @@ class Decoder:
     # ---- search ------------------------------------------------------
 
     def _search(self, sentence):
+        """(goal, arcs): the goal's hypothesis, None if none completes, and
+        each recombination key's losers. Of two hypotheses of one key the
+        better holds the stack's slot, the first built on an exact tie, and
+        the other joins arcs[key]: which one holds it changes no read-out."""
         n = len(sentence)
         options = collect_options(sentence, self.table)
         future_table = self.future_cost_table(sentence, options)
@@ -278,9 +282,10 @@ class Decoder:
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
         root = _Hyp((0, self._lm_start, -1), 0.0, 0.0, None, None, 0.0, 0)
-        # by words covered; keys: see _insert. Stack 0 is keyed by 0, the
-        # empty sentence's full_mask, so that sentence's goal is the root
+        # by words covered. Stack 0 is keyed by 0, the empty sentence's
+        # full_mask, so that sentence's goal is the root
         stacks = [{0: root}] + [{} for _ in range(n)]
+        arcs = defaultdict(list)
         serial = 1
         # no jump inside the sentence is longer than n, so n is no limit
         dl = n if self.config.distortion_limit is None else self.config.distortion_limit
@@ -353,8 +358,11 @@ class Decoder:
                             serial += 1
                             cur = stack.setdefault(key, new)
                             if cur is not new:
-                                self._insert(stack, cur, new)
-        return stacks[n].get(full_mask)
+                                if new.score > cur.score:
+                                    stack[key] = new
+                                    new = cur
+                                arcs[key].append(new)
+        return stacks[n].get(full_mask), arcs
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
         """The stack's hypotheses to expand, best first on score + future cost
@@ -398,21 +406,6 @@ class Decoder:
                 break
         return kept
 
-    @staticmethod
-    def _insert(stack, cur, new):
-        """Recombine new into cur, the state of their key: (coverage, LM state,
-        last_end), or full_mask, the goal, for every complete hypothesis. The
-        better of the two holds the key and cur's arcs; the other joins them.
-        On an exact tie, cur, the first built, keeps the key: which member
-        represents a state changes neither its members nor their read-out."""
-        arcs = cur.arcs or []  # a state's arcs list is built at its first loser
-        if new.score > cur.score:
-            stack[cur.key] = new
-            cur.arcs = None  # a loser holding its own arcs list would make a cycle
-            cur, new = new, cur
-        arcs.append(new)
-        cur.arcs = arcs
-
     # ---- public API ----------------------------------------------------
 
     def decode(self, sentence):
@@ -436,10 +429,10 @@ class Decoder:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            goal = self._search(tuple(sentence))
+            goal, arcs = self._search(tuple(sentence))
             if goal is None:
                 raise MinismtError("search produced no complete hypothesis")
-            lists = _DistinctLists()
+            lists = _DistinctLists(arcs)
             # the goal's list holds distinct strings at non-increasing scores;
             # an entry scoring as the n-th can still win the tie toward the
             # smaller string, so the read-out goes on while they are equal
@@ -463,7 +456,8 @@ class _DistinctLists:
     so a state skips a path whose string it has listed: the goal's k-th
     entry is the k-th best distinct translation."""
 
-    def __init__(self):
+    def __init__(self, arcs):
+        self._arcs = arcs  # recombination key -> the losers of its state
         self._state = {}  # rep -> (entries so far, their strings, heap of candidates)
 
     def kth(self, rep, k):
@@ -474,7 +468,8 @@ class _DistinctLists:
             # every entry's rank-0 path goes through its predecessor's best
             # path, and predecessors are representatives, so the rank-0
             # value is just the entry's own search score
-            heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep, *(rep.arcs or ())]]
+            heap = [(-entry.score, entry.serial, entry, 0)
+                    for entry in [rep, *self._arcs.get(rep.key, ())]]
             heapq.heapify(heap)
             state = self._state[rep] = ([], set(), heap)
         entries, listed, heap = state

@@ -332,13 +332,15 @@ def _oracle_inc(context, last_end, opt, coverage_after, full, model):
     return tuple(inc), ctx
 
 
-def kbest_reference(goal, n):
-    """The n best distinct translations of a search's goal state, read out as
-    every path to the goal in score order (Huang & Chiang 2005, Better k-best
-    parsing, Algorithm 3), keeping each target string's first path and
-    rebuilding its tokens and features from the path's hypotheses: the
-    read-out that Decoder.nbest must equal entry for entry."""
-    paths = _KBestPaths()
+def kbest_reference(graph, n):
+    """The n best distinct translations of a search graph, Decoder._search's
+    (goal, arcs) pair, read out as every path to the goal in score order
+    (Huang & Chiang 2005, Better k-best parsing, Algorithm 3), keeping each
+    target string's first path and rebuilding its tokens and features from
+    the path's hypotheses: the read-out that Decoder.nbest must equal entry
+    for entry."""
+    goal, arcs = graph
+    paths = _KBestPaths(arcs)
     # kth yields exact, non-increasing scores (a priority is a path
     # score plus inc_score, as a search score is, and float addition
     # is monotone), so each target string's first path is its best;
@@ -363,7 +365,8 @@ class _KBestPaths:
     """Lazy k-best path enumeration over the recombination graph
     (Huang & Chiang 2005, Better k-best parsing, Algorithm 3)."""
 
-    def __init__(self):
+    def __init__(self, arcs):
+        self._arcs = arcs  # recombination key -> the losers of its state
         self._state = {}  # rep -> (paths found so far, heap of candidates)
 
     def kth(self, rep, k):
@@ -373,7 +376,8 @@ class _KBestPaths:
             # every entry's rank-0 path goes through its predecessor's best
             # path, and predecessors are representatives, so the rank-0
             # value is just the entry's own search score
-            heap = [(-entry.score, entry.serial, entry, 0) for entry in [rep, *(rep.arcs or ())]]
+            heap = [(-entry.score, entry.serial, entry, 0)
+                    for entry in [rep, *self._arcs.get(rep.key, ())]]
             heapq.heapify(heap)
             state = self._state[rep] = ([], heap)
         found, heap = state

@@ -546,13 +546,18 @@ def test_an_input_file_named_dash_is_standard_input(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().out == want
 
 
-def test_decode_refuses_a_nan_beam_threshold(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--stack-size", "0", "stack_size must be >= 1, got 0"),
+    ("--beam-threshold", "nan", "beam_threshold must be >= 0, got nan"),
+    ("--distortion-limit", "-1", "distortion_limit must be >= 0, got -1"),
+], ids=["stack-size", "beam-threshold", "distortion-limit"])
+def test_decode_refuses_a_bad_search_setting(tmp_path, capsys, flag, value, message):
     files = _tiny_model_files(tmp_path)
     assert main(["decode", "--table", str(files["table"]), "--lm", str(files["lm"]),
-                 "--input", str(files["source"]), "--beam-threshold", "nan"]) == 1
+                 "--input", str(files["source"]), flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["ERROR usage: beam_threshold must be >= 0"]
+    assert captured.err.splitlines() == ["ERROR usage: " + message]
 
 
 def test_extract_reports_the_entries_it_wrote(tmp_path, capsys):

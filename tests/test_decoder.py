@@ -10,7 +10,6 @@ from minismt import decode, lm, parallel, phrases
 from minismt.decode import (
     Decoder,
     DecoderConfig,
-    Option,
     Translation,
     UNKNOWN_WORD_PENALTY,
     Weights,
@@ -385,36 +384,47 @@ def test_future_prefers_two_word_phrase_when_better():
 # ---- recombination ---------------------------------------------------------------
 
 
-def test_recombination_keeps_the_first_built_of_equal_hypotheses():
-    root = _Hyp((0, (lm.START,), -1), 0.0, 0.0, None, None, 0.0, 0)
-    key = (0b1, ("z",), 0)
-
-    def hyp(word, score, serial):
-        option = Option(0, 1, (word,), 0b1, (0.0,) * 8)
-        return _Hyp(key, score, score, root, option, 0.0, serial)
-
-    # the first built has the larger partial string, which decides nothing
-    first, tied = hyp("z", -1.0, 1), hyp("a", -1.0, 2)
-    stack = {key: first}
-    Decoder._insert(stack, first, tied)
-    assert stack[key] is first and first.arcs == [tied] and tied.arcs is None
-    # a better one takes the key and the arcs, and the old holder joins them
-    better = hyp("z", -0.5, 3)
-    Decoder._insert(stack, first, better)
-    assert stack[key] is better and better.arcs == [tied, first] and first.arcs is None
-
-
-def _search_graph(goal):
-    """Every hypothesis that the goal's representatives, arcs and prev reach."""
+def _search_graph(goal, arcs):
+    """Every hypothesis that a search's goal reaches through prev and the
+    arcs of each key it meets, from Decoder._search's (goal, arcs) pair."""
     seen, todo = set(), [goal]
     while todo:
         h = todo.pop()
         if h not in seen:
             seen.add(h)
-            todo.extend(h.arcs or ())
+            todo.extend(arcs.get(h.key, ()))
             if h.prev is not None:
                 todo.append(h.prev)
     return seen
+
+
+def test_recombination_keeps_the_first_built_of_equal_hypotheses():
+    # of the members of each key the goal reaches, one holds the state and
+    # the others are its arcs: the best, and on an exact tie the first built,
+    # whatever the partial strings
+    rng = random.Random(73)
+    configs = (UNPRUNED, DecoderConfig(2, None, None), DecoderConfig(3, 0.0, 1))
+    keys = ties = 0
+    for trial in range(40):
+        instance = _tie_heavy_instance if trial % 2 else _random_instance
+        sentence, table, model, weights = instance(rng)
+        for config in configs:
+            goal, arcs = Decoder(table, model, weights, config)._search(sentence)
+            if goal is None:
+                continue
+            members = {}
+            for h in _search_graph(goal, arcs):
+                members.setdefault(h.key, []).append(h)
+            for key, hyps in members.items():
+                losers = set(arcs.get(key, ()))
+                held = [h for h in hyps if h not in losers]
+                assert len(held) == 1, (trial, config, key)
+                best = held[0]
+                assert all(h.score < best.score or h.score == best.score and h.serial > best.serial
+                           for h in losers), (trial, config, key)
+                keys += 1
+                ties += sum(h.score == best.score for h in losers)
+    assert keys > 100 and ties > 10, (keys, ties)
 
 
 def _partial_output(h):
@@ -433,8 +443,7 @@ def test_search_keys_hold_the_lm_states_of_their_outputs():
         state = lm.state_machine(model)[0]
         full_mask = (1 << len(sentence)) - 1
         for config in configs:
-            goal = Decoder(table, model, weights, config)._search(sentence)
-            for h in _search_graph(goal):
+            for h in _search_graph(*Decoder(table, model, weights, config)._search(sentence)):
                 if h.key != full_mask:  # the goal's key holds no LM state
                     want = state((lm.START,) + _partial_output(h))
                     assert h.key[1] == want, (trial, config, h.key)
@@ -589,14 +598,14 @@ def test_nbest_equals_the_read_out_of_every_path():
     for trial, (sentence, table, model, weights) in enumerate(instances):
         for config in configs[trial % 4::4]:
             decoder = Decoder(table, model, weights, config)
-            goal = decoder._search(sentence)
-            if goal is None:
+            graph = decoder._search(sentence)
+            if graph[0] is None:
                 with pytest.raises(MinismtError):
                     decoder.nbest(sentence, 1)
                 continue
             for n in range(1, 31):
                 got = [(t.tokens, t.features, t.score) for t in decoder.nbest(sentence, n)]
-                want = [(t.tokens, t.features, t.score) for t in kbest_reference(goal, n)]
+                want = [(t.tokens, t.features, t.score) for t in kbest_reference(graph, n)]
                 assert repr(got) == repr(want), (trial, config, n)
 
 
