@@ -16,9 +16,12 @@ figures by stack size, each stack's with the sha256 of its 1-best lines (the
 tokens joined by spaces) as "sha256", and of its n-best lists at the
 pipeline's MERT n-best size as "nbest_sha256" (each list's repr of (tokens,
 features, score) entries, as tests/data/toy_nbest.sha256 hashes them): one
-line per sentence, a failed sentence's empty. tests/data/decode_long.sha256
+line per sentence, a failed sentence's empty. Each row also holds the
+sha256 of the stack-100 reference's 1-best lines as "reference_sha256", the
+search configuration the benchmark decodes with. tests/data/decode_long.sha256
 and tests/data/decode_long_nbest.sha256 hold the values at the pipeline's
-default stack size, which CI compares, so a change to the search's output
+default stack size and tests/data/decode_long_stack100.sha256 the
+reference's, which CI compares, so a change to the search's output
 regenerates them deliberately.
 """
 
@@ -92,7 +95,11 @@ def main(argv):
     def sha256(lines):
         return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
+    def best_sha256(bests):
+        return sha256(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests)
+
     reference, _ = decode_at(REFERENCE_STACK)
+    reference_sha256 = best_sha256(reference)
     summary = {}
     for stack in stacks:
         bests, seconds = decode_at(stack)
@@ -105,8 +112,9 @@ def main(argv):
                              for b, _, _, base in decoded),
                "lower": sum(base is not None and b.score < base.score
                             for b, _, _, base in decoded),
-               "sha256": sha256(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests),
-               "nbest_sha256": sha256(nbest_lines(stack))}
+               "sha256": best_sha256(bests),
+               "nbest_sha256": sha256(nbest_lines(stack)),
+               "reference_sha256": reference_sha256}
         summary[stack] = row
         print("stack %d: %d failed; search/model/unreachable/exact %s; score sum %.2f; "
               "vs stack %d: %d higher, %d lower (%.1f s)"

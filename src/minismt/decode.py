@@ -5,8 +5,8 @@ Expansion applies every phrase-table option over an uncovered span within
 the distortion limit, adding only the LM and distortion terms to the static
 increment that collect_options stored on the option; hypotheses identical in
 (coverage, LM state, last source position) are recombined, the better
-holding the stack's slot and the losers kept in one map per search, from
-the key to its arcs. Nothing follows a complete hypothesis, so all of them
+holding the stack's slot and the losers kept in a map per stack, from the
+key to its arcs. Nothing follows a complete hypothesis, so all of them
 recombine into one goal state (the root, on the empty sentence), whose
 lazy list of distinct strings decode() and nbest() read: each state lists
 the distinct partial strings that reach it. The LM state is
@@ -29,26 +29,29 @@ live states out of a stack. Expansion walks only the starts inside the
 distortion window and, from each, the spans by length up to the first
 covered word, in collect_options' (start, end, target) order.
 
-A hypothesis's key and the search's memos hold lm.state_machine's states
-as they are. A search keeps three memos for its one sentence, since many
+A hypothesis's key and the search's memos hold lm.state_machine's states as
+they are. A search keeps two memos for its one sentence, since many
 expansions repeat the same lookup: the LM sum of the words a step reads
 after a state (its target, and </s> when it completes the sentence) with the
-state it leaves, the LM step of one word after a state, and the future cost
-(from span costs keyed by span mask) and d's terms of a coverage. The LM is
-reached only through lm.state_machine's step. A hit returns the float its
-first computation gave, so a score does not depend on which lookups hit;
-nothing outlives the call, so memory stays bounded by one sentence's search.
+state it leaves, and the LM step of one word after a state. Ranking a stack
+keeps a third, the future cost (from span costs keyed by span mask) and d's
+terms of a coverage, which serves that stack alone. The LM is reached only
+through lm.state_machine's step. A hit returns the float its first
+computation gave, so a score does not depend on which lookups hit. The
+read-out follows prev, which points at an expanded state or the root, and
+the losers of that state's key, so a search holds only the expanded states
+and the goal with their losers, the stacks still filling and its LM memos.
 The cyclic garbage collector is paused over a search and its read-out: a
 hypothesis points only to its predecessor, so the graph is acyclic and
-reference counting frees it; threads decoding at once share that one
-switch, which costs only speed. A hypothesis keeps only its recombination
-key and its step's LM value; the 8-feature increment is built for the
-partial strings the read-out lists, each step's distortion worked out
-again from its predecessor's key, and added to its predecessor's features.
-Its weighted score is summed inline, term by term in Weights.dot's order
-from 0.0, from products of the option's static terms taken once per
-search, which gives the same float as Weights.dot. A returned translation,
-from decode() as from nbest(), carries only its tokens, features and score.
+reference counting frees it; threads decoding at once share that one switch,
+which costs only speed. A hypothesis keeps only its recombination key and
+its step's LM value; the 8-feature increment is built for the partial
+strings the read-out lists, each step's distortion worked out again from its
+predecessor's key, and added to its predecessor's features. Its weighted
+score is summed inline, term by term in Weights.dot's order from 0.0, from
+products of the option's static terms taken once per search, which gives the
+same float as Weights.dot. A returned translation, from decode() as from
+nbest(), carries only its tokens, features and score.
 
 translate_all decodes a list of sentences on every CPU in the process's
 affinity mask (`taskset` limits it), through parallel.fork_map. Each search
@@ -271,9 +274,9 @@ class Decoder:
 
     def _search(self, sentence):
         """(goal, arcs): the goal's hypothesis, None if none completes, and
-        each recombination key's losers. Of two hypotheses of one key the
-        better holds the stack's slot, the first built on an exact tie, and
-        the other joins arcs[key]: which one holds it changes no read-out."""
+        the losers of the goal's and the expanded states' keys. Of two
+        hypotheses of one key the better holds the slot, the first built on
+        a tie, and the other is a loser: which holds it changes no read-out."""
         n = len(sentence)
         options = collect_options(sentence, self.table)
         future_table = self.future_cost_table(sentence, options)
@@ -282,10 +285,10 @@ class Decoder:
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
 
         root = _Hyp((0, self._lm_start, -1), 0.0, 0.0, None, None, 0.0, 0)
-        # by words covered. Stack 0 is keyed by 0, the empty sentence's
-        # full_mask, so that sentence's goal is the root
-        stacks = [{0: root}] + [{} for _ in range(n)]
-        arcs = defaultdict(list)
+        # by words covered, each with its losers by key. Stack 0 is keyed by
+        # 0, the empty sentence's full_mask, so that sentence's goal is the root
+        stacks = [({0: root}, {})] + [({}, defaultdict(list)) for _ in range(n)]
+        arcs = {}  # the losers of the expanded states' keys and the goal's
         serial = 1
         # no jump inside the sentence is longer than n, so n is no limit
         dl = n if self.config.distortion_limit is None else self.config.distortion_limit
@@ -307,14 +310,18 @@ class Decoder:
         # step that completes the sentence reads its target and </s>
         lm_memo = {}
         word_memo = {}  # (LM state, word) -> (log P(word | state), next LM state)
-        future_memo = {}  # coverage -> (future cost, first open, covered between open runs)
         can_finish = _liveness(full_mask, dl)
 
         for covered in range(n):
             # the root, alone in stack 0, is expanded without ranking: it can
-            # always finish monotonically
-            for hyp in self._pruned(stacks[covered], full_mask, future_table, future_memo,
-                                    can_finish) if covered else [root]:
+            # always finish monotonically. The read-out reaches no other state
+            # of the stack, so only the expanded states' losers are kept
+            kept = self._pruned(stacks[covered][0], full_mask, future_table, {},
+                                can_finish) if covered else [root]
+            lost = stacks[covered][1]
+            arcs.update((h.key, lost[h.key]) for h in kept if h.key in lost)
+            stacks[covered] = lost = None
+            for hyp in kept:
                 before, lm_state, last_end = hyp.key
                 lm_row = lm_memo.get(lm_state)
                 if lm_row is None:
@@ -328,7 +335,7 @@ class Decoder:
                             break  # the longer spans from this start overlap too
                         coverage = before | mask
                         final = coverage == full_mask
-                        stack = stacks[covered + end + 1 - start]
+                        stack, losers = stacks[covered + end + 1 - start]
                         for option, t1, t2, t3, t4, t6, t7 in group:
                             words = option.target
                             if final:
@@ -361,8 +368,9 @@ class Decoder:
                                 if new.score > cur.score:
                                     stack[key] = new
                                     new = cur
-                                arcs[key].append(new)
-        return stacks[n].get(full_mask), arcs
+                                losers[key].append(new)
+        arcs.update(stacks[n][1])  # every key of the last stack is full_mask
+        return stacks[n][0].get(full_mask), arcs
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
         """The stack's hypotheses to expand, best first on score + future cost
@@ -374,7 +382,9 @@ class Decoder:
         been built: it takes no place in the stack and does not set the beam.
         Liveness depends on the coverage and last_end alone, so a dead state
         never shares its recombination key with a live one, and only the
-        states ranked high enough to be kept are tested.
+        states ranked high enough to be kept are tested. future_memo, from a
+        coverage to its (future, first, inner), serves one stack: a
+        coverage's size is its stack, so _search passes a fresh one per call.
         """
         ranked = []
         w_distortion = self.weights.values[5]

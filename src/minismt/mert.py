@@ -16,10 +16,10 @@ computes every float as a plain per-direction evaluation would:
 - each optimizer round computes base·f for every pool entry once
   (base_scores) and passes the table to its 16 line searches, since the
   base does not change within a round;
-- a slope adds only the terms of nonzero direction components, in feature
-  order onto 0.0 (an axis slope is 0.0 + f[i]). Features are finite, so a
-  skipped term is ±0.0, and adding ±0.0 to a sum that starts at +0.0 never
-  changes it: the float is that of Weights.dot, which adds all eight;
+- base_scores keeps each sentence's features in base·f order as rows and
+  as columns. A slope is Weights.dot's float, 0.0 + v0*f0 + ... + v7*f7 per
+  row, or 0.0 + v * f over an axis's column: on finite features a zero
+  component's term is ±0.0, which never changes a sum from +0.0;
 - the sweep keeps its running BLEU statistics as ints in bleu's layout,
   exact under any order of additions, and scores an interval by passing
   them to bleu.corpus_bleu as they are, so the scores are the same floats.
@@ -73,30 +73,33 @@ def build_pool_entry(tokens, features, references):
     return PoolEntry(tuple(tokens), tuple(features), bleu.sentence_stats(tokens, references))
 
 
-def _dots(columns, vector, n):
-    """vector·f for each of `n` feature vectors given as `columns`.
+def _dots(rows, vector):
+    """vector·f for each feature vector f in `rows`, its eight terms added
+    in feature order onto 0.0, as Weights.dot adds them."""
+    v0, v1, v2, v3, v4, v5, v6, v7 = vector
+    return [0.0 + v0 * f0 + v1 * f1 + v2 * f2 + v3 * f3 + v4 * f4 + v5 * f5 + v6 * f6 + v7 * f7
+            for f0, f1, f2, f3, f4, f5, f6, f7 in rows]
 
-    The terms of the nonzero components are added in feature order onto
-    0.0, as Weights.dot adds all eight; a skipped term is ±0.0 on finite
-    features and leaves such a sum unchanged, so the floats are Weights.dot's.
-    """
-    total = [0.0] * n
-    for v, column in zip(vector, columns):
-        if v != 0.0:
-            total = [t + v * f for t, f in zip(total, column)]
-    return total
+
+def _slopes(columns, rows, direction):
+    """_dots(rows, direction); along an axis, 0.0 + v * f over its column."""
+    axis = [i for i, v in enumerate(direction) if v != 0.0]
+    if len(axis) == 1:
+        return [0.0 + direction[axis[0]] * f for f in columns[axis[0]]]
+    return _dots(rows, direction)
 
 
 def base_scores(pool, base_v):
     """Per sentence: base·f by entry index, the entry indices in ascending
     base·f order (later entries first among equals), and the feature
-    columns in that order."""
+    vectors in that order as columns and as rows."""
     out = []
     for entries in pool:
         features = [e.features for e in entries]
-        scores = _dots(list(zip(*features)), base_v, len(features))
+        scores = _dots(features, base_v)
         order = sorted(range(len(features) - 1, -1, -1), key=scores.__getitem__)
-        out.append((scores, order, list(zip(*(features[i] for i in order)))))
+        rows = [features[i] for i in order]
+        out.append((scores, order, list(zip(*rows)), rows))
     return out
 
 
@@ -155,8 +158,8 @@ def line_search(pool, base, direction):
     if all(abs(d) == 0.0 for d in direction):
         raise ParameterError("line search direction must be nonzero")
 
-    envelopes = [_envelope(_dots(columns, direction, len(order)), order, intercepts)
-                 for intercepts, order, columns in base]
+    envelopes = [_envelope(_slopes(columns, rows, direction), order, intercepts)
+                 for intercepts, order, columns, rows in base]
     # (gamma, sentence index, segment position)
     events = sorted((segments[pos][0], s, pos) for s, segments in enumerate(envelopes)
                     for pos in range(1, len(segments)))
@@ -197,7 +200,7 @@ def _selected_bleu(pool, base):
     """Corpus BLEU of each sentence's highest-scoring entry under the
     weights of the table `base`; ties go to the smaller target string."""
     selected = []
-    for entries, (scores, _, _) in zip(pool, base):
+    for entries, (scores, *_) in zip(pool, base):
         top = max(scores)
         best = min((e for e, x in zip(entries, scores) if x == top), key=lambda e: e.tokens)
         selected.append(best.stats)

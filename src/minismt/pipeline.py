@@ -146,27 +146,29 @@ def validate(cfg):
     if cfg.scheme not in schemes:
         problems.append("tokenize.scheme must be %s, got %r" % (" or ".join(schemes), cfg.scheme))
     if cfg.clean_max_len < 1:
-        problems.append("clean.max_len must be >= 1")
+        problems.append("clean.max_len must be >= 1, got %r" % (cfg.clean_max_len,))
     if not cfg.clean_max_ratio >= 1.0:  # nan fails
-        problems.append("clean.max_ratio must be >= 1.0")
+        problems.append("clean.max_ratio must be >= 1.0, got %r" % (cfg.clean_max_ratio,))
     if not 1 <= cfg.lm_order <= lm.MAX_ORDER:
         problems.append("lm.order must be in 1..%d, got %d" % (lm.MAX_ORDER, cfg.lm_order))
     if cfg.align_iterations < 1:
-        problems.append("align.iterations must be >= 1")
+        problems.append("align.iterations must be >= 1, got %r" % (cfg.align_iterations,))
     if cfg.align_heuristic not in align.HEURISTICS:
         problems.append("align.heuristic must be one of %s" % (", ".join(align.HEURISTICS)))
     if cfg.max_phrase_len < 1:
-        problems.append("phrases.max_len must be >= 1")
+        problems.append("phrases.max_len must be >= 1, got %r" % (cfg.max_phrase_len,))
     if cfg.stack_size < 1:
-        problems.append("decoder.stack_size must be >= 1")
+        problems.append("decoder.stack_size must be >= 1, got %r" % (cfg.stack_size,))
     if cfg.beam_threshold is not None and not cfg.beam_threshold >= 0:  # nan fails
-        problems.append("decoder.beam_threshold must be >= 0 or none")
+        problems.append("decoder.beam_threshold must be >= 0 or none, got %r"
+                        % (cfg.beam_threshold,))
     if cfg.distortion_limit is not None and cfg.distortion_limit < 0:
-        problems.append("decoder.distortion_limit must be >= 0 or none")
+        problems.append("decoder.distortion_limit must be >= 0 or none, got %r"
+                        % (cfg.distortion_limit,))
     if cfg.mert_iterations < 1:
-        problems.append("mert.iterations must be >= 1")
+        problems.append("mert.iterations must be >= 1, got %r" % (cfg.mert_iterations,))
     if cfg.mert_nbest < 1:
-        problems.append("mert.nbest must be >= 1")
+        problems.append("mert.nbest must be >= 1, got %r" % (cfg.mert_nbest,))
     if not cfg.work_dir:
         problems.append("run.work_dir is required")
     return problems

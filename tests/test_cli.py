@@ -245,8 +245,17 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     assert "lm.order must be in 1..5, got 9" in out
     assert "data.train_source: no such file missing.en" in out
     assert "data.dev_source is required" in out  # all violations listed, not just the first
-    assert "clean.max_ratio must be >= 1.0" in out
-    assert "decoder.beam_threshold must be >= 0 or none" in out
+    assert "clean.max_ratio must be >= 1.0, got nan" in out
+    assert "decoder.beam_threshold must be >= 0 or none, got nan" in out
+
+
+def test_validate_names_the_values_out_of_range(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text("[clean]\nmax_len = 0\n\n[decoder]\nstack_size = 0\n", encoding="utf-8")
+    assert main(["validate", str(config)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "clean.max_len must be >= 1, got 0" in out
+    assert "decoder.stack_size must be >= 1, got 0" in out
 
 
 def test_validate_ok(small_toy, capsys):

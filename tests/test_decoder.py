@@ -398,33 +398,62 @@ def _search_graph(goal, arcs):
     return seen
 
 
+def _search_cases():
+    """(case, sentence, decoder): 40 instances alternating _random_instance
+    and _tie_heavy_instance, each unpruned, at stack 2 and at stack 3 with
+    a beam of 0 and a distortion limit of 1."""
+    rng = random.Random(73)
+    for trial in range(40):
+        instance = _tie_heavy_instance if trial % 2 else _random_instance
+        sentence, table, model, weights = instance(rng)
+        for config in (UNPRUNED, DecoderConfig(2, None, None), DecoderConfig(3, 0.0, 1)):
+            yield (trial, config), sentence, Decoder(table, model, weights, config)
+
+
 def test_recombination_keeps_the_first_built_of_equal_hypotheses():
     # of the members of each key the goal reaches, one holds the state and
     # the others are its arcs: the best, and on an exact tie the first built,
     # whatever the partial strings
-    rng = random.Random(73)
-    configs = (UNPRUNED, DecoderConfig(2, None, None), DecoderConfig(3, 0.0, 1))
     keys = ties = 0
-    for trial in range(40):
-        instance = _tie_heavy_instance if trial % 2 else _random_instance
-        sentence, table, model, weights = instance(rng)
-        for config in configs:
-            goal, arcs = Decoder(table, model, weights, config)._search(sentence)
-            if goal is None:
-                continue
-            members = {}
-            for h in _search_graph(goal, arcs):
-                members.setdefault(h.key, []).append(h)
-            for key, hyps in members.items():
-                losers = set(arcs.get(key, ()))
-                held = [h for h in hyps if h not in losers]
-                assert len(held) == 1, (trial, config, key)
-                best = held[0]
-                assert all(h.score < best.score or h.score == best.score and h.serial > best.serial
-                           for h in losers), (trial, config, key)
-                keys += 1
-                ties += sum(h.score == best.score for h in losers)
+    for case, sentence, decoder in _search_cases():
+        goal, arcs = decoder._search(sentence)
+        if goal is None:
+            continue
+        members = {}
+        for h in _search_graph(goal, arcs):
+            members.setdefault(h.key, []).append(h)
+        for key, hyps in members.items():
+            losers = set(arcs.get(key, ()))
+            held = [h for h in hyps if h not in losers]
+            assert len(held) == 1, (case, key)
+            best = held[0]
+            assert all(h.score < best.score or h.score == best.score and h.serial > best.serial
+                       for h in losers), (case, key)
+            keys += 1
+            ties += sum(h.score == best.score for h in losers)
     assert keys > 100 and ties > 10, (keys, ties)
+
+
+def test_arcs_hold_only_the_expanded_states_and_the_goal(monkeypatch):
+    # the read-out follows prev, which points at an expanded state, and the
+    # losers of its key, so a search keeps the losers of those keys alone
+    pruned, expanded = Decoder._pruned, set()
+
+    def recording(self, *args):
+        kept = pruned(self, *args)
+        expanded.update(h.key for h in kept)
+        return kept
+
+    monkeypatch.setattr(Decoder, "_pruned", recording)
+    kept_arcs = goal_arcs = 0
+    for case, sentence, decoder in _search_cases():
+        expanded.clear()
+        _, arcs = decoder._search(sentence)
+        full_mask = (1 << len(sentence)) - 1
+        assert set(arcs) <= expanded | {full_mask}, case
+        kept_arcs += len(set(arcs) - {full_mask})
+        goal_arcs += full_mask in arcs
+    assert kept_arcs > 100 and goal_arcs > 10, (kept_arcs, goal_arcs)
 
 
 def _partial_output(h):

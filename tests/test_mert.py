@@ -47,8 +47,8 @@ def _random_pool(rng, n_sentences, n_hyps):
 
 def _segments(pool, weights, direction):
     """Each sentence's upper envelope along `direction` from `weights`."""
-    return [mert._envelope(mert._dots(columns, direction, len(order)), order, intercepts)
-            for intercepts, order, columns in mert.base_scores(pool, weights.values)]
+    return [mert._envelope(mert._slopes(columns, rows, direction), order, intercepts)
+            for intercepts, order, columns, rows in mert.base_scores(pool, weights.values)]
 
 
 def test_two_hypotheses_cross_once():
