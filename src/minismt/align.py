@@ -40,10 +40,11 @@ import math
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, SentencePair
-from .errors import FormatError, ParameterError, TrainingError, read_lines, write_lines
+from .errors import FormatError, ParameterError, TrainingError, at_least, read_lines, write_lines
 from .parallel import fork_map
 
 NULL_WORD = "<null>"
+check_iterations = at_least(1, "iterations")
 _NO_ROW = {}  # the lexicon row of a word it has never seen
 
 
@@ -98,8 +99,7 @@ def em_train(corpus, iterations):
     uniform alignment prior) is recorded on the returned lexicon and is
     non-decreasing.
     """
-    if iterations < 1:
-        raise ParameterError("iterations must be >= 1, got %r" % (iterations,))
+    check_iterations(iterations)
     pairs = corpus.pairs
     if not pairs:
         raise TrainingError("cannot run EM on an empty corpus")
@@ -188,7 +188,7 @@ def align_corpus(corpus, iterations, heuristic):
     worker is given only whether to transpose the corpus it inherits, so no
     corpus is pickled. An unknown heuristic is refused before any training.
     """
-    _check_heuristic(heuristic)
+    check_heuristic(heuristic)
     fwd, bwd = fork_map(
         lambda reverse: em_train(transpose_corpus(corpus) if reverse else corpus, iterations),
         (False, True))
@@ -203,14 +203,15 @@ HEURISTICS = ("intersection", "union", "grow-diag-final")
 _NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
-def _check_heuristic(heuristic):
+def check_heuristic(heuristic):
     if heuristic not in HEURISTICS:
-        raise ParameterError("unknown symmetrization heuristic %r" % (heuristic,))
+        raise ParameterError("unknown symmetrization heuristic %r (expected %s)"
+                             % (heuristic, ", ".join(HEURISTICS)))
 
 
 def symmetrize(forward, backward, heuristic):
     """Combine a forward and a (transposed) backward alignment of one pair."""
-    _check_heuristic(heuristic)
+    check_heuristic(heuristic)
     flipped = backward.transpose()
     if (forward.source_len, forward.target_len) != (flipped.source_len, flipped.target_len):
         raise ParameterError(

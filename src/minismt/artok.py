@@ -62,7 +62,8 @@ class Scheme(enum.Enum):
         try:
             return cls(name.strip().lower())
         except ValueError:
-            raise ParameterError("unknown tokenization scheme %r (expected atb or myd3)" % name)
+            raise ParameterError("unknown tokenization scheme %r (expected %s)"
+                                 % (name, " or ".join(scheme.value for scheme in cls)))
 
 
 PROCLITIC_CLASSES = ("QUES", "CONJ", "PART", "DET")

@@ -10,7 +10,10 @@ across threads.
 
 from dataclasses import dataclass
 
-from .errors import CorpusAlignmentError, ParameterError, read_lines
+from .errors import CorpusAlignmentError, at_least, read_lines
+
+check_max_len = at_least(1, "max_len")
+check_max_ratio = at_least(1.0, "max_ratio")
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,8 @@ def clean(corpus, max_len, max_ratio):
 
     Surviving pairs keep their order. Idempotent.
     """
-    if max_len < 1:
-        raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
-    if not max_ratio >= 1.0:  # nan fails
-        raise ParameterError("max_ratio must be >= 1.0, got %r" % (max_ratio,))
+    check_max_len(max_len)
+    check_max_ratio(max_ratio)
     kept = []
     for pair in corpus.pairs:
         ls, lt = len(pair.source), len(pair.target)

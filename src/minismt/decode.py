@@ -76,7 +76,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import lm as lm_mod
-from .errors import FormatError, MinismtError, ParameterError, read_lines, write_lines
+from .errors import FormatError, MinismtError, ParameterError, at_least, read_lines, write_lines
 from .parallel import fork_map
 from .phrases import distortion_cost, log10_scores
 
@@ -93,6 +93,10 @@ FEATURE_NAMES = (
 N_FEATURES = 8
 
 UNKNOWN_WORD_PENALTY = 10.0  # extra word-penalty units per copied-through token
+check_stack_size = at_least(1, "stack_size")
+check_beam_threshold = at_least(0, "beam_threshold")
+check_distortion_limit = at_least(0, "distortion_limit")
+check_nbest_size = at_least(1, "nbest size")
 
 _ZERO = (0.0,) * N_FEATURES
 
@@ -163,12 +167,11 @@ class DecoderConfig:
     distortion_limit: int | None  # None means unlimited reordering
 
     def __post_init__(self):
-        if self.stack_size < 1:
-            raise ParameterError("stack_size must be >= 1, got %r" % (self.stack_size,))
-        if self.beam_threshold is not None and not self.beam_threshold >= 0:  # nan fails
-            raise ParameterError("beam_threshold must be >= 0, got %r" % (self.beam_threshold,))
-        if self.distortion_limit is not None and self.distortion_limit < 0:
-            raise ParameterError("distortion_limit must be >= 0, got %r" % (self.distortion_limit,))
+        check_stack_size(self.stack_size)
+        if self.beam_threshold is not None:
+            check_beam_threshold(self.beam_threshold)
+        if self.distortion_limit is not None:
+            check_distortion_limit(self.distortion_limit)
 
 
 @dataclass(frozen=True)
@@ -553,11 +556,6 @@ def _liveness(full_mask, dl):
 
 
 # ---- decoding a sentence list on every CPU -----------------------------
-
-
-def check_nbest_size(n):
-    if n < 1:
-        raise ParameterError("nbest size must be >= 1, got %r" % (n,))
 
 
 def translate_all(decoder, sentences, n):

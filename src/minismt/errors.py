@@ -21,6 +21,14 @@ class ParameterError(MinismtError):
     category = "usage"
 
 
+def at_least(low, name):
+    """The check of a setting `name` whose value must be >= low (nan fails)."""
+    def check(value):
+        if not value >= low:
+            raise ParameterError("%s must be >= %r, got %r" % (name, low, value))
+    return check
+
+
 class CorpusAlignmentError(MinismtError):
     """Parallel files disagree on line count."""
 

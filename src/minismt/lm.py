@@ -44,10 +44,14 @@ def _count_windows(sentences, order):
     return counts
 
 
-def train(sentences, order):
-    """Estimate an interpolated Witten-Bell NGramModel from tokenized sentences."""
+def check_order(order):
     if not 1 <= order <= MAX_ORDER:
         raise ParameterError("order must be in 1..%d, got %r" % (MAX_ORDER, order))
+
+
+def train(sentences, order):
+    """Estimate an interpolated Witten-Bell NGramModel from tokenized sentences."""
+    check_order(order)
     sentences = [tuple(s) for s in sentences]
     if not sentences:
         raise TrainingError("cannot train a language model on an empty corpus")

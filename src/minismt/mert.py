@@ -50,9 +50,10 @@ from dataclasses import dataclass
 
 from . import bleu
 from .decode import N_FEATURES, Weights, translate_all
-from .errors import ParameterError
+from .errors import ParameterError, at_least
 
 GAIN_THRESHOLD = 1e-4
+check_iterations = at_least(1, "iterations")
 
 
 @dataclass(frozen=True)
@@ -266,8 +267,7 @@ def mert(dev_corpus, decoder_factory, initial, iterations, nbest_size, *, seed, 
     final accumulated pool. Deterministic for a fixed seed. A bad nbest_size
     is refused by translate_all, before anything is decoded.
     """
-    if iterations < 1:
-        raise ParameterError("iterations must be >= 1, got %r" % (iterations,))
+    check_iterations(iterations)
     rng = random.Random(seed)
     initial = initial.l1_normalized()
     current = initial

@@ -18,9 +18,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .align import NULL_WORD
-from .errors import FormatError, ParameterError, TrainingError, read_lines, write_lines
+from .errors import FormatError, ParameterError, TrainingError, at_least, read_lines, write_lines
 
 TABLE_PRUNE_LIMIT = 20  # kept targets per source at serialization time
+check_max_len = at_least(1, "max_len")
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,6 @@ def extract(pair, alignment, max_len):
                     hi += 1
                 lo -= 1
     return set(out)
-
-
-def check_max_len(max_len):
-    if max_len < 1:
-        raise ParameterError("max_len must be >= 1, got %r" % (max_len,))
 
 
 def distortion_cost(prev_end, next_start):

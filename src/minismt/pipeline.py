@@ -2,9 +2,10 @@
 
 Configuration is an INI-style key-value file. Each setting is declared
 once, as a PipelineConfig field that carries its `[section] key`, the
-parser of its value and its default; load_config reads the key table from
-those fields. The stage graph is one table (_GRAPH): for each
-stage, the work-dir files it reads and writes and its manifest params.
+parser of its value, its default and the range check of the module that
+reads it; load_config reads the key table from those fields, and validate
+runs their checks. The stage graph is one table (_GRAPH): for each stage,
+the work-dir files it reads and writes and its manifest params.
 A stage function is given its paths and those params and nothing else, and
 the stage subcommands run the same functions with a flag per param (PARAMS).
 Each stage writes its artifacts plus a manifest (sha256 of inputs and
@@ -32,9 +33,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import align, artok, bleu, corpus, lm, mert, phrases
+from . import align, artok, bleu, corpus, decode, lm, mert, phrases
 from .decode import Decoder, DecoderConfig, Weights, translate_all
-from .errors import ConfigError, MissingArtifactError, read_lines, write_lines
+from .errors import ConfigError, MissingArtifactError, ParameterError, read_lines, write_lines
 
 
 def parse_number(text):
@@ -56,9 +57,10 @@ def parse_limit(text):
     return None if _unbounded(text) else int(text)
 
 
-def _setting(section, key, default, parse=str):
-    """A PipelineConfig field set by `[section] key`, whose stripped value `parse` reads."""
-    return field(default=default, metadata={"key": (section, key), "parse": parse})
+def _setting(section, key, default, parse=str, check=None):
+    """A PipelineConfig field set by `[section] key`, whose stripped value `parse` reads
+    and, unless None (unlimited), the reading module's `check` accepts."""
+    return field(default=default, metadata={"key": (section, key), "parse": parse, "check": check})
 
 
 @dataclass
@@ -71,20 +73,24 @@ class PipelineConfig:
     dev_target: str = _setting("data", "dev_target", "")
     test_source: str = _setting("data", "test_source", "")
     test_target: str = _setting("data", "test_target", "")
-    scheme: str = _setting("tokenize", "scheme", "atb", str.lower)
+    scheme: str = _setting("tokenize", "scheme", "atb", str.lower, artok.Scheme.parse)
     inventory: str = _setting("tokenize", "inventory", "")  # empty -> bundled Buckwalter inventory
     lexicon: str = _setting("tokenize", "lexicon", "")  # empty -> bundled stem lexicon
-    clean_max_len: int = _setting("clean", "max_len", 80, int)
-    clean_max_ratio: float = _setting("clean", "max_ratio", 9.0, parse_number)
-    lm_order: int = _setting("lm", "order", 5, int)
-    align_iterations: int = _setting("align", "iterations", 5, int)
-    align_heuristic: str = _setting("align", "heuristic", "grow-diag-final", str.lower)
-    max_phrase_len: int = _setting("phrases", "max_len", 7, int)
-    stack_size: int = _setting("decoder", "stack_size", 10, int)
-    beam_threshold: float | None = _setting("decoder", "beam_threshold", None, parse_threshold)
-    distortion_limit: int | None = _setting("decoder", "distortion_limit", 6, parse_limit)
-    mert_iterations: int = _setting("mert", "iterations", 10, int)
-    mert_nbest: int = _setting("mert", "nbest", 100, int)
+    clean_max_len: int = _setting("clean", "max_len", 80, int, corpus.check_max_len)
+    clean_max_ratio: float = _setting("clean", "max_ratio", 9.0, parse_number,
+                                      corpus.check_max_ratio)
+    lm_order: int = _setting("lm", "order", 5, int, lm.check_order)
+    align_iterations: int = _setting("align", "iterations", 5, int, align.check_iterations)
+    align_heuristic: str = _setting("align", "heuristic", "grow-diag-final", str.lower,
+                                    align.check_heuristic)
+    max_phrase_len: int = _setting("phrases", "max_len", 7, int, phrases.check_max_len)
+    stack_size: int = _setting("decoder", "stack_size", 10, int, decode.check_stack_size)
+    beam_threshold: float | None = _setting("decoder", "beam_threshold", None, parse_threshold,
+                                            decode.check_beam_threshold)
+    distortion_limit: int | None = _setting("decoder", "distortion_limit", 6, parse_limit,
+                                            decode.check_distortion_limit)
+    mert_iterations: int = _setting("mert", "iterations", 10, int, mert.check_iterations)
+    mert_nbest: int = _setting("mert", "nbest", 100, int, decode.check_nbest_size)
     seed: int = _setting("run", "seed", 17, int)
     work_dir: str = _setting("run", "work_dir", "")
 
@@ -119,18 +125,19 @@ def load_config(path):
     for section, key in raw:
         if (section, key) not in _SETTINGS:
             raise ConfigError("unknown config key [%s] %s" % (section, key))
-    try:
-        values = {}
-        for section_key, text in raw.items():
-            setting = _SETTINGS[section_key]
+    values = {}
+    for (section, key), text in raw.items():
+        setting = _SETTINGS[section, key]
+        try:
             values[setting.name] = setting.metadata["parse"](text)
-    except ValueError as exc:
-        raise ConfigError("bad value in %s: %s" % (path, exc))
+        except ValueError as exc:
+            raise ConfigError("bad value for [%s] %s in %s: %s" % (section, key, path, exc))
     return PipelineConfig(**values)
 
 
 def validate(cfg):
-    """Every config violation, not just the first; empty list means valid."""
+    """Every config violation, not just the first; empty list means valid. A setting
+    out of range gets `section.key: ` and its check's refusal, as its stage words it."""
     problems = []
     for name in ("train_source", "train_target", "dev_source", "dev_target",
                  "test_source", "test_target"):
@@ -142,33 +149,13 @@ def validate(cfg):
     for name, path in (("tokenize.inventory", cfg.inventory), ("tokenize.lexicon", cfg.lexicon)):
         if path and not Path(path).is_file():
             problems.append("%s: no such file %s" % (name, path))
-    schemes = [scheme.value for scheme in artok.Scheme]
-    if cfg.scheme not in schemes:
-        problems.append("tokenize.scheme must be %s, got %r" % (" or ".join(schemes), cfg.scheme))
-    if cfg.clean_max_len < 1:
-        problems.append("clean.max_len must be >= 1, got %r" % (cfg.clean_max_len,))
-    if not cfg.clean_max_ratio >= 1.0:  # nan fails
-        problems.append("clean.max_ratio must be >= 1.0, got %r" % (cfg.clean_max_ratio,))
-    if not 1 <= cfg.lm_order <= lm.MAX_ORDER:
-        problems.append("lm.order must be in 1..%d, got %d" % (lm.MAX_ORDER, cfg.lm_order))
-    if cfg.align_iterations < 1:
-        problems.append("align.iterations must be >= 1, got %r" % (cfg.align_iterations,))
-    if cfg.align_heuristic not in align.HEURISTICS:
-        problems.append("align.heuristic must be one of %s" % (", ".join(align.HEURISTICS)))
-    if cfg.max_phrase_len < 1:
-        problems.append("phrases.max_len must be >= 1, got %r" % (cfg.max_phrase_len,))
-    if cfg.stack_size < 1:
-        problems.append("decoder.stack_size must be >= 1, got %r" % (cfg.stack_size,))
-    if cfg.beam_threshold is not None and not cfg.beam_threshold >= 0:  # nan fails
-        problems.append("decoder.beam_threshold must be >= 0 or none, got %r"
-                        % (cfg.beam_threshold,))
-    if cfg.distortion_limit is not None and cfg.distortion_limit < 0:
-        problems.append("decoder.distortion_limit must be >= 0 or none, got %r"
-                        % (cfg.distortion_limit,))
-    if cfg.mert_iterations < 1:
-        problems.append("mert.iterations must be >= 1, got %r" % (cfg.mert_iterations,))
-    if cfg.mert_nbest < 1:
-        problems.append("mert.nbest must be >= 1, got %r" % (cfg.mert_nbest,))
+    for setting in FIELDS.values():
+        value, check = getattr(cfg, setting.name), setting.metadata["check"]
+        if check and value is not None:
+            try:
+                check(value)
+            except ParameterError as exc:
+                problems.append("%s.%s: %s" % (*setting.metadata["key"], exc))
     if not cfg.work_dir:
         problems.append("run.work_dir is required")
     return problems

@@ -145,6 +145,15 @@ def test_bleu_prints_the_precisions_of_max_order(tmp_path, capsys):
         "BLEU = 100.00, 100.0 (BP=1.000, ratio=1.000, hyp_len=3, ref_len=3)\n")
 
 
+@pytest.mark.parametrize("max_order", ["0", "5"])
+def test_bleu_refuses_a_max_order_out_of_range(tmp_path, capsys, max_order):
+    (tmp_path / "h").write_text("a b\n", encoding="utf-8")
+    assert main(["bleu", str(tmp_path / "h"), str(tmp_path / "h"), "--max-order", max_order]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ERROR usage: max_order must be in 1..4, got " + max_order]
+
+
 def test_stats_mismatch_error_line(tmp_path, capsys):
     (tmp_path / "a.en").write_text("a\nb\n", encoding="utf-8")
     (tmp_path / "a.ar").write_text("x\n", encoding="utf-8")
@@ -242,11 +251,11 @@ def test_validate_reports_all_violations(tmp_path, capsys):
     )
     assert main(["validate", str(config)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert "lm.order must be in 1..5, got 9" in out
+    assert "lm.order: order must be in 1..5, got 9" in out
     assert "data.train_source: no such file missing.en" in out
     assert "data.dev_source is required" in out  # all violations listed, not just the first
-    assert "clean.max_ratio must be >= 1.0, got nan" in out
-    assert "decoder.beam_threshold must be >= 0 or none, got nan" in out
+    assert "clean.max_ratio: max_ratio must be >= 1.0, got nan" in out
+    assert "decoder.beam_threshold: beam_threshold must be >= 0, got nan" in out
 
 
 def test_validate_names_the_values_out_of_range(tmp_path, capsys):
@@ -254,8 +263,49 @@ def test_validate_names_the_values_out_of_range(tmp_path, capsys):
     config.write_text("[clean]\nmax_len = 0\n\n[decoder]\nstack_size = 0\n", encoding="utf-8")
     assert main(["validate", str(config)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert "clean.max_len must be >= 1, got 0" in out
-    assert "decoder.stack_size must be >= 1, got 0" in out
+    assert "clean.max_len: max_len must be >= 1, got 0" in out
+    assert "decoder.stack_size: stack_size must be >= 1, got 0" in out
+
+
+def test_validate_names_the_missing_tokenizer_files(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text("[tokenize]\ninventory = none.tsv\nlexicon = none.txt\n", encoding="utf-8")
+    assert main(["validate", str(config)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "tokenize.inventory: no such file none.tsv" in out
+    assert "tokenize.lexicon: no such file none.txt" in out
+
+
+def test_validate_and_the_stage_subcommands_word_a_refusal_alike(tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text("[tokenize]\nscheme = foo\n\n[lm]\norder = 0\n\n[align]\nheuristic = grow\n",
+                      encoding="utf-8")
+    assert main(["validate", str(config)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[6:9] == [
+        "tokenize.scheme: unknown tokenization scheme 'foo' (expected atb or myd3)",
+        "lm.order: order must be in 1..5, got 0",
+        "align.heuristic: unknown symmetrization heuristic 'grow' "
+        "(expected intersection, union, grow-diag-final)"]
+    (tmp_path / "a").write_text("x\n", encoding="utf-8")
+    for argv, line in (
+            (["tokenize", "--scheme", "foo", "--input", str(tmp_path / "a")], out[6]),
+            (["train-lm", str(tmp_path / "a"), "--order", "0", "-o", str(tmp_path / "lm")], out[7]),
+            (["align", "--source", str(tmp_path / "a"), "--target", str(tmp_path / "a"),
+              "--heuristic", "grow", "-o", str(tmp_path / "al")], out[8])):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["ERROR usage: " + line.split(": ", 1)[1]]
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("lm", "order", "abc"), ("decoder", "distortion_limit", "2.5"), ("clean", "max_ratio", "x")])
+def test_load_config_names_the_key_it_cannot_parse(tmp_path, capsys, section, key, text):
+    config = tmp_path / "run.ini"
+    config.write_text("[%s]\n%s = %s\n" % (section, key, text), encoding="utf-8")
+    assert main(["validate", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "ERROR config: bad value for [%s] %s in %s: " % (section, key, config)), err
 
 
 def test_validate_ok(small_toy, capsys):
@@ -272,9 +322,9 @@ def _mert_on_no_sentences(iterations, nbest_size):
               nbest_size, seed=0, log_lines=[])
 
 
-# each setting that validate checks and a component checks again: the
-# component's call, the values validate rejects and their accepted neighbours
-_CHECKED_TWICE = [
+# each setting with a range: the call of the module that reads it and owns
+# its check, values that check refuses and their accepted neighbours
+_COMPONENT_RULES = [
     ("stack_size", lambda v: DecoderConfig(v, None, None), [0], [1]),
     ("beam_threshold", lambda v: DecoderConfig(1, v, None),
      [math.nextafter(0.0, -1.0), math.nan], [0.0, None]),
@@ -293,19 +343,20 @@ _CHECKED_TWICE = [
 ]
 
 
-@pytest.mark.parametrize("field, component, rejected, accepted", _CHECKED_TWICE,
-                         ids=[row[0] for row in _CHECKED_TWICE])
+@pytest.mark.parametrize("field, component, rejected, accepted", _COMPONENT_RULES,
+                         ids=[row[0] for row in _COMPONENT_RULES])
 def test_validate_draws_the_components_boundaries(field, component, rejected, accepted):
     defaults = pipeline.PipelineConfig()
+    prefix = "%s.%s: " % pipeline.FIELDS[field].metadata["key"]
 
     def new_problems(value):
         changed = replace(defaults, **{field: value})
-        return set(pipeline.validate(changed)) - set(pipeline.validate(defaults))
+        return [p for p in pipeline.validate(changed) if p not in pipeline.validate(defaults)]
 
     for value in rejected:
-        assert new_problems(value), value
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as refusal:
             component(value)
+        assert new_problems(value) == [prefix + str(refusal.value)], value
     for value in accepted:
         assert not new_problems(value), value
         component(value)
@@ -612,7 +663,8 @@ def test_an_unknown_heuristic_is_one_usage_error_line(tmp_path, capsys):
     assert main(["align", "--source", str(files["source"]), "--target", str(files["target"]),
                  "--heuristic", "Grow", "-o", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "ERROR usage: unknown symmetrization heuristic 'grow'"]
+        "ERROR usage: unknown symmetrization heuristic 'grow' "
+        "(expected intersection, union, grow-diag-final)"]
     assert list(tmp_path.glob("out.align*")) == []
 
 

@@ -322,6 +322,20 @@ def test_arpa_malformed_header(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("ngram 1=1\nngrams 2=1\n", " line 3: expected 'ngram N=count', found 'ngrams 2=1'"),
+    ("ngram 1=one\n", " line 2: malformed count line 'ngram 1=one'"),
+    ("ngram 1=1\nngram 3=1\n", ": malformed \\data\\ section (orders [1, 3])"),
+    ("ngram 1=1\n\n\\one-grams:\n", " line 4: bad section header '\\\\one-grams:'"),
+], ids=["count-line", "count", "skipped-order", "section-header"])
+def test_arpa_header_refusals_name_the_file(tmp_path, header, message):
+    bad = tmp_path / "bad.arpa"
+    bad.write_text("\\data\\\n" + header + "\n-0.5\ta\n\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        lm.read_arpa(bad)
+    assert str(err.value) == str(bad) + message
+
+
 def test_arpa_missing_end(tmp_path):
     bad = tmp_path / "bad.arpa"
     bad.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n", encoding="utf-8")
