@@ -11,7 +11,9 @@ an unpruned forced decode of its reference (tests/oracles.search_outcome):
 a search error, a model error, an unreachable reference, or exact. One line
 per stack gives the sentences that failed, those four counts, the sum of the
 1-best model scores, and how many 1-best scores rose and fell against stack
-100. The last line of standard output is one JSON object holding the same
+100, and how many hypotheses the 1-best searches built over the 120
+sentences (counted by wrapping decode._Hyp here, so the decoder keeps no
+counter). The last line of standard output is one JSON object holding the same
 figures by stack size, each stack's with the sha256 of its 1-best lines (the
 tokens joined by spaces) as "sha256", and of its n-best lists at the
 pipeline's MERT n-best size as "nbest_sha256" (each list's repr of (tokens,
@@ -39,7 +41,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import workloads  # noqa: E402  (puts src/ on the path)
 from oracles import forced_decode, search_outcome  # noqa: E402
-from minismt import lm  # noqa: E402
+from minismt import decode, lm  # noqa: E402
 from minismt.decode import Decoder, DecoderConfig  # noqa: E402
 from minismt.errors import MinismtError  # noqa: E402
 from minismt.pipeline import PipelineConfig  # noqa: E402
@@ -66,19 +68,34 @@ def main(argv):
     forced = [forced_decode(s, r, table, model, weights, limit)
               for s, r in zip(bench.sentences, references)]
 
-    decoded_at = {}  # stack size -> (each 1-best, None where the search fails; seconds)
+    # stack size -> (each 1-best, None where the search fails; seconds;
+    # hypotheses built)
+    decoded_at = {}
+    hyp = decode._Hyp
 
     def decode_at(stack):
         if stack not in decoded_at:
             decoder = Decoder(table, model, weights, DecoderConfig(stack, None, limit))
-            start = time.perf_counter()
-            bests = []
-            for sentence in bench.sentences:
-                try:
-                    bests.append(decoder.decode(sentence))
-                except MinismtError:
-                    bests.append(None)
-            decoded_at[stack] = bests, time.perf_counter() - start
+            built = 0
+
+            def counted(*args):
+                nonlocal built
+                built += 1
+                return hyp(*args)
+
+            decode._Hyp = counted
+            try:
+                start = time.perf_counter()
+                bests = []
+                for sentence in bench.sentences:
+                    try:
+                        bests.append(decoder.decode(sentence))
+                    except MinismtError:
+                        bests.append(None)
+                seconds = time.perf_counter() - start
+            finally:
+                decode._Hyp = hyp
+            decoded_at[stack] = bests, seconds, built
         return decoded_at[stack]
 
     def nbest_lines(stack):
@@ -98,11 +115,11 @@ def main(argv):
     def best_sha256(bests):
         return sha256(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests)
 
-    reference, _ = decode_at(REFERENCE_STACK)
+    reference, _, _ = decode_at(REFERENCE_STACK)
     reference_sha256 = best_sha256(reference)
     summary = {}
     for stack in stacks:
-        bests, seconds = decode_at(stack)
+        bests, seconds, built = decode_at(stack)
         decoded = [(b, r, f, base) for b, r, f, base in zip(bests, references, forced, reference)
                    if b is not None]
         outcomes = Counter(search_outcome(b, r, f) for b, r, f, _ in decoded)
@@ -112,14 +129,15 @@ def main(argv):
                              for b, _, _, base in decoded),
                "lower": sum(base is not None and b.score < base.score
                             for b, _, _, base in decoded),
+               "built": built,
                "sha256": best_sha256(bests),
                "nbest_sha256": sha256(nbest_lines(stack)),
                "reference_sha256": reference_sha256}
         summary[stack] = row
         print("stack %d: %d failed; search/model/unreachable/exact %s; score sum %.2f; "
-              "vs stack %d: %d higher, %d lower (%.1f s)"
+              "vs stack %d: %d higher, %d lower; %d built (%.1f s)"
               % (stack, row["failed"], " / ".join(str(row[o]) for o in OUTCOMES),
-                 row["score_sum"], REFERENCE_STACK, row["higher"], row["lower"], seconds))
+                 row["score_sum"], REFERENCE_STACK, row["higher"], row["lower"], built, seconds))
     print(json.dumps(summary))
 
 

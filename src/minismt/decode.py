@@ -15,9 +15,14 @@ still read, so the hypotheses of one key score every continuation alike.
 Pruning is histogram (stack size) plus an optional relative score window,
 both measured on score + future-cost estimate - distortion weight * d, the
 distortion still to pay (Moore & Quirk 2007) on a walk of the uncovered runs
-from last_end + 1. The future cost scores each phrase's target with the LM
-alone, from the empty context; neither term bounds the best completion, so
-the ranking is an estimate, and an unpruned search is unchanged.
+from last_end + 1. A stack builds only what it can keep (Huang & Chiang
+2007): an expansion waits in its target stack's heap of 2 x stack size
+candidates, ranked on the same estimate with the option's LM-alone score in
+place of its LM step, and only the survivors are LM-scored and built. The
+goal's stack builds them all. The future cost scores each phrase's target
+with the LM alone, from the empty context; neither term bounds the best
+completion, so the ranking is an estimate, and an unpruned search is
+unchanged.
 
 Unlimited reordering is a distortion window as wide as the sentence, since
 no jump inside n words is longer than n. An expansion can leave a gap that
@@ -33,14 +38,15 @@ A hypothesis's key and the search's memos hold lm.state_machine's states as
 they are. A search keeps two memos for its one sentence, since many
 expansions repeat the same lookup: the LM sum of the words a step reads
 after a state (its target, and </s> when it completes the sentence) with the
-state it leaves, and the LM step of one word after a state. Ranking a stack
-keeps a third, the future cost (from span costs keyed by span mask) and d's
-terms of a coverage, which serves that stack alone. The LM is reached only
+state it leaves, and the LM step of one word after a state. A third, the
+future cost (from span costs keyed by span mask) and d's terms of a
+coverage, serves the estimates and the ranking. The LM is reached only
 through lm.state_machine's step. A hit returns the float its first
 computation gave, so a score does not depend on which lookups hit. The
 read-out follows prev, which points at an expanded state or the root, and
 the losers of that state's key, so a search holds only the expanded states
-and the goal with their losers, the stacks still filling and its LM memos.
+and the goal with their losers, the candidates of the stacks still filling
+and its memos.
 The cyclic garbage collector is paused over a search and its read-out: a
 hypothesis points only to its predecessor, so the graph is acyclic and
 reference counting frees it; threads decoding at once share that one switch,
@@ -93,6 +99,9 @@ FEATURE_NAMES = (
 N_FEATURES = 8
 
 UNKNOWN_WORD_PENALTY = 10.0  # extra word-penalty units per copied-through token
+# a stack below the goal builds this many times stack_size of its candidates
+# at most; 1 drops states that ranking would keep, and adds search errors
+_BUILD_FACTOR = 2
 check_stack_size = at_least(1, "stack_size")
 check_beam_threshold = at_least(0, "beam_threshold")
 check_distortion_limit = at_least(0, "distortion_limit")
@@ -242,14 +251,17 @@ class Decoder:
 
     # ---- future cost -------------------------------------------------
 
-    def future_cost_table(self, sentence, options):
+    def future_cost_table(self, sentence, options, estimates=None):
         """span (i, j exclusive), keyed by its mask (1 << j) - (1 << i) as in
         Option.mask -> estimated score for translating it with the options: the
-        best sum of _option_estimate over the span's segmentations."""
+        best sum of _option_estimate over the span's segmentations. estimates,
+        if given, holds each option's _option_estimate, in order."""
         n = len(sentence)
+        if estimates is None:
+            estimates = map(self._option_estimate, options)
         best = {}
-        for o in options:
-            best[o.mask] = max(best.get(o.mask, -math.inf), self._option_estimate(o))
+        for o, estimate in zip(options, estimates):
+            best[o.mask] = max(best.get(o.mask, -math.inf), estimate)
         table = {}
         for length in range(1, n + 1):
             for i in range(n - length + 1):
@@ -279,18 +291,28 @@ class Decoder:
         """(goal, arcs): the goal's hypothesis, None if none completes, and
         the losers of the goal's and the expanded states' keys. Of two
         hypotheses of one key the better holds the slot, the first built on
-        a tie, and the other is a loser: which holds it changes no read-out."""
+        a tie, and the other is a loser: which holds it changes no read-out.
+
+        A stack below the goal keeps the _BUILD_FACTOR * stack_size
+        candidates of the best estimate, the first generated on a tie: the
+        predecessor's score plus the jump's distortion term, the option's
+        _option_estimate and the new coverage's future cost less the
+        distortion still to pay. At its turn they are LM-scored, built and
+        recombined in the order and with the serials they were generated
+        with, so a stack that drops none is built as if none could be."""
         n = len(sentence)
         options = collect_options(sentence, self.table)
-        future_table = self.future_cost_table(sentence, options)
+        estimates = [self._option_estimate(o) for o in options]
+        future_table = self.future_cost_table(sentence, options, estimates)
         full_mask = (1 << n) - 1
         step = self._lm_step
         w0, w1, w2, w3, w4, w5, w6, w7 = self.weights.values
+        budget = _BUILD_FACTOR * self.config.stack_size
 
         root = _Hyp((0, self._lm_start, -1), 0.0, 0.0, None, None, 0.0, 0)
-        # by words covered, each with its losers by key. Stack 0 is keyed by
-        # 0, the empty sentence's full_mask, so that sentence's goal is the root
-        stacks = [({0: root}, {})] + [({}, defaultdict(list)) for _ in range(n)]
+        # each stack's (estimate, -serial, predecessor, its LM row, option
+        # entry, distortion term); below the goal a heap, the worst first
+        pending = [[] for _ in range(n + 1)]
         arcs = {}  # the losers of the expanded states' keys and the goal's
         serial = 1
         # no jump inside the sentence is longer than n, so n is no limit
@@ -299,31 +321,28 @@ class Decoder:
         # span, by end; options come in span order, so walking the starts in
         # order runs expansions and their serials in source order. Each
         # option comes with its weighted static terms, the products that
-        # the step's score adds
+        # the step's score adds, and its estimate
         spans = [[] for _ in range(n)]
-        for option in options:
+        for option, estimate in zip(options, estimates):
             group = spans[option.start]
             if not group or group[-1][0] != option.mask:
                 group.append((option.mask, option.end - 1, []))
             s = option.static
             group[-1][2].append((option, w1 * s[1], w2 * s[2], w3 * s[3], w4 * s[4],
-                                 w6 * s[6], w7 * s[7]))
+                                 w6 * s[6], w7 * s[7], estimate))
         # memos of this sentence's search, dropped when it returns
         # LM state -> {words read: (their LM sum, next LM state)}, where a
         # step that completes the sentence reads its target and </s>
         lm_memo = {}
         word_memo = {}  # (LM state, word) -> (log P(word | state), next LM state)
+        rests = {}  # coverage -> _rest_of(coverage), for the estimates and _pruned
         can_finish = _liveness(full_mask, dl)
 
-        for covered in range(n):
-            # the root, alone in stack 0, is expanded without ranking: it can
-            # always finish monotonically. The read-out reaches no other state
-            # of the stack, so only the expanded states' losers are kept
-            kept = self._pruned(stacks[covered][0], full_mask, future_table, {},
-                                can_finish) if covered else [root]
-            lost = stacks[covered][1]
-            arcs.update((h.key, lost[h.key]) for h in kept if h.key in lost)
-            stacks[covered] = lost = None
+        # the root, alone in stack 0, is expanded without ranking: it can
+        # always finish monotonically. Stack 0 is keyed by 0, the empty
+        # sentence's full_mask, so that sentence's goal is the root
+        kept, stack, losers = [root], {0: root}, {}
+        for covered in range(1, n + 1):
             for hyp in kept:
                 before, lm_state, last_end = hyp.key
                 lm_row = lm_memo.get(lm_state)
@@ -333,47 +352,72 @@ class Decoder:
                     if before >> start & 1:
                         continue
                     distortion_term = w5 * -float(distortion_cost(last_end, start))
+                    jumped = hyp.score + distortion_term
                     for mask, end, group in spans[start]:
                         if before & mask:
                             break  # the longer spans from this start overlap too
                         coverage = before | mask
-                        final = coverage == full_mask
-                        stack, losers = stacks[covered + end + 1 - start]
-                        for option, t1, t2, t3, t4, t6, t7 in group:
-                            words = option.target
-                            if final:
-                                words += (lm_mod.END,)
-                            memo = lm_row.get(words)
-                            if memo is None:
-                                lm_score = 0.0
-                                next_lm = lm_state
-                                for w in words:
-                                    hit = word_memo.get((next_lm, w))
-                                    if hit is None:
-                                        hit = word_memo[next_lm, w] = step(next_lm, w)
-                                    lm_score += hit[0]
-                                    next_lm = hit[1]
-                                memo = lm_row[words] = (lm_score, next_lm)
-                            lm_score, next_lm = memo
-                            # Weights.dot of the step's features, term by term
-                            # in its order from 0.0, so the float is the same;
-                            # scores accumulate incrementally so that
-                            # equal-key comparisons carry over to completions
-                            # exactly (float addition is monotone)
-                            inc_score = (0.0 + w0 * lm_score + t1 + t2 + t3 + t4
-                                         + distortion_term + t6 + t7)
-                            key = full_mask if final else (coverage, next_lm, end)
-                            new = _Hyp(key, hyp.score + inc_score, inc_score, hyp, option,
-                                       lm_score, serial)
+                        heap = pending[covered + end - start]
+                        if coverage == full_mask:
+                            for entry in group:
+                                heap.append((None, -serial, hyp, lm_row, entry, distortion_term))
+                                serial += 1
+                            continue
+                        rest = rests.get(coverage)
+                        if rest is None:
+                            rest = rests[coverage] = _rest_of(coverage, full_mask, future_table)
+                        future, first, inner = rest
+                        base = jumped + future - w5 * (abs(first - end - 1) + inner)
+                        for entry in group:
+                            estimate = base + entry[7]
+                            if len(heap) < budget:
+                                heapq.heappush(heap, (estimate, -serial, hyp, lm_row, entry,
+                                                      distortion_term))
+                            elif estimate > heap[0][0]:  # a tie goes to the earlier one
+                                heapq.heapreplace(heap, (estimate, -serial, hyp, lm_row, entry,
+                                                         distortion_term))
                             serial += 1
-                            cur = stack.setdefault(key, new)
-                            if cur is not new:
-                                if new.score > cur.score:
-                                    stack[key] = new
-                                    new = cur
-                                losers[key].append(new)
-        arcs.update(stacks[n][1])  # every key of the last stack is full_mask
-        return stacks[n][0].get(full_mask), arcs
+            final = covered == n
+            stack, losers = {}, defaultdict(list)
+            candidates, pending[covered] = pending[covered], None
+            candidates.sort(key=lambda c: -c[1])  # in the order generated
+            for _, neg_serial, hyp, lm_row, entry, distortion_term in candidates:
+                option, t1, t2, t3, t4, t6, t7, _ = entry
+                words = option.target + (lm_mod.END,) if final else option.target
+                memo = lm_row.get(words)
+                if memo is None:
+                    lm_score = 0.0
+                    next_lm = hyp.key[1]
+                    for w in words:
+                        hit = word_memo.get((next_lm, w))
+                        if hit is None:
+                            hit = word_memo[next_lm, w] = step(next_lm, w)
+                        lm_score += hit[0]
+                        next_lm = hit[1]
+                    memo = lm_row[words] = (lm_score, next_lm)
+                lm_score, next_lm = memo
+                # Weights.dot of the step's features, term by term in its
+                # order from 0.0, so the float is the same; scores accumulate
+                # incrementally so that equal-key comparisons carry over to
+                # completions exactly (float addition is monotone)
+                inc_score = (0.0 + w0 * lm_score + t1 + t2 + t3 + t4
+                             + distortion_term + t6 + t7)
+                key = full_mask if final else (hyp.key[0] | option.mask, next_lm, option.end - 1)
+                new = _Hyp(key, hyp.score + inc_score, inc_score, hyp, option, lm_score,
+                           -neg_serial)
+                cur = stack.setdefault(key, new)
+                if cur is not new:
+                    if new.score > cur.score:
+                        stack[key] = new
+                        new = cur
+                    losers[key].append(new)
+            if not final:
+                # the read-out reaches no other state of the stack, so only
+                # the expanded states' losers are kept
+                kept = self._pruned(stack, full_mask, future_table, rests, can_finish)
+                arcs.update((h.key, losers[h.key]) for h in kept if h.key in losers)
+        arcs.update(losers)  # every key of the last stack is full_mask
+        return stack.get(full_mask), arcs
 
     def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
         """The stack's hypotheses to expand, best first on score + future cost
@@ -385,22 +429,17 @@ class Decoder:
         been built: it takes no place in the stack and does not set the beam.
         Liveness depends on the coverage and last_end alone, so a dead state
         never shares its recombination key with a live one, and only the
-        states ranked high enough to be kept are tested. future_memo, from a
-        coverage to its (future, first, inner), serves one stack: a
-        coverage's size is its stack, so _search passes a fresh one per call.
+        states ranked high enough to be kept are tested. future_memo maps a
+        coverage to its _rest_of; _search passes the one its estimates fill.
         """
         ranked = []
         w_distortion = self.weights.values[5]
         for h in stack.values():
             coverage, _, last_end = h.key
-            memo = future_memo.get(coverage)
-            if memo is None:
-                gaps = full_mask & ~coverage
-                first = (gaps & -gaps).bit_length() - 1
-                inner = gaps.bit_length() - first - gaps.bit_count()
-                memo = future_memo[coverage] = (_future_of(coverage, full_mask, future_table),
-                                                first, inner)
-            future, first, inner = memo
+            rest = future_memo.get(coverage)
+            if rest is None:
+                rest = future_memo[coverage] = _rest_of(coverage, full_mask, future_table)
+            future, first, inner = rest
             d = abs(first - last_end - 1) + inner
             # serials are unique, so the tuples never compare hypotheses
             ranked.append((-(h.score + future - w_distortion * d), h.serial, h))
@@ -521,6 +560,16 @@ def _future_of(coverage, full_mask, table):
         total += table[(carry & -carry) - low]  # the run's span mask
         gaps &= carry
     return total
+
+
+def _rest_of(coverage, full_mask, table):
+    """(future, first, inner): the future cost of the uncovered runs, the
+    first uncovered position and the covered positions between uncovered
+    runs, so a state ending at last_end has d = |first - last_end - 1| + inner."""
+    gaps = full_mask & ~coverage
+    first = (gaps & -gaps).bit_length() - 1
+    return (_future_of(coverage, full_mask, table), first,
+            gaps.bit_length() - first - gaps.bit_count())
 
 
 def _liveness(full_mask, dl):

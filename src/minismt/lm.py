@@ -245,12 +245,17 @@ def read_arpa(path):
             fail(idx, "expected 'ngram N=count', found %r" % line)
         try:
             left, right = line[len("ngram ") :].split("=")
-            declared[int(left)] = int(right)
+            n, count = int(left), int(right)
         except ValueError:
             fail(idx, "malformed count line %r" % line)
+        if n in declared:
+            fail(idx, "order %d declared twice: %r" % (n, line))
+        if n != len(declared) + 1:
+            fail(idx, "expected order %d, found %r" % (len(declared) + 1, line))
+        declared[n] = count
         idx += 1
-    if not declared or sorted(declared) != list(range(1, max(declared) + 1)):
-        raise FormatError("%s: malformed \\data\\ section (orders %s)" % (path, sorted(declared)))
+    if not declared:
+        raise FormatError("%s: malformed \\data\\ section (orders [])" % path)
     order = max(declared)
 
     probs, backoffs = {}, {}

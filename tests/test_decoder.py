@@ -685,6 +685,116 @@ def test_pruned_nbest_lists(stack_size, dl):
         assert full[0] == d.decode(sentence), trial
 
 
+def _budget_cases():
+    """(case, sentence, decoder): _random_instance and _tie_heavy_instance
+    by turns, then _many_derivations_instance, whose estimates tie often, at
+    stacks 1 to 3 and beam thresholds None and 0.0, with unlimited
+    reordering or a distortion limit of 1 by turns."""
+    rng = random.Random(79)
+    instances = [(_tie_heavy_instance if trial % 2 else _random_instance)(rng)
+                 for trial in range(24)] + [_many_derivations_instance()]
+    for trial, (sentence, table, model, weights) in enumerate(instances):
+        dl = (None, 1)[trial // 2 % 2]
+        for stack_size in (1, 2, 3):
+            for threshold in (None, 0.0):
+                config = DecoderConfig(stack_size, threshold, dl)
+                yield (trial, config), sentence, Decoder(table, model, weights, config)
+
+
+def _built_and_expanded(monkeypatch, decoder, sentence):
+    """(built, expanded) of one search, each a list per stack: the
+    hypotheses built, in build order, and the states expanded, in _pruned's
+    order, the root alone in stack 0."""
+    n = len(sentence)
+    built, expanded = [[] for _ in range(n + 1)], []
+    pruned = Decoder._pruned
+
+    def recording_pruned(self, *args):
+        kept = pruned(self, *args)
+        expanded.append(kept)
+        return kept
+
+    def recording_hyp(key, *args):
+        h = _Hyp(key, *args)
+        built[n if key == (1 << n) - 1 else key[0].bit_count()].append(h)
+        return h
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Decoder, "_pruned", recording_pruned)
+        patched.setattr(decode, "_Hyp", recording_hyp)
+        decoder._search(sentence)
+    return built, [built[0]] + expanded
+
+
+def _candidates(decoder, sentence, expanded):
+    """Each stack's candidates in the order the search generates them, as
+    (estimate, predecessor, start, end, target): every option over an open
+    span within the distortion limit of each expanded state, stack by stack.
+    The estimate is summed as the search sums it; the goal's is None."""
+    n = len(sentence)
+    full = (1 << n) - 1
+    options = collect_options(sentence, decoder.table)
+    futures = decoder.future_cost_table(sentence, options)
+    dl = n if decoder.config.distortion_limit is None else decoder.config.distortion_limit
+    w_distortion = decoder.weights.values[5]
+    candidates = [[] for _ in range(n + 1)]
+    for states in expanded:
+        for h in states:
+            coverage, _, last_end = h.key
+            for o in options:
+                jump = phrases.distortion_cost(last_end, o.start)
+                if coverage & o.mask or jump > dl:
+                    continue
+                new = coverage | o.mask
+                estimate = None if new == full else (
+                    h.score + w_distortion * -float(jump) + _future_of(new, full, futures)
+                    - w_distortion * distortion_estimate_reference(new, o.end - 1, n)
+                    + decoder._option_estimate(o))
+                candidates[new.bit_count()].append((estimate, h, o.start, o.end, o.target))
+    return candidates
+
+
+def test_a_stack_builds_at_most_twice_its_size_and_the_goal_all(monkeypatch):
+    # a stack below the goal builds its candidates up to 2 x stack_size, in
+    # the order they were generated; the goal's builds every one it receives
+    trimmed = goal_over = 0
+    for case, sentence, decoder in _budget_cases():
+        built, expanded = _built_and_expanded(monkeypatch, decoder, sentence)
+        candidates = _candidates(decoder, sentence, expanded)
+        n, budget = len(sentence), 2 * decoder.config.stack_size
+        assert built[0] == expanded[0] and len(built[0]) == 1, case
+        for covered in range(1, n + 1):
+            serials = [h.serial for h in built[covered]]
+            assert serials == sorted(serials), (case, covered)
+            received = len(candidates[covered])
+            if covered == n:
+                assert len(built[n]) == received, case
+                goal_over += received > budget
+            else:
+                assert len(built[covered]) == min(received, budget), (case, covered)
+                trimmed += received > budget
+    assert trimmed > 200 and goal_over > 50, (trimmed, goal_over)
+
+
+def test_a_trimmed_stack_builds_the_best_estimates_first_generated_on_a_tie(monkeypatch):
+    trimmed = ties = 0
+    for case, sentence, decoder in _budget_cases():
+        built, expanded = _built_and_expanded(monkeypatch, decoder, sentence)
+        candidates = _candidates(decoder, sentence, expanded)
+        budget = 2 * decoder.config.stack_size
+        for covered, received in enumerate(candidates[:-1]):
+            if len(received) <= budget:
+                continue
+            ranked = sorted(range(len(received)), key=lambda i: (-received[i][0], i))
+            want = {received[i][1:] for i in ranked[:budget]}
+            got = {(h.prev, h.option.start, h.option.end, h.option.target)
+                   for h in built[covered]}
+            assert got == want, (case, covered)
+            trimmed += 1
+            ties += received[ranked[budget - 1]][0] == received[ranked[budget]][0]
+    assert trimmed > 200 and ties > 10, (trimmed, ties)
+
+
 def test_wide_beam_threshold_prunes_nothing():
     # a window wider than any score gap keeps every hypothesis
     rng = random.Random(47)

@@ -325,15 +325,21 @@ def test_arpa_malformed_header(tmp_path):
 @pytest.mark.parametrize("header, message", [
     ("ngram 1=1\nngrams 2=1\n", " line 3: expected 'ngram N=count', found 'ngrams 2=1'"),
     ("ngram 1=one\n", " line 2: malformed count line 'ngram 1=one'"),
-    ("ngram 1=1\nngram 3=1\n", ": malformed \\data\\ section (orders [1, 3])"),
+    ("ngram 1=1\nngram 3=1\n", " line 3: expected order 2, found 'ngram 3=1'"),
+    ("ngram 1=1\nngram 1=2\n", " line 3: order 1 declared twice: 'ngram 1=2'"),
     ("ngram 1=1\n\n\\one-grams:\n", " line 4: bad section header '\\\\one-grams:'"),
-], ids=["count-line", "count", "skipped-order", "section-header"])
-def test_arpa_header_refusals_name_the_file(tmp_path, header, message):
+], ids=["count-line", "count", "skipped-order", "duplicate-order", "section-header"])
+def test_arpa_header_refusals_name_the_file(tmp_path, capsys, header, message):
     bad = tmp_path / "bad.arpa"
     bad.write_text("\\data\\\n" + header + "\n-0.5\ta\n\n\\end\\\n", encoding="utf-8")
     with pytest.raises(FormatError) as err:
         lm.read_arpa(bad)
     assert str(err.value) == str(bad) + message
+    # the query-lm subcommand reports it as one error line
+    text = tmp_path / "text"
+    text.write_text("a\n", encoding="utf-8")
+    assert main(["query-lm", str(bad), "--input", str(text)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR format: " + str(bad) + message]
 
 
 def test_arpa_missing_end(tmp_path):
