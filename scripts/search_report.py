@@ -7,24 +7,24 @@ Builds decode-long's models and sentences as the benchmark does
 (perfbench/workloads.DecodeLong at seed 20240601, tuned weights, distortion
 limit 6) and decodes the 120 sentences 1-best at each stack size, and at
 stack 100 as the reference. Each sentence that decodes is classed against
-an unpruned forced decode of its reference (tests/oracles.search_outcome):
-a search error, a model error, an unreachable reference, or exact. One line
-per stack gives the sentences that failed, those four counts, the sum of the
+an unpruned forced decode of its reference (tests/oracles.search_outcome): a
+search error, a model error, an unreachable reference, or exact. One line per
+stack gives the sentences that failed, those four counts, the sum of the
 1-best model scores, and how many 1-best scores rose and fell against stack
-100, and how many hypotheses the 1-best searches built over the 120
-sentences (counted by wrapping decode._Hyp here, so the decoder keeps no
-counter). The last line of standard output is one JSON object holding the same
-figures by stack size, each stack's with the sha256 of its 1-best lines (the
-tokens joined by spaces) as "sha256", and of its n-best lists at the
-pipeline's MERT n-best size as "nbest_sha256" (each list's repr of (tokens,
-features, score) entries, as tests/data/toy_nbest.sha256 hashes them): one
-line per sentence, a failed sentence's empty. Each row also holds the
-sha256 of the stack-100 reference's 1-best lines as "reference_sha256", the
-search configuration the benchmark decodes with. tests/data/decode_long.sha256
-and tests/data/decode_long_nbest.sha256 hold the values at the pipeline's
-default stack size and tests/data/decode_long_stack100.sha256 the
-reference's, which CI compares, so a change to the search's output
-regenerates them deliberately.
+100, how many hypotheses the 1-best searches built over the 120 sentences and
+how many LM steps they took (counted by wrapping decode._Hyp and each
+decoder's _lm_step here, so the decoder keeps no counter). The last line of
+standard output is one JSON object holding the same figures by stack size,
+each stack's with the sha256 of its 1-best lines (the tokens joined by spaces)
+as "sha256", and of its n-best lists at the pipeline's MERT n-best size as
+"nbest_sha256" (each list's repr of (tokens, features, score) entries, as
+tests/data/toy_nbest.sha256 hashes them): one line per sentence, a failed
+sentence's empty. Each row also holds the sha256 of the stack-100 reference's
+1-best lines as "reference_sha256", the search configuration the benchmark
+decodes with. tests/data/decode_long.sha256 and
+tests/data/decode_long_nbest.sha256 hold the values at the pipeline's default
+stack size and tests/data/decode_long_stack100.sha256 the reference's, which
+CI compares, so a change to the search's output regenerates them deliberately.
 """
 
 import hashlib
@@ -69,21 +69,28 @@ def main(argv):
               for s, r in zip(bench.sentences, references)]
 
     # stack size -> (each 1-best, None where the search fails; seconds;
-    # hypotheses built)
+    # hypotheses built; LM steps)
     decoded_at = {}
     hyp = decode._Hyp
 
     def decode_at(stack):
         if stack not in decoded_at:
             decoder = Decoder(table, model, weights, DecoderConfig(stack, None, limit))
-            built = 0
+            built = lm_steps = 0
+            step = decoder._lm_step
 
             def counted(*args):
                 nonlocal built
                 built += 1
                 return hyp(*args)
 
+            def counted_step(*args):
+                nonlocal lm_steps
+                lm_steps += 1
+                return step(*args)
+
             decode._Hyp = counted
+            decoder._lm_step = counted_step
             try:
                 start = time.perf_counter()
                 bests = []
@@ -95,7 +102,7 @@ def main(argv):
                 seconds = time.perf_counter() - start
             finally:
                 decode._Hyp = hyp
-            decoded_at[stack] = bests, seconds, built
+            decoded_at[stack] = bests, seconds, built, lm_steps
         return decoded_at[stack]
 
     def nbest_lines(stack):
@@ -115,11 +122,11 @@ def main(argv):
     def best_sha256(bests):
         return sha256(("" if b is None else " ".join(b.tokens)) + "\n" for b in bests)
 
-    reference, _, _ = decode_at(REFERENCE_STACK)
+    reference, *_ = decode_at(REFERENCE_STACK)
     reference_sha256 = best_sha256(reference)
     summary = {}
     for stack in stacks:
-        bests, seconds, built = decode_at(stack)
+        bests, seconds, built, lm_steps = decode_at(stack)
         decoded = [(b, r, f, base) for b, r, f, base in zip(bests, references, forced, reference)
                    if b is not None]
         outcomes = Counter(search_outcome(b, r, f) for b, r, f, _ in decoded)
@@ -130,14 +137,16 @@ def main(argv):
                "lower": sum(base is not None and b.score < base.score
                             for b, _, _, base in decoded),
                "built": built,
+               "lm_steps": lm_steps,
                "sha256": best_sha256(bests),
                "nbest_sha256": sha256(nbest_lines(stack)),
                "reference_sha256": reference_sha256}
         summary[stack] = row
         print("stack %d: %d failed; search/model/unreachable/exact %s; score sum %.2f; "
-              "vs stack %d: %d higher, %d lower; %d built (%.1f s)"
+              "vs stack %d: %d higher, %d lower; %d built, %d LM steps (%.1f s)"
               % (stack, row["failed"], " / ".join(str(row[o]) for o in OUTCOMES),
-                 row["score_sum"], REFERENCE_STACK, row["higher"], row["lower"], built, seconds))
+                 row["score_sum"], REFERENCE_STACK, row["higher"], row["lower"], built,
+                 lm_steps, seconds))
     print(json.dumps(summary))
 
 

@@ -35,18 +35,17 @@ distortion window and, from each, the spans by length up to the first
 covered word, in collect_options' (start, end, target) order.
 
 A hypothesis's key and the search's memos hold lm.state_machine's states as
-they are. A search keeps two memos for its one sentence, since many
-expansions repeat the same lookup: the LM sum of the words a step reads
-after a state (its target, and </s> when it completes the sentence) with the
-state it leaves, and the LM step of one word after a state. A third, the
-future cost (from span costs keyed by span mask) and d's terms of a
-coverage, serves the estimates and the ranking. The LM is reached only
-through lm.state_machine's step. A hit returns the float its first
-computation gave, so a score does not depend on which lookups hit. The
-read-out follows prev, which points at an expanded state or the root, and
-the losers of that state's key, so a search holds only the expanded states
-and the goal with their losers, the candidates of the stacks still filling
-and its memos.
+they are. A search keeps one memo per kind of lookup for its one sentence,
+since many expansions repeat the same lookup: the LM step of one word after
+a state, from which a built step sums the words it reads (its target, and
+</s> when it completes the sentence) from 0.0 in order, and the future cost
+(from span costs keyed by span mask) and d's terms of a coverage, which the
+estimates fill and the ranking reads. The LM is reached only through
+lm.state_machine's step. A hit returns the float its first computation
+gave, so a score does not depend on which lookups hit. The read-out follows
+prev, which points at an expanded state or the root, and the losers of that
+state's key, so a search holds only the expanded states and the goal with
+their losers, the candidates of the stacks still filling and its memos.
 The cyclic garbage collector is paused over a search and its read-out: a
 hypothesis points only to its predecessor, so the graph is acyclic and
 reference counting frees it; threads decoding at once share that one switch,
@@ -297,9 +296,10 @@ class Decoder:
         candidates of the best estimate, the first generated on a tie: the
         predecessor's score plus the jump's distortion term, the option's
         _option_estimate and the new coverage's future cost less the
-        distortion still to pay. At its turn they are LM-scored, built and
-        recombined in the order and with the serials they were generated
-        with, so a stack that drops none is built as if none could be."""
+        distortion still to pay, from the coverage memo _pruned reads. At
+        its turn they are LM-scored word by word, built and recombined in the
+        order and with the serials they were generated with, so a stack that
+        drops none is built as if none could be."""
         n = len(sentence)
         options = collect_options(sentence, self.table)
         estimates = [self._option_estimate(o) for o in options]
@@ -310,8 +310,8 @@ class Decoder:
         budget = _BUILD_FACTOR * self.config.stack_size
 
         root = _Hyp((0, self._lm_start, -1), 0.0, 0.0, None, None, 0.0, 0)
-        # each stack's (estimate, -serial, predecessor, its LM row, option
-        # entry, distortion term); below the goal a heap, the worst first
+        # each stack's (estimate, -serial, predecessor, option entry,
+        # distortion term); below the goal a heap, the worst first
         pending = [[] for _ in range(n + 1)]
         arcs = {}  # the losers of the expanded states' keys and the goal's
         serial = 1
@@ -331,9 +331,6 @@ class Decoder:
             group[-1][2].append((option, w1 * s[1], w2 * s[2], w3 * s[3], w4 * s[4],
                                  w6 * s[6], w7 * s[7], estimate))
         # memos of this sentence's search, dropped when it returns
-        # LM state -> {words read: (their LM sum, next LM state)}, where a
-        # step that completes the sentence reads its target and </s>
-        lm_memo = {}
         word_memo = {}  # (LM state, word) -> (log P(word | state), next LM state)
         rests = {}  # coverage -> _rest_of(coverage), for the estimates and _pruned
         can_finish = _liveness(full_mask, dl)
@@ -344,10 +341,7 @@ class Decoder:
         kept, stack, losers = [root], {0: root}, {}
         for covered in range(1, n + 1):
             for hyp in kept:
-                before, lm_state, last_end = hyp.key
-                lm_row = lm_memo.get(lm_state)
-                if lm_row is None:
-                    lm_row = lm_memo[lm_state] = {}
+                before, _, last_end = hyp.key
                 for start in range(max(0, last_end + 1 - dl), min(n, last_end + 2 + dl)):
                     if before >> start & 1:
                         continue
@@ -360,7 +354,7 @@ class Decoder:
                         heap = pending[covered + end - start]
                         if coverage == full_mask:
                             for entry in group:
-                                heap.append((None, -serial, hyp, lm_row, entry, distortion_term))
+                                heap.append((None, -serial, hyp, entry, distortion_term))
                                 serial += 1
                             continue
                         rest = rests.get(coverage)
@@ -371,31 +365,25 @@ class Decoder:
                         for entry in group:
                             estimate = base + entry[7]
                             if len(heap) < budget:
-                                heapq.heappush(heap, (estimate, -serial, hyp, lm_row, entry,
+                                heapq.heappush(heap, (estimate, -serial, hyp, entry,
                                                       distortion_term))
                             elif estimate > heap[0][0]:  # a tie goes to the earlier one
-                                heapq.heapreplace(heap, (estimate, -serial, hyp, lm_row, entry,
+                                heapq.heapreplace(heap, (estimate, -serial, hyp, entry,
                                                          distortion_term))
                             serial += 1
             final = covered == n
             stack, losers = {}, defaultdict(list)
             candidates, pending[covered] = pending[covered], None
             candidates.sort(key=lambda c: -c[1])  # in the order generated
-            for _, neg_serial, hyp, lm_row, entry, distortion_term in candidates:
+            for _, neg_serial, hyp, entry, distortion_term in candidates:
                 option, t1, t2, t3, t4, t6, t7, _ = entry
-                words = option.target + (lm_mod.END,) if final else option.target
-                memo = lm_row.get(words)
-                if memo is None:
-                    lm_score = 0.0
-                    next_lm = hyp.key[1]
-                    for w in words:
-                        hit = word_memo.get((next_lm, w))
-                        if hit is None:
-                            hit = word_memo[next_lm, w] = step(next_lm, w)
-                        lm_score += hit[0]
-                        next_lm = hit[1]
-                    memo = lm_row[words] = (lm_score, next_lm)
-                lm_score, next_lm = memo
+                lm_score, next_lm = 0.0, hyp.key[1]
+                for w in (option.target + (lm_mod.END,) if final else option.target):
+                    hit = word_memo.get((next_lm, w))
+                    if hit is None:
+                        hit = word_memo[next_lm, w] = step(next_lm, w)
+                    lm_score += hit[0]
+                    next_lm = hit[1]
                 # Weights.dot of the step's features, term by term in its
                 # order from 0.0, so the float is the same; scores accumulate
                 # incrementally so that equal-key comparisons carry over to
@@ -414,12 +402,12 @@ class Decoder:
             if not final:
                 # the read-out reaches no other state of the stack, so only
                 # the expanded states' losers are kept
-                kept = self._pruned(stack, full_mask, future_table, rests, can_finish)
+                kept = self._pruned(stack, rests, can_finish)
                 arcs.update((h.key, losers[h.key]) for h in kept if h.key in losers)
         arcs.update(losers)  # every key of the last stack is full_mask
         return stack.get(full_mask), arcs
 
-    def _pruned(self, stack, full_mask, future_table, future_memo, can_finish):
+    def _pruned(self, stack, rests, can_finish):
         """The stack's hypotheses to expand, best first on score + future cost
         - distortion weight * d, which the beam threshold is measured on too.
         d jumps from last_end + 1 to the first open position, then over the
@@ -429,17 +417,14 @@ class Decoder:
         been built: it takes no place in the stack and does not set the beam.
         Liveness depends on the coverage and last_end alone, so a dead state
         never shares its recombination key with a live one, and only the
-        states ranked high enough to be kept are tested. future_memo maps a
-        coverage to its _rest_of; _search passes the one its estimates fill.
+        states ranked high enough to be kept are tested. rests maps each
+        coverage of the stack to its _rest_of, as _search's ranking filled it.
         """
         ranked = []
         w_distortion = self.weights.values[5]
         for h in stack.values():
             coverage, _, last_end = h.key
-            rest = future_memo.get(coverage)
-            if rest is None:
-                rest = future_memo[coverage] = _rest_of(coverage, full_mask, future_table)
-            future, first, inner = rest
+            future, first, inner = rests[coverage]
             d = abs(first - last_end - 1) + inner
             # serials are unique, so the tuples never compare hypotheses
             ranked.append((-(h.score + future - w_distortion * d), h.serial, h))
@@ -550,26 +535,21 @@ class _DistinctLists:
         return entries[k] if k < len(entries) else None
 
 
-def _future_of(coverage, full_mask, table):
-    """The future cost of the uncovered runs, summed left to right."""
-    total = 0.0
+def _rest_of(coverage, full_mask, table):
+    """(future, first, inner): the future cost of the uncovered runs, summed
+    left to right, the first uncovered position and the covered positions
+    between uncovered runs, so a state ending at last_end has
+    d = |first - last_end - 1| + inner."""
     gaps = full_mask & ~coverage
+    first = (gaps & -gaps).bit_length() - 1
+    inner = gaps.bit_length() - first - gaps.bit_count()
+    future = 0.0
     while gaps:
         low = gaps & -gaps  # the first position of the leftmost run
         carry = gaps + low  # the run cleared, and the bit just past its end set
-        total += table[(carry & -carry) - low]  # the run's span mask
+        future += table[(carry & -carry) - low]  # the run's span mask
         gaps &= carry
-    return total
-
-
-def _rest_of(coverage, full_mask, table):
-    """(future, first, inner): the future cost of the uncovered runs, the
-    first uncovered position and the covered positions between uncovered
-    runs, so a state ending at last_end has d = |first - last_end - 1| + inner."""
-    gaps = full_mask & ~coverage
-    first = (gaps & -gaps).bit_length() - 1
-    return (_future_of(coverage, full_mask, table), first,
-            gaps.bit_length() - first - gaps.bit_count())
+    return future, first, inner
 
 
 def _liveness(full_mask, dl):

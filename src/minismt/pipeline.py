@@ -400,8 +400,9 @@ def run_pipeline(cfg):
 
 
 def make_toy_config(out_dir):
-    """Copy the bundled toy corpus into out_dir/data and write a ready config."""
-    out = Path(out_dir)
+    """Copy the bundled toy corpus into out_dir/data and write a ready config,
+    whose paths are absolute, so it runs from any directory."""
+    out = Path(out_dir).resolve()
     data_dir = out / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
     lines = ["[data]"]

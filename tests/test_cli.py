@@ -431,6 +431,14 @@ def test_make_toy_config(tmp_path, capsys):
     assert pipeline.validate(cfg) == []
 
 
+def test_toy_config_made_in_a_relative_directory_validates_from_another(tmp_path, monkeypatch):
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    pipeline.make_toy_config("toy-run")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert pipeline.validate(pipeline.load_config(tmp_path / "toy-run" / "toy.ini")) == []
+
+
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -13,9 +13,9 @@ from minismt.decode import (
     Translation,
     UNKNOWN_WORD_PENALTY,
     Weights,
-    _future_of,
     _Hyp,
     _liveness,
+    _rest_of,
     collect_options,
     translate_all,
 )
@@ -172,22 +172,29 @@ def test_distortion_limit_decode_equals_exhaustive(dl):
         assert got.features == want_features, trial
 
 
-def test_future_of_equals_bit_by_bit_gap_walk():
+def test_rest_of_equals_bit_by_bit_gap_walks():
     # every coverage of every n <= 9, so the empty and the full coverage and
-    # gaps that run to the last position are all among them
+    # gaps that run to the last position are all among them; d's terms are
+    # checked at every last position, the root's -1 included, of every
+    # coverage with a word open, the only ones a search asks for
     rng = random.Random(17)
     for n in range(1, 10):
         table = {span_mask(i, j): rng.uniform(-9.0, 0.0)
                  for i in range(n) for j in range(i + 1, n + 1)}
         full = (1 << n) - 1
         for coverage in range(full + 1):
-            want = future_of_by_bits(coverage, full, table)
-            assert _future_of(coverage, full, table) == want, (n, coverage)
+            future, first, inner = _rest_of(coverage, full, table)
+            assert future == future_of_by_bits(coverage, full, table), (n, coverage)
+            if coverage == full:
+                continue
+            for last_end in range(-1, n):
+                want = distortion_estimate_reference(coverage, last_end, n)
+                assert abs(first - last_end - 1) + inner == want, (n, coverage, last_end)
 
 
 def test_ranking_charges_the_distortion_estimate_of_every_state():
     # every state (coverage with a word open, last covered position) of every
-    # n <= 9, ranked through one future memo per n. A stack ranks on score +
+    # n <= 9, ranked through one coverage memo per n. A stack ranks on score +
     # future - w_distortion * d; with futures of 0, w_distortion 1 and a
     # state's score set to the oracle's d, the state ranks at 0.0 exactly
     # when the decoder's d is the oracle's, as the root at score 0 does
@@ -202,12 +209,12 @@ def test_ranking_charges_the_distortion_estimate_of_every_state():
     for n in range(2, 10):  # n = 1 has no state with a word open but the root
         full = (1 << n) - 1
         futures = {span_mask(i, j): 0.0 for i in range(n) for j in range(i + 1, n + 1)}
-        memo = {}
+        memo = {coverage: _rest_of(coverage, full, futures) for coverage in range(full)}
         for coverage in range(1, full):
             for last_end in (i for i in range(n) if coverage >> i & 1):
                 d = distortion_estimate_reference(coverage, last_end, n)
                 state = _Hyp((coverage, 0, last_end), float(d), 0.0, None, None, 0.0, 1)
-                kept = decoder._pruned({root.key: root, state.key: state}, full, futures, memo,
+                kept = decoder._pruned({root.key: root, state.key: state}, memo,
                                        lambda coverage, last_end: True)
                 assert len(kept) == 2, (n, bin(coverage), last_end, d)
         assert memo[0] == (0.0, 0, 0)
@@ -454,6 +461,51 @@ def test_arcs_hold_only_the_expanded_states_and_the_goal(monkeypatch):
         kept_arcs += len(set(arcs) - {full_mask})
         goal_arcs += full_mask in arcs
     assert kept_arcs > 100 and goal_arcs > 10, (kept_arcs, goal_arcs)
+
+
+def test_a_search_walks_each_coverage_and_steps_each_lm_pair_once(monkeypatch):
+    # one memo per lookup: the coverage memo that the estimates fill and the
+    # ranking reads, and the (LM state, word) memo the builds sum through.
+    # _option_estimate's walk from the empty context has no memo, so its
+    # steps are not recorded
+    rng = random.Random(89)
+    rest_of, estimate = decode._rest_of, Decoder._option_estimate
+    walked, stepped, paused = [], [], []
+
+    def recording_rest_of(coverage, *args):
+        walked.append(coverage)
+        return rest_of(coverage, *args)
+
+    def paused_estimate(self, option):
+        paused.append(True)
+        try:
+            return estimate(self, option)
+        finally:
+            paused.pop()
+
+    monkeypatch.setattr(decode, "_rest_of", recording_rest_of)
+    monkeypatch.setattr(Decoder, "_option_estimate", paused_estimate)
+    walks = steps = 0
+    for trial in range(30):
+        sentence, table, model, weights = _random_instance(rng)
+        for config in (DecoderConfig(1, None, None), DecoderConfig(3, None, None), UNPRUNED):
+            decoder = Decoder(table, model, weights, config)
+            step = decoder._lm_step
+
+            def recording_step(state, word, step=step):
+                if not paused:
+                    stepped.append((state, word))
+                return step(state, word)
+
+            decoder._lm_step = recording_step
+            walked.clear()
+            stepped.clear()
+            decoder._search(sentence)
+            assert len(set(walked)) == len(walked), (trial, config)
+            assert len(set(stepped)) == len(stepped), (trial, config)
+            walks += len(walked)
+            steps += len(stepped)
+    assert walks > 500 and steps > 500, (walks, steps)
 
 
 def _partial_output(h):
@@ -747,7 +799,7 @@ def _candidates(decoder, sentence, expanded):
                     continue
                 new = coverage | o.mask
                 estimate = None if new == full else (
-                    h.score + w_distortion * -float(jump) + _future_of(new, full, futures)
+                    h.score + w_distortion * -float(jump) + _rest_of(new, full, futures)[0]
                     - w_distortion * distortion_estimate_reference(new, o.end - 1, n)
                     + decoder._option_estimate(o))
                 candidates[new.bit_count()].append((estimate, h, o.start, o.end, o.target))
